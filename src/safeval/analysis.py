@@ -151,29 +151,35 @@ def _rho_rows(
     seed: Seed,
     repeats: int | None,
 ) -> np.ndarray:
-    """Mean robustness for each (e, f) row; errors out on diverged items."""
+    """Mean robustness for each (e, f) row; errors out on diverged items.
+
+    Every repeat runs in one batched call, the rows tiled once per repeat
+    seed; robustness is summed per repeat in seed order.
+    """
     if _noise_active(spec, f_rows) and repeats is None:
         raise InvalidArgumentError(
             "the noise knob is active; supply a repeats count for averaging"
         )
     n = e_values.shape[0]
-    total = np.zeros(n)
     seeds = _repeat_seeds(seed, repeats)
-    single_f = np.all(f_rows == f_rows[0])
-    for rep in seeds:
-        if single_f:
-            f = spec.fidelity_space.setting(f_rows[0])
-            samples, ok = simulate_batch(spec, e_values, f, [rep] * n)
-        else:
-            samples, ok = simulate_batch_multi_f(spec, e_values, f_rows, [rep] * n)
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
+    e_all = np.tile(e_values, (len(seeds), 1))
+    rep_seeds = [rep for rep in seeds for _ in range(n)]
+    if np.all(f_rows == f_rows[0]):
+        f = spec.fidelity_space.setting(f_rows[0])
+        samples, ok = simulate_batch(spec, e_all, f, rep_seeds)
+    else:
+        f_all = np.tile(f_rows, (len(seeds), 1))
+        samples, ok = simulate_batch_multi_f(spec, e_all, f_all, rep_seeds)
+    total = np.zeros(n)
+    for r in range(len(seeds)):
+        block = slice(r * n, (r + 1) * n)
+        if not ok[block].all():
+            bad = int(np.flatnonzero(~ok[block])[0])
             raise InvalidArgumentError(
                 f"simulation diverged during estimation at e={e_values[bad].tolist()}"
             )
-        for i in range(n):
-            traj = Trajectory(0.0, spec.base_dt, spec.channels, samples[i])
-            total[i] += robustness(phi, traj)
+        for i, row in enumerate(samples[block]):
+            total[i] += robustness(phi, Trajectory(0.0, spec.base_dt, spec.channels, row))
     return total / len(seeds)
 
 
@@ -235,10 +241,9 @@ def estimate_lipschitz_env(
         raise InvalidArgumentError("pairs must be >= 10")
     space = spec.environment_space
     a, b = _paired_points(space.lower_array(), space.upper_array(), pairs, seed)
-    f_rows = np.tile(f.as_array(), (len(a), 1))
-    va = _rho_rows(spec, phi, a, f_rows, split_seed(seed, "eval"), repeats)
-    vb = _rho_rows(spec, phi, b, f_rows, split_seed(seed, "eval"), repeats)
-    return _max_slope(a, b, va, vb)
+    f_rows = np.tile(f.as_array(), (2 * len(a), 1))
+    v = _rho_rows(spec, phi, np.vstack([a, b]), f_rows, split_seed(seed, "eval"), repeats)
+    return _max_slope(a, b, v[: len(a)], v[len(a) :])
 
 
 def estimate_lipschitz_fidelity(
@@ -261,10 +266,9 @@ def estimate_lipschitz_fidelity(
     a, b = _paired_points(np.zeros(dim), np.ones(dim), pairs, seed)
     a = _force_noise_off(spec, a)
     b = _force_noise_off(spec, b)
-    e_rows = np.tile(e.as_array(), (len(a), 1))
-    va = _rho_rows(spec, phi, e_rows, a, split_seed(seed, "eval"), repeats)
-    vb = _rho_rows(spec, phi, e_rows, b, split_seed(seed, "eval"), repeats)
-    return _max_slope(a, b, va, vb)
+    e_rows = np.tile(e.as_array(), (2 * len(a), 1))
+    v = _rho_rows(spec, phi, e_rows, np.vstack([a, b]), split_seed(seed, "eval"), repeats)
+    return _max_slope(a, b, v[: len(a)], v[len(a) :])
 
 
 def _sup_norm(x: np.ndarray) -> float:
@@ -288,9 +292,9 @@ def _loss_pair_ratios(
     """(ratio, config, fidelity) per sampled pair; degenerate pairs skipped.
 
     Base trajectory pairs cycle through the tasks' parameters at random
-    noise-free fidelity settings (all simulations batched); each is
-    compared against a smoothly perturbed copy of itself (high side, low
-    side, or both).
+    noise-free fidelity settings (high and low runs share one batched
+    call); each is compared against a smoothly perturbed copy of itself
+    (high side, low side, or both).
     """
     configs = [cfg for task in tasks for cfg in task.sampled_params]
     dim_f = spec.fidelity_space.dimension
@@ -299,10 +303,16 @@ def _loss_pair_ratios(
         spec, latin_hypercube_unit(dim_f, pairs, split_seed(seed, "fid"))
     )
     pair_seeds = [split_seed(seed, "pair", k) for k in range(pairs)]
-    highs, ok_h = simulate_batch(spec, e_rows, None, pair_seeds)
-    lows, ok_l = simulate_batch_multi_f(spec, e_rows, f_rows, pair_seeds)
-    if not (ok_h.all() and ok_l.all()):
+    samples, ok = simulate_batch_multi_f(
+        spec,
+        np.vstack([e_rows, e_rows]),
+        np.vstack([f_rows, f_rows]),
+        pair_seeds * 2,
+        high=np.arange(2 * pairs) < pairs,
+    )
+    if not ok.all():
         raise InvalidArgumentError("simulation diverged while sampling trajectory pairs")
+    highs, lows = samples[:pairs], samples[pairs:]
     rng = rng_from_seed(split_seed(seed, "perturb"))
     times = spec.grid_times()
     out = []

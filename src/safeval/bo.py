@@ -38,7 +38,7 @@ from .core import (
     latin_hypercube_unit,
     split_seed,
 )
-from .loss import aggregate_loss
+from .loss import LOSS_FAILURES, aggregate_loss
 from .sim import SimulatorSpec
 
 __all__ = [
@@ -418,7 +418,7 @@ def optimize_fidelity(
                 seed=split_seed(seed, "loss-eval"),
                 high_cache=high_cache,
             )
-        except Exception as exc:  # failed evaluation: record +inf, keep going
+        except LOSS_FAILURES as exc:  # failed evaluation: record +inf, keep going
             log.warning("aggregate loss failed at f=%s (t=%d): %s", list(x), t, exc)
             return math.inf
         return result.total

@@ -36,17 +36,19 @@ from .core import (
     SchemaVersionError,
     Seed,
     Task,
+    Trajectory,
     sample_uniform,
     split_seed,
 )
 from .falsify import FalsificationFailedError, FalsifyBudget, falsify
-from .loss import aggregate_loss
+from .loss import LOSS_FAILURES, aggregate_loss
 from .sim import (
     CALL_COUNTER,
     SimulatorSpec,
+    _diverged,
     external_simulator_spec,
     get_benchmark,
-    simulate_high,
+    simulate_batch,
 )
 from .stl import parse_spec
 
@@ -482,12 +484,20 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     try:
         # Fidelity-independent ground-truth runs, shared by every outer iteration.
         before = CALL_COUNTER.snapshot()
-        high_cache: dict = {}
-        for task in tasks:
-            for j, cfg in enumerate(task.sampled_params):
-                high_cache[(task.id, j)] = simulate_high(
-                    spec, cfg, split_seed(config.master_seed, "loss", task.id, j)
-                )
+        keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
+        cfgs = [cfg for task in tasks for cfg in task.sampled_params]
+        samples, ok = simulate_batch(
+            spec,
+            np.array([cfg.as_array() for cfg in cfgs]),
+            None,
+            [split_seed(config.master_seed, "loss", task_id, j) for task_id, j in keys],
+        )
+        if not ok.all():
+            raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
+        high_cache: dict = {
+            key: Trajectory(0.0, spec.base_dt, spec.channels, row)
+            for key, row in zip(keys, samples)
+        }
         totals["setup_high_calls"] = _counter_delta(before)["high_calls"]
 
         for t in range(1, config.outer_iterations + 1):
@@ -545,7 +555,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     high_cache=iter_cache,
                 )
                 loss_total, loss_mean, pair_count = agg.total, agg.mean, agg.pair_count
-            except Exception as exc:
+            except LOSS_FAILURES as exc:
                 loss_failed = True
                 loss_total, loss_mean, pair_count = math.inf, math.inf, 0
                 events.emit("loss_failure", t=t, message=str(exc))

@@ -189,8 +189,8 @@ def falsify(
             best_score = float(scores[top])
             best_values = tuple(points[top])
         trace.append(best_score)
-        if len(trace) > 1:
-            assert trace[-1] <= trace[-2], "best-so-far trace must be nonincreasing"
+        if len(trace) > 1 and not trace[-1] <= trace[-2]:
+            raise RuntimeError("best-so-far trace must be nonincreasing")
 
         n_elite = max(2, math.ceil(budget.elite_fraction * take))
         elite_idx = [i for i in order if finite[i]][:n_elite]
@@ -205,7 +205,8 @@ def falsify(
         ):
             break
 
-    assert best_values is not None
+    if best_values is None:
+        raise RuntimeError("falsification evaluated no candidate")
     return FalsificationResult(
         best_config=space.config(best_values),
         best_robustness=best_score,

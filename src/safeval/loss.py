@@ -9,7 +9,11 @@ integral discretized by the trapezoidal rule on the high-fidelity grid (the
 low trajectory is first linearly resampled onto that grid). The aggregate
 objective sums the pairwise discrepancy over every (task, parameter)
 simulation pair plus any extra environment configurations (e.g. inner-loop
-counterexamples) supplied by the caller.
+counterexamples) supplied by the caller. It simulates in two batched calls
+per evaluation, not two calls per pair: one high-fidelity call over the
+pairs whose ground truth is not cached yet and one low-fidelity call over
+every pair. Every row of a batch is integrated independently, so each
+pair's trajectories are the ones its own single-row calls would give.
 """
 
 from __future__ import annotations
@@ -24,18 +28,29 @@ from .core import (
     EnvironmentConfig,
     FidelitySetting,
     InvalidArgumentError,
+    NumericalFailureError,
     Seed,
     SimulationDivergedError,
     Task,
     Trajectory,
     split_seed,
 )
-from .sim import SimulatorSpec, simulate_high, simulate_low
+from .sim import AdapterProtocolError, SimulatorSpec, _check_env, _diverged, simulate_batch
+from .stl import SpecEvaluationError
 
 __all__ = ["LossValue", "AggregateLossResult", "mse_loss", "aggregate_loss"]
 
 # Mean squared trajectory discrepancy; finite and nonnegative.
 LossValue = float
+
+# What a failed loss evaluation may raise. Optimizers record these as an
+# infinite loss and go on; anything else is a programming error and propagates.
+LOSS_FAILURES = (
+    SimulationDivergedError,
+    AdapterProtocolError,
+    NumericalFailureError,
+    SpecEvaluationError,
+)
 
 
 def mse_loss(high: Trajectory, low: Trajectory) -> LossValue:
@@ -98,46 +113,58 @@ def aggregate_loss(
     and ``high_cache`` (keyed by (task id, j), with ("extra", k) for extras)
     lets a driver reuse the fidelity-independent high-fidelity runs.
 
-    Simulation failures are re-raised with the offending pair identified.
+    All simulation is two batched calls: one high-fidelity call over the
+    pairs missing from ``high_cache`` (skipped when none are missing), then
+    one low-fidelity call at ``f`` over every pair. The cache gains the
+    missing pairs' high runs once both calls succeed. A diverged pair
+    raises :class:`SimulationDivergedError` naming the first such pair in
+    pair order (tasks, then extras).
     """
     if not tasks and not extra_configs:
         raise InvalidArgumentError("aggregate_loss needs at least one task or extra config")
+    if not spec.fidelity_space.contains(f.values):
+        raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
     weights = dict(weights or {})
-    per_task: list[tuple[str, float]] = []
-    pair_losses: list[float] = []
-
-    def one_pair(task_id: str, j: int, cfg: EnvironmentConfig, w: float) -> float:
-        pair_seed = split_seed(seed, task_id, j)
-        key = (task_id, j)
-        try:
-            if high_cache is not None and key in high_cache:
-                high = high_cache[key]
-            else:
-                high = simulate_high(spec, cfg, pair_seed)
-                if high_cache is not None:
-                    high_cache[key] = high
-            low = simulate_low(spec, cfg, f, pair_seed)
-        except SimulationDivergedError as exc:
-            raise SimulationDivergedError(
-                f"simulation failed for task {task_id!r}, parameter index {j}: {exc}"
-            ) from exc
-        return w * mse_loss(high, low)
-
-    for task in tasks:
-        w = float(weights.get(task.id, 1.0))
-        subtotal = math.fsum(
-            one_pair(task.id, j, cfg, w) for j, cfg in enumerate(task.sampled_params)
-        )
-        per_task.append((task.id, subtotal))
-        pair_losses.append(subtotal)
+    groups = [(task.id, task.sampled_params, float(weights.get(task.id, 1.0))) for task in tasks]
     if extra_configs:
-        subtotal = math.fsum(
-            one_pair("extra", k, cfg, 1.0) for k, cfg in enumerate(extra_configs)
-        )
-        per_task.append(("extra", subtotal))
-        pair_losses.append(subtotal)
+        groups.append(("extra", tuple(extra_configs), 1.0))
+    pairs = [(task_id, j, cfg, w) for task_id, cfgs, w in groups for j, cfg in enumerate(cfgs)]
+    for _, _, cfg, _ in pairs:
+        _check_env(spec, cfg)
+    e_rows = np.array([cfg.as_array() for _, _, cfg, _ in pairs])
+    seeds = [split_seed(seed, task_id, j) for task_id, j, _, _ in pairs]
+    cache = {} if high_cache is None else high_cache
+    highs = [cache.get((task_id, j)) for task_id, j, _, _ in pairs]
+    missing = [i for i, high in enumerate(highs) if high is None]
 
-    n_pairs = sum(len(t.sampled_params) for t in tasks) + len(extra_configs)
+    ok = np.ones(len(pairs), dtype=bool)
+    if missing:
+        fresh, ok_high = simulate_batch(spec, e_rows[missing], None, [seeds[i] for i in missing])
+        ok[missing] = ok_high
+    lows, ok_low = simulate_batch(spec, e_rows, f, seeds)
+    ok &= ok_low
+    if not ok.all():
+        task_id, j, cfg, _ = pairs[int(np.flatnonzero(~ok)[0])]
+        raise SimulationDivergedError(
+            f"simulation failed for task {task_id!r}, parameter index {j}: "
+            f"{_diverged(spec, cfg)}"
+        )
+
+    def trajectory(samples: np.ndarray) -> Trajectory:
+        return Trajectory(0.0, spec.base_dt, spec.channels, samples)
+
+    for k, i in enumerate(missing):
+        task_id, j, _, _ = pairs[i]
+        highs[i] = cache[(task_id, j)] = trajectory(fresh[k])
+    losses = [w * mse_loss(highs[i], trajectory(lows[i])) for i, (*_, w) in enumerate(pairs)]
+
+    per_task: list[tuple[str, float]] = []
+    start = 0
+    for task_id, cfgs, _ in groups:
+        per_task.append((task_id, math.fsum(losses[start : start + len(cfgs)])))
+        start += len(cfgs)
     return AggregateLossResult(
-        total=math.fsum(pair_losses), pair_count=n_pairs, per_task=tuple(per_task)
+        total=math.fsum(subtotal for _, subtotal in per_task),
+        pair_count=len(pairs),
+        per_task=tuple(per_task),
     )

@@ -277,13 +277,16 @@ def _integrate_to_grid(
     blend: np.ndarray,
     duration: float,
     grid: np.ndarray,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate each batch item with its own step size and resample onto ``grid``.
 
+    Returns the resampled samples and each item's integration step count.
     Items whose step equals the grid spacing are taken verbatim (no
     resampling), which makes the maximum-fidelity path bit-identical to the
     high-fidelity one. The final partial step is truncated to land exactly
     on ``duration``, so trajectories vary continuously with the step size.
+    Every operation is elementwise per item, so an item's result does not
+    depend on which other items share its batch.
     """
     batch, state_dim = x0.shape
     base_dt = float(grid[1] - grid[0])
@@ -317,8 +320,7 @@ def _integrate_to_grid(
             knots_x = np.vstack([knots_x, hist[max_full + 1, i, :][None, :]])
         for s in range(state_dim):
             out[i, s] = np.interp(grid, knots_t, knots_x[:, s])
-    total_steps = int(full_steps.sum() + np.count_nonzero(remainder))
-    return out, total_steps
+    return out, full_steps + (remainder > 0.0)
 
 
 @dataclass(frozen=True)
@@ -350,9 +352,16 @@ class OdeBenchmark:
         e_values: np.ndarray,
         f_rows: np.ndarray | None,
         seeds: Sequence[Seed],
-    ) -> tuple[np.ndarray, int]:
+        high: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Samples and per-row step counts; ``high`` rows take the high-fidelity knobs."""
         batch = e_values.shape[0]
         h, blend, sigma = self._knob_arrays(spec, f_rows, batch)
+        if high is not None:
+            h_high, blend_high, sigma_high = self._knob_arrays(spec, None, batch)
+            h = np.where(high, h_high, h)
+            blend = np.where(high, blend_high, blend)
+            sigma = np.where(high, sigma_high, sigma)
         x0 = self.initial_state(e_values)
         samples, steps = _integrate_to_grid(
             self.rhs, x0, e_values, h, blend, spec.duration, spec.grid_times()
@@ -373,7 +382,8 @@ class OdeBenchmark:
         rows = None
         if f_values is not None:
             rows = np.broadcast_to(f_values, (e_values.shape[0], len(f_values)))
-        return self._run_rows(spec, e_values, rows, seeds)
+        samples, steps = self._run_rows(spec, e_values, rows, seeds)
+        return samples, int(steps.sum())
 
     def run_multi_f(
         self,
@@ -381,9 +391,14 @@ class OdeBenchmark:
         e_values: np.ndarray,
         f_rows: np.ndarray,
         seeds: Sequence[Seed],
-    ) -> tuple[np.ndarray, int]:
-        """Batched run where every item carries its own fidelity setting."""
-        return self._run_rows(spec, e_values, f_rows, seeds)
+        high: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched run where every item carries its own fidelity setting.
+
+        Items flagged in ``high`` take the high-fidelity path instead of
+        their fidelity row. Returns the samples and per-item step counts.
+        """
+        return self._run_rows(spec, e_values, f_rows, seeds, high)
 
 
 class _AdapterBackend:
@@ -420,6 +435,10 @@ class _AdapterBackend:
                 )
             except OSError as exc:
                 raise AdapterProtocolError(f"cannot execute adapter {self.command!r}: {exc}")
+            except subprocess.TimeoutExpired as exc:
+                raise AdapterProtocolError(
+                    f"adapter {self.command!r} timed out after {exc.timeout} s"
+                ) from exc
             if proc.returncode != 0:
                 raise AdapterProtocolError(
                     f"adapter exited with status {proc.returncode}: "
@@ -463,6 +482,22 @@ def _check_env(spec: SimulatorSpec, e: EnvironmentConfig) -> None:
         )
 
 
+def _env_rows(spec: SimulatorSpec, e_values: np.ndarray, seeds: Sequence[Seed]) -> np.ndarray:
+    """``e_values`` as a (batch, dim) float array, checked against the space and seeds."""
+    e_values = np.asarray(e_values, dtype=float)
+    if e_values.ndim != 2 or e_values.shape[1] != spec.environment_space.dimension:
+        raise InvalidArgumentError(
+            f"e_values must have shape (batch, {spec.environment_space.dimension})"
+        )
+    if len(seeds) != e_values.shape[0]:
+        raise InvalidArgumentError("one seed per batch item required")
+    lo = spec.environment_space.lower_array()
+    hi = spec.environment_space.upper_array()
+    if np.any(e_values < lo - 1e-12) or np.any(e_values > hi + 1e-12):
+        raise InvalidArgumentError("batch contains out-of-bounds environment values")
+    return e_values
+
+
 def simulate_batch(
     spec: SimulatorSpec,
     e_values: np.ndarray,
@@ -477,17 +512,7 @@ def simulate_batch(
     the hot path used by the optimizers; the single-trajectory wrappers
     delegate to it.
     """
-    e_values = np.asarray(e_values, dtype=float)
-    if e_values.ndim != 2 or e_values.shape[1] != spec.environment_space.dimension:
-        raise InvalidArgumentError(
-            f"e_values must have shape (batch, {spec.environment_space.dimension})"
-        )
-    if len(seeds) != e_values.shape[0]:
-        raise InvalidArgumentError("one seed per batch item required")
-    lo = spec.environment_space.lower_array()
-    hi = spec.environment_space.upper_array()
-    if np.any(e_values < lo - 1e-12) or np.any(e_values > hi + 1e-12):
-        raise InvalidArgumentError("batch contains out-of-bounds environment values")
+    e_values = _env_rows(spec, e_values, seeds)
     f_vec = None
     if f is not None:
         if f.space.dimension != spec.fidelity_space.dimension:
@@ -504,15 +529,20 @@ def simulate_batch_multi_f(
     e_values: np.ndarray,
     f_rows: np.ndarray,
     seeds: Sequence[Seed],
+    high: Sequence[bool] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`simulate_batch` but with one fidelity setting per item.
 
     Used by the fidelity-direction estimators; backends without a native
-    ``run_multi_f`` are driven item by item.
+    ``run_multi_f`` are driven item by item. ``high`` optionally flags
+    items that take the high-fidelity path, as ``simulate_batch`` with
+    ``f=None`` would run them; their fidelity rows are ignored, and
+    ``CALL_COUNTER`` books them and their steps as high-fidelity calls.
     """
-    e_values = np.asarray(e_values, dtype=float)
+    e_values = _env_rows(spec, e_values, seeds)
     f_rows = np.asarray(f_rows, dtype=float)
-    if e_values.shape[0] != f_rows.shape[0]:
+    batch = e_values.shape[0]
+    if batch != f_rows.shape[0]:
         raise InvalidArgumentError("e_values and f_rows must have the same batch size")
     if f_rows.ndim != 2 or f_rows.shape[1] != spec.fidelity_space.dimension:
         raise InvalidArgumentError(
@@ -520,20 +550,30 @@ def simulate_batch_multi_f(
         )
     if np.any(f_rows < -1e-12) or np.any(f_rows > 1.0 + 1e-12):
         raise InvalidArgumentError("fidelity rows must lie in [0, 1]")
+    high = np.zeros(batch, dtype=bool) if high is None else np.asarray(high, dtype=bool)
+    if high.shape != (batch,):
+        raise InvalidArgumentError("high must hold one flag per batch item")
     backend = _backend_for(spec)
     if hasattr(backend, "run_multi_f"):
-        samples, steps = backend.run_multi_f(spec, e_values, f_rows, list(seeds))
+        samples, steps = backend.run_multi_f(spec, e_values, f_rows, list(seeds), high)
     else:
         parts = []
-        steps = 0
-        for i in range(e_values.shape[0]):
-            s, st = backend.run(spec, e_values[i : i + 1], f_rows[i], [seeds[i]])
+        steps = np.zeros(batch, dtype=int)
+        for i in range(batch):
+            f_i = None if high[i] else f_rows[i]
+            s, steps[i] = backend.run(spec, e_values[i : i + 1], f_i, [seeds[i]])
             parts.append(s)
-            steps += st
         samples = np.concatenate(parts, axis=0)
     ok = np.isfinite(samples).all(axis=(1, 2))
-    CALL_COUNTER.record(high=False, calls=e_values.shape[0], steps=steps)
+    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=int(steps[high].sum()))
+    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=int(steps[~high].sum()))
     return samples, ok
+
+
+def _diverged(spec: SimulatorSpec, e: EnvironmentConfig) -> SimulationDivergedError:
+    return SimulationDivergedError(
+        f"simulator {spec.id!r} produced non-finite samples at e={e.values}"
+    )
 
 
 def _single(
@@ -542,9 +582,7 @@ def _single(
     _check_env(spec, e)
     samples, ok = simulate_batch(spec, e.as_array()[None, :], f, [seed])
     if not ok[0]:
-        raise SimulationDivergedError(
-            f"simulator {spec.id!r} produced non-finite samples at e={e.values}"
-        )
+        raise _diverged(spec, e)
     return Trajectory(
         start_time=0.0, dt=spec.base_dt, channels=spec.channels, samples=samples[0]
     )

@@ -1,0 +1,334 @@
+"""The batched loss, estimator and campaign paths against per-trajectory references.
+
+Each reference is computed here from single-trajectory calls
+(``simulate_high``/``simulate_low``) or from one-row ``simulate_batch``
+calls, and compared with ``==``: batching must not change a single bit.
+"""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from safeval.analysis import (
+    _force_noise_off,
+    _max_slope,
+    _paired_points,
+    _stencil,
+    estimate_lipschitz_env,
+    estimate_lipschitz_fidelity,
+    estimate_lipschitz_loss,
+    sensitivity,
+)
+from safeval.bo import optimize_fidelity
+from safeval.campaign import CampaignConfig, run_joint, sample_tasks, save_result
+from safeval.core import (
+    EnvironmentSpace,
+    FidelitySpace,
+    SimulationDivergedError,
+    Task,
+    latin_hypercube_unit,
+    sample_uniform,
+    split_seed,
+)
+from safeval.falsify import FalsifyBudget
+from safeval.loss import aggregate_loss, mse_loss
+from safeval.sim import (
+    SimulatorSpec,
+    get_benchmark,
+    identity_mapping,
+    register_backend,
+    simulate_high,
+    simulate_low,
+)
+from safeval.stl import robustness
+
+sim_module = importlib.import_module("safeval.sim")
+loss_module = importlib.import_module("safeval.loss")
+analysis_module = importlib.import_module("safeval.analysis")
+campaign_module = importlib.import_module("safeval.campaign")
+
+
+def reference_loss(spec, f, tasks, extras, seed, weights, cache):
+    """The per-pair definition: one high and one low run per pair, in pair order."""
+    groups = [(t.id, t.sampled_params, weights.get(t.id, 1.0)) for t in tasks]
+    if extras:
+        groups.append(("extra", tuple(extras), 1.0))
+    per_task = []
+    for task_id, cfgs, w in groups:
+        terms = []
+        for j, cfg in enumerate(cfgs):
+            pair_seed = split_seed(seed, task_id, j)
+            if (task_id, j) in cache:
+                high = cache[(task_id, j)]
+            else:
+                high = simulate_high(spec, cfg, pair_seed)
+            terms.append(w * mse_loss(high, simulate_low(spec, cfg, f, pair_seed)))
+        per_task.append((task_id, math.fsum(terms)))
+    return math.fsum(v for _, v in per_task), tuple(per_task)
+
+
+def count_batches(monkeypatch, module):
+    """Record the fidelity argument of each ``simulate_batch`` call made from ``module``."""
+    calls = []
+    real = module.simulate_batch
+
+    def counted(spec, e_values, f, seeds):
+        calls.append((f, len(seeds)))
+        return real(spec, e_values, f, seeds)
+
+    monkeypatch.setattr(module, "simulate_batch", counted)
+    return calls
+
+
+class TestAggregateLoss:
+    @pytest.mark.parametrize("sim_id", ["braking", "oscillator"])
+    def test_matches_per_pair_definition(self, sim_id, monkeypatch):
+        spec = get_benchmark(sim_id)
+        tasks = sample_tasks(spec, 2, (2, 3), seed=8)
+        extras = sample_uniform(spec.environment_space, 2, seed=9)
+        f = spec.fidelity_space.setting((0.4, 0.7, 0.6))  # noise knob active
+        weights = {"task-0": 2.5}
+        seed = 31
+
+        def config_of(task_id, j):
+            return (extras if task_id == "extra" else tasks[int(task_id[-1])].sampled_params)[j]
+
+        def high_of(task_id, j):
+            return simulate_high(spec, config_of(task_id, j), split_seed(seed, task_id, j))
+
+        cache = {key: high_of(*key) for key in [("task-0", 1), ("task-1", 0)]}
+        warm = set(cache)
+        expected_total, expected_per_task = reference_loss(
+            spec, f, tasks, extras, seed, weights, dict(cache)
+        )
+
+        calls = count_batches(monkeypatch, loss_module)
+        got = aggregate_loss(
+            spec, f, tasks, extra_configs=extras, seed=seed, weights=weights, high_cache=cache
+        )
+        assert got.total == expected_total
+        assert got.per_task == expected_per_task
+        assert got.pair_count == 7
+        # One high call over the 5 uncached pairs, one low call over all 7.
+        assert calls == [(None, 5), (f, 7)]
+        missing = {("task-0", 0), ("task-1", 1), ("task-1", 2), ("extra", 0), ("extra", 1)}
+        assert set(cache) == warm | missing
+        for key in missing:
+            assert np.array_equal(cache[key].samples, high_of(*key).samples)
+
+    def test_warm_cache_skips_the_high_call(self, braking, monkeypatch):
+        tasks = sample_tasks(braking, 1, 3, seed=4)
+        f = braking.fidelity_space.setting((0.5, 0.5, 1.0))
+        cache: dict = {}
+        first = aggregate_loss(braking, f, tasks, seed=2, high_cache=cache)
+        calls = count_batches(monkeypatch, loss_module)
+        again = aggregate_loss(braking, f, tasks, seed=2, high_cache=cache)
+        assert calls == [(f, 3)]
+        assert again == first
+
+
+def diverge_at(e_low, e_high):
+    """Backend emitting y = e, but NaN on the low path at ``e_low`` and on the high path at ``e_high``."""
+
+    class Backend:
+        def run(self, spec, e_values, f_values, seeds):
+            bad = e_high if f_values is None else e_low
+            out = np.empty((len(e_values), 1, spec.steps))
+            for i, e in enumerate(e_values):
+                out[i] = np.nan if e[0] == bad else e[0]
+            return out, len(e_values) * spec.steps
+
+    return Backend()
+
+
+@pytest.mark.parametrize(
+    "e_low, e_high, named",
+    [
+        (0.5, 0.7, "task 'task-b', parameter index 1"),  # low fails first
+        (0.7, 0.5, "task 'task-b', parameter index 1"),  # high fails first
+        (0.9, 0.2, "task 'task-a', parameter index 1"),  # high fails at a task pair, low at an extra
+    ],
+)
+def test_divergence_names_first_failing_pair(e_low, e_high, named):
+    sim_id = f"synth-diverge-{e_low}-{e_high}"
+    space = EnvironmentSpace(lower=(0.0,), upper=(1.0,))
+    spec = SimulatorSpec(
+        id=sim_id,
+        environment_space=space,
+        fidelity_space=FidelitySpace(dimension=1),
+        channels=("y",),
+        base_dt=0.1,
+        duration=1.0,
+        fidelity_mapping=identity_mapping(1),
+    )
+    register_backend(sim_id, diverge_at(e_low, e_high))
+
+    def task(task_id, values):
+        return Task(task_id, space, tuple(space.config((v,)) for v in values))
+
+    tasks = [task("task-a", (0.1, 0.2)), task("task-b", (0.3, 0.5, 0.7))]
+    with pytest.raises(SimulationDivergedError, match=named):
+        aggregate_loss(
+            spec,
+            spec.fidelity_space.setting((0.5,)),
+            tasks,
+            extra_configs=[space.config((0.9,))],
+            seed=0,
+        )
+
+
+def rho_reference(spec, phi, e_row, f_row, seed, repeats):
+    """Mean robustness of one (e, f) row from single-trajectory calls, summed in repeat order."""
+    e = spec.environment_space.config(e_row)
+    f = spec.fidelity_space.setting(f_row)
+    total = 0.0
+    for k in range(repeats or 1):
+        total += robustness(phi, simulate_low(spec, e, f, split_seed(seed, "rep", k)))
+    return total / (repeats or 1)
+
+
+class TestEstimators:
+    def test_lipschitz_env(self, braking, braking_phi):
+        f = braking.fidelity_space.setting((0.6, 0.8, 0.5))  # noisy, so repeats matter
+        seed, pairs, repeats = 13, 12, 2
+        got = estimate_lipschitz_env(braking, braking_phi, f, pairs, seed, repeats=repeats)
+        space = braking.environment_space
+        a, b = _paired_points(space.lower_array(), space.upper_array(), pairs, seed)
+        eval_seed = split_seed(seed, "eval")
+        va = np.array([rho_reference(braking, braking_phi, r, f.values, eval_seed, repeats) for r in a])
+        vb = np.array([rho_reference(braking, braking_phi, r, f.values, eval_seed, repeats) for r in b])
+        assert got == _max_slope(a, b, va, vb)
+
+    def test_lipschitz_fidelity(self, braking, braking_phi):
+        e = braking.environment_space.config((20.0, 25.0, 6.0))
+        seed, pairs = 17, 12
+        got = estimate_lipschitz_fidelity(braking, braking_phi, e, pairs, seed)
+        a, b = _paired_points(np.zeros(3), np.ones(3), pairs, seed)
+        a, b = _force_noise_off(braking, a), _force_noise_off(braking, b)
+        eval_seed = split_seed(seed, "eval")
+        va = np.array([rho_reference(braking, braking_phi, e.values, r, eval_seed, None) for r in a])
+        vb = np.array([rho_reference(braking, braking_phi, e.values, r, eval_seed, None) for r in b])
+        assert got == _max_slope(a, b, va, vb)
+
+    def test_lipschitz_loss_trajectories(self, braking, monkeypatch):
+        # The estimator compares each base pair (high, low) with a perturbed
+        # copy; the base pairs must be the single-call trajectories.
+        tasks = sample_tasks(braking, 2, 2, seed=3)
+        seed, pairs = 23, 12
+        seen = []
+        real_mse = analysis_module.mse_loss
+
+        def recording_mse(high, low):
+            seen.append((high, low))
+            return real_mse(high, low)
+
+        monkeypatch.setattr(analysis_module, "mse_loss", recording_mse)
+        got = estimate_lipschitz_loss(braking, tasks, pairs, seed)
+        assert got.pairs_used == pairs and len(seen) == 2 * pairs
+        configs = [cfg for t in tasks for cfg in t.sampled_params]
+        f_rows = _force_noise_off(braking, latin_hypercube_unit(3, pairs, split_seed(seed, "fid")))
+        for k, (high, low) in enumerate(seen[0::2]):
+            cfg, pair_seed = configs[k % len(configs)], split_seed(seed, "pair", k)
+            f = braking.fidelity_space.setting(f_rows[k])
+            assert np.array_equal(high.samples, simulate_high(braking, cfg, pair_seed).samples)
+            assert np.array_equal(low.samples, simulate_low(braking, cfg, f, pair_seed).samples)
+
+    def test_sensitivity_gradient_with_repeats(self, braking, braking_phi):
+        f = braking.fidelity_space.max_fidelity()  # the stencil activates the noise knob
+        budget = FalsifyBudget(max_evaluations=64, population=32)
+        seed, h = 29, 1e-3
+        got = sensitivity(braking, braking_phi, f, h, budget, seed, repeats=3)
+        entries, _ = _stencil(np.asarray(f.values), h)
+        stencil_seed = split_seed(seed, "stencil")
+        expected = []
+        for k, plus, minus, _ in entries:
+            rp = rho_reference(braking, braking_phi, got.base_config, plus, stencil_seed, 3)
+            rm = rho_reference(braking, braking_phi, got.base_config, minus, stencil_seed, 3)
+            expected.append((rp - rm) / float(plus[k] - minus[k]))
+        assert got.gradient == tuple(expected)
+
+
+def per_row(spec, e_values, settings, seeds):
+    """One ``simulate_batch`` call per row: the per-trajectory reference."""
+    parts = [
+        sim_module.simulate_batch(spec, e_values[i : i + 1], f, [s])
+        for i, (f, s) in enumerate(zip(settings, seeds))
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def one_row_calls(spec, e_values, f, seeds):
+    return per_row(spec, e_values, [f] * len(seeds), seeds)
+
+
+def one_row_multi_f(spec, e_values, f_rows, seeds, high=None):
+    high = [False] * len(seeds) if high is None else high
+    settings = [None if h else spec.fidelity_space.setting(r) for r, h in zip(f_rows, high)]
+    return per_row(spec, e_values, settings, seeds)
+
+
+def test_campaign_totals_match_per_trajectory_calls(tmp_path, monkeypatch):
+    config = CampaignConfig(
+        simulator="braking",
+        task_count=2,
+        params_per_task=2,
+        outer_iterations=3,
+        master_seed=41,
+        falsify_budget=FalsifyBudget(max_evaluations=64, population=32, samples_per_eval=2),
+        analysis_pairs=10,
+    )
+    batched = run_joint(config)
+    save_result(batched, tmp_path / "batched.json")
+
+    monkeypatch.setattr(campaign_module, "simulate_batch", one_row_calls)
+    monkeypatch.setattr(loss_module, "simulate_batch", one_row_calls)
+    monkeypatch.setattr(analysis_module, "simulate_batch", one_row_calls)
+    monkeypatch.setattr(analysis_module, "simulate_batch_multi_f", one_row_multi_f)
+    reference = run_joint(config)
+    save_result(reference, tmp_path / "reference.json")
+
+    assert batched.totals == reference.totals
+    for phase in ("setup", "loss", "analysis"):
+        assert batched.totals[f"{phase}_high_calls"] > 0
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+class LossPathTypeError:
+    """Braking, except that low-fidelity batches smaller than a falsifier
+    population raise TypeError: a programming error inside the loss path."""
+
+    def __init__(self, inner, population):
+        self.inner, self.population = inner, population
+
+    def run(self, spec, e_values, f_values, seeds):
+        if f_values is not None and len(e_values) < self.population:
+            raise TypeError("synthetic programming error")
+        return self.inner.run(spec, e_values, f_values, seeds)
+
+
+@pytest.fixture()
+def loss_path_bug(monkeypatch):
+    real = sim_module._REGISTRY["braking"]
+    monkeypatch.setitem(sim_module._REGISTRY, "braking", LossPathTypeError(real, 32))
+
+
+def test_run_joint_propagates_programming_errors(loss_path_bug):
+    config = CampaignConfig(
+        simulator="braking",
+        task_count=1,
+        params_per_task=2,
+        outer_iterations=2,
+        master_seed=5,
+        falsify_budget=FalsifyBudget(max_evaluations=64, population=32),
+        analysis_pairs=10,
+    )
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        run_joint(config)
+
+
+def test_optimize_fidelity_propagates_programming_errors(loss_path_bug, braking):
+    tasks = sample_tasks(braking, 1, 2, seed=5)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        optimize_fidelity(braking, tasks, None, T=2, seed=5)

@@ -1,4 +1,6 @@
+import importlib
 import stat
+import subprocess
 import textwrap
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from safeval.core import InvalidArgumentError, SimulationDivergedError
 from safeval.loss import mse_loss
 from safeval.sim import (
+    CALL_COUNTER,
     AdapterProtocolError,
     KnobMap,
     builtin_benchmarks,
@@ -155,6 +158,8 @@ class TestValidation:
             simulate_batch(braking, np.zeros((2, 2)), None, [0, 0])
         with pytest.raises(InvalidArgumentError):
             simulate_batch(braking, np.array([[30.0, 20.0, 5.0]]), None, [0, 1])
+        with pytest.raises(InvalidArgumentError, match="out-of-bounds"):
+            simulate_batch_multi_f(braking, np.array([[500.0, 20.0, 5.0]]), np.ones((1, 3)), [0])
 
     def test_diverging_backend_raises(self, diverging_spec):
         e = diverging_spec.environment_space.config((0.5,))
@@ -188,6 +193,40 @@ class TestBatchConsistency:
             f = braking.fidelity_space.setting(f_rows[i])
             single = simulate_low(braking, cfg, f, seed=7)
             assert np.array_equal(single.samples, samples[i])
+
+    @pytest.mark.parametrize("sim_id", ["braking", "synth-quad-loss"])
+    def test_multi_f_high_rows_match_separate_calls(self, sim_id, quad_loss_spec):
+        # One mixed call equals a high-fidelity simulate_batch over the
+        # flagged rows plus a multi-f call over the rest, bytes and booking.
+        # synth-quad-loss has no run_multi_f, so it covers the per-item loop.
+        spec = quad_loss_spec if sim_id == "synth-quad-loss" else get_benchmark(sim_id)
+        values = np.array([c.values for c in rand_configs(spec, 4, seed=5)])
+        values = np.vstack([values, values])
+        f_rows = np.vstack([np.full((4, spec.fidelity_space.dimension), 0.3),
+                            np.linspace(0.0, 1.0, 4 * spec.fidelity_space.dimension).reshape(4, -1)])
+        seeds = [3, 4, 5, 6, 3, 4, 5, 6]
+        high = np.array([True, False] * 4)
+
+        before = CALL_COUNTER.snapshot()
+        samples, ok = simulate_batch_multi_f(spec, values, f_rows, seeds, high=high)
+        mixed = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        assert ok.all()
+
+        before = CALL_COUNTER.snapshot()
+        highs, _ = simulate_batch(spec, values[high], None, [s for s, h in zip(seeds, high) if h])
+        lows, _ = simulate_batch_multi_f(
+            spec, values[~high], f_rows[~high], [s for s, h in zip(seeds, high) if not h]
+        )
+        separate = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        assert np.array_equal(samples[high], highs)
+        assert np.array_equal(samples[~high], lows)
+        assert mixed == separate
+        assert mixed["high_calls"] == mixed["low_calls"] == 4
+
+    def test_multi_f_high_mask_shape_checked(self, braking):
+        values = np.array([c.values for c in rand_configs(braking, 2, seed=1)])
+        with pytest.raises(InvalidArgumentError):
+            simulate_batch_multi_f(braking, values, np.ones((2, 3)), [0, 0], high=[True])
 
 
 ADAPTER_SOURCE = textwrap.dedent(
@@ -268,6 +307,16 @@ class TestExternalAdapter:
         )
         with pytest.raises(AdapterProtocolError):
             simulate_high(spec, spec.environment_space.config((1.0,)), seed=0)
+
+    def test_timeout_is_protocol_error(self, adapter_spec, monkeypatch):
+        sim_module = importlib.import_module("safeval.sim")
+
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        monkeypatch.setattr(sim_module.subprocess, "run", hang)
+        with pytest.raises(AdapterProtocolError, match="timed out"):
+            simulate_high(adapter_spec, adapter_spec.environment_space.config((1.0,)), seed=0)
 
 
 class TestContinuityInEnvironment:
