@@ -40,7 +40,7 @@ from .core import (
 from .falsify import FalsifyBudget, falsify
 from .loss import aggregate_loss, mse_loss
 from .sim import SimulatorSpec, simulate_batch, simulate_batch_multi_f
-from .stl import SafetySpec, robustness
+from .stl import SafetySpec, robustness_batch
 
 __all__ = [
     "LipschitzEstimate",
@@ -178,8 +178,7 @@ def _rho_rows(
             raise InvalidArgumentError(
                 f"simulation diverged during estimation at e={e_values[bad].tolist()}"
             )
-        for i, row in enumerate(samples[block]):
-            total[i] += robustness(phi, Trajectory(0.0, spec.base_dt, spec.channels, row))
+        total += robustness_batch(phi, samples[block], spec.channels, spec.base_dt)
     return total / len(seeds)
 
 

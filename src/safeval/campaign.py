@@ -147,47 +147,11 @@ class CampaignConfig:
             raise InvalidArgumentError("analysis_pairs must be >= 10")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "simulator": self.simulator,
-            "safety_spec": self.safety_spec,
-            "task_count": self.task_count,
-            "params_per_task": self.params_per_task,
-            "outer_iterations": self.outer_iterations,
-            "master_seed": self.master_seed,
-            "falsify_budget": dataclasses.asdict(self.falsify_budget),
-            "beta_schedule": dataclasses.asdict(self.beta_schedule),
-            "budget_policy": dataclasses.asdict(self.budget_policy),
-            "counterexample_cap": self.counterexample_cap,
-            "task_weights": self.task_weights,
-            "analysis_pairs": self.analysis_pairs,
-            "analysis_epsilon": self.analysis_epsilon,
-            "analysis_delta": self.analysis_delta,
-            "convergence_window": self.convergence_window,
-            "convergence_tol": self.convergence_tol,
-            "output_dir": self.output_dir,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignConfig":
-        known = {
-            "simulator",
-            "safety_spec",
-            "task_count",
-            "params_per_task",
-            "outer_iterations",
-            "master_seed",
-            "falsify_budget",
-            "beta_schedule",
-            "budget_policy",
-            "counterexample_cap",
-            "task_weights",
-            "analysis_pairs",
-            "analysis_epsilon",
-            "analysis_delta",
-            "convergence_window",
-            "convergence_tol",
-            "output_dir",
-        }
+        known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise InvalidArgumentError(f"unknown campaign config fields: {sorted(unknown)}")
@@ -264,6 +228,16 @@ class IterationRecord:
     cumulative_regret: float
 
 
+def _iteration_json(rec: dict[str, Any]) -> dict[str, Any]:
+    """JSON form of an iteration record's fields: its tuples become lists."""
+    return {
+        **rec,
+        "fidelity": list(rec["fidelity"]),
+        "inner_trace": list(rec["inner_trace"]),
+        "e_star": None if rec["e_star"] is None else list(rec["e_star"]),
+    }
+
+
 @dataclass(frozen=True)
 class CounterexampleRecord:
     values: tuple[float, ...]
@@ -291,15 +265,7 @@ class CampaignResult:
             "config": self.config.to_dict(),
             "best_fidelity": list(self.best_fidelity),
             "best_loss": self.best_loss,
-            "iterations": [
-                {
-                    **dataclasses.asdict(rec),
-                    "fidelity": list(rec.fidelity),
-                    "inner_trace": list(rec.inner_trace),
-                    "e_star": None if rec.e_star is None else list(rec.e_star),
-                }
-                for rec in self.iterations
-            ],
+            "iterations": [_iteration_json(dataclasses.asdict(rec)) for rec in self.iterations],
             "counterexamples": [
                 {**dataclasses.asdict(c), "values": list(c.values)} for c in self.counterexamples
             ],
@@ -482,7 +448,9 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     last_inner_trace: tuple[float, ...] = ()
 
     try:
-        # Fidelity-independent ground-truth runs, shared by every outer iteration.
+        # Fidelity-independent ground-truth runs, shared by every outer
+        # iteration and seeded as aggregate_loss seeds each pair.
+        loss_seed = split_seed(config.master_seed, "loss")
         before = CALL_COUNTER.snapshot()
         keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
         cfgs = [cfg for task in tasks for cfg in task.sampled_params]
@@ -490,7 +458,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
             spec,
             np.array([cfg.as_array() for cfg in cfgs]),
             None,
-            [split_seed(config.master_seed, "loss", task_id, j) for task_id, j in keys],
+            [split_seed(loss_seed, task_id, j) for task_id, j in keys],
         )
         if not ok.all():
             raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
@@ -543,20 +511,18 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     iter_cache[("extra", k)] = extras_high[tuple(cfg.values)]
 
             before = CALL_COUNTER.snapshot()
-            loss_failed = False
             try:
                 agg = aggregate_loss(
                     spec,
                     f,
                     tasks,
                     extra_configs=extra_configs,
-                    seed=split_seed(config.master_seed, "loss"),
+                    seed=loss_seed,
                     weights=config.task_weights,
                     high_cache=iter_cache,
                 )
                 loss_total, loss_mean, pair_count = agg.total, agg.mean, agg.pair_count
             except LOSS_FAILURES as exc:
-                loss_failed = True
                 loss_total, loss_mean, pair_count = math.inf, math.inf, 0
                 events.emit("loss_failure", t=t, message=str(exc))
             loss_delta = _counter_delta(before)
@@ -593,9 +559,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 "low_calls": int(inner_delta["low_calls"] + loss_delta["low_calls"]),
             }
             raw_records.append(raw)
-            events.emit("iteration", **{**raw, "inner_trace": list(raw["inner_trace"]),
-                                        "fidelity": list(raw["fidelity"]),
-                                        "e_star": None if raw["e_star"] is None else list(raw["e_star"])})
+            events.emit("iteration", **_iteration_json(raw))
     except Exception as exc:
         events.emit("error", message=f"{type(exc).__name__}: {exc}")
         if out is not None:
@@ -603,12 +567,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 "schema_version": SCHEMA_VERSION,
                 "completed": False,
                 "config": config.to_dict(),
-                "iterations": [
-                    {**r, "fidelity": list(r["fidelity"]),
-                     "inner_trace": list(r["inner_trace"]),
-                     "e_star": None if r["e_star"] is None else list(r["e_star"])}
-                    for r in raw_records
-                ],
+                "iterations": [_iteration_json(r) for r in raw_records],
             }
             (out / "result.partial.json").write_text(_dump_json(partial))
         events.close()

@@ -28,13 +28,12 @@ from .core import (
     FidelitySetting,
     InvalidArgumentError,
     Seed,
-    Trajectory,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
 )
 from .sim import SimulatorSpec, simulate_batch
-from .stl import RobustnessValue, SafetySpec, horizon, robustness
+from .stl import RobustnessValue, SafetySpec, horizon, robustness_batch
 
 __all__ = ["FalsifyBudget", "FalsificationResult", "falsify"]
 
@@ -97,19 +96,15 @@ def _evaluate_population(
     """Mean robustness per candidate over the repeat seeds; +inf if diverged."""
     n = points.shape[0]
     scores = np.zeros(n)
-    dead = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
     for rep_seed in repeat_seeds:
         samples, ok = simulate_batch(spec, points, f, [rep_seed] * n)
-        for i in range(n):
-            if dead[i]:
-                continue
-            if not ok[i]:
-                dead[i] = True
-                continue
-            traj = Trajectory(0.0, spec.base_dt, spec.channels, samples[i])
-            scores[i] += robustness(phi, traj)
+        alive &= ok
+        # Boolean indexing copies the batch; do it only once a row has died.
+        rows = samples if alive.all() else samples[alive]
+        scores[alive] += robustness_batch(phi, rows, spec.channels, spec.base_dt)
     scores /= len(repeat_seeds)
-    scores[dead] = np.inf
+    scores[~alive] = np.inf
     return scores
 
 

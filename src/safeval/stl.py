@@ -17,6 +17,17 @@ negative value means it violates it. Interval endpoints are clipped onto the
 sample grid by rounding inward, and windows are truncated at the trajectory
 horizon rather than extrapolated.
 
+Evaluation is one recursive walk over a (batch, channels, steps) sample
+array that returns one value per row (:func:`robustness_batch`). Each node
+yields its signal at only the first m samples, m = 1 at the root; a temporal
+node asks its child for m + b/dt samples, so the outermost window reduces
+only itself. Windows are reduced by whole-array log-doubling passes of
+min/max (van Herk 1992; Gil & Werman 1993) over the child's signal padded
+with the operation's identity (+inf for min, -inf for max), which gives
+windows clipped at the end and empty windows their usual values. The
+boolean monitor :func:`satisfied` is the same walk with predicates mapped
+to +1/-1, so its verdict is exact, including at ties.
+
 Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
     formula := or_expr
@@ -32,9 +43,9 @@ Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from functools import reduce
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -54,6 +65,7 @@ __all__ = [
     "parse_spec",
     "format_spec",
     "robustness",
+    "robustness_batch",
     "satisfied",
     "horizon",
 ]
@@ -335,146 +347,109 @@ def _window_offsets(interval: tuple[float, float], dt: float) -> tuple[int, int]
     return lo, hi
 
 
-def _sliding_extremum(x: np.ndarray, lo: int, hi: int, take_max: bool) -> np.ndarray:
-    """out[k] = extremum of x[k+lo : min(k+hi, n-1)] (windows clipped at the end).
+def _sliding(y: np.ndarray, lo: int, hi: int, m: int, take_max: bool) -> np.ndarray:
+    """out[:, k] = extremum of y[:, k+lo : k+hi+1] for k < m, windows clipped at the end.
 
-    Monotonic-deque sweep, O(n) regardless of window width. Entries whose
-    clipped window is empty (k + lo > n - 1) are filled with -inf/+inf; the
-    horizon check in :func:`robustness` guarantees they are never consumed.
+    Columns past the end of ``y`` read as the operation's identity. After the
+    pass with shift s each column holds the extremum of the 2s samples from
+    it on; one overlapping pass then covers the window. Ties keep the
+    leftmost sample, as numpy's min/max return their second argument.
     """
-    n = len(x)
-    sign = 1.0 if take_max else -1.0
-    vals = sign * x
-    out = np.full(n, -np.inf)
-    dq: deque[int] = deque()  # indices into vals, decreasing values
-    j = n - 1  # next index not yet inserted (sweep right to left)
-    for k in range(n - 1, -1, -1):
-        start = k + lo
-        end = min(k + hi, n - 1)
-        if start > n - 1:
-            continue
-        while j >= start:
-            while dq and vals[dq[-1]] <= vals[j]:
-                dq.pop()
-            dq.append(j)
-            j -= 1
-        while dq and dq[0] > end:
-            dq.popleft()
-        if dq:
-            out[k] = vals[dq[0]]
-    out = sign * out
-    return out
+    op = np.maximum if take_max else np.minimum
+    pad = m + hi - y.shape[1]
+    if pad > 0:
+        fill = np.full((y.shape[0], pad), -np.inf if take_max else np.inf)
+        y = np.concatenate([y, fill], axis=1)
+    y = y[:, lo : m + hi]
+    width, s = hi - lo + 1, 1
+    while 2 * s <= width:
+        y = op(y[:, s:], y[:, :-s])
+        s *= 2
+    return op(y[:, width - s : width - s + m], y[:, :m])
 
 
-def _rho_signal(spec: SafetySpec, traj: Trajectory) -> np.ndarray:
-    if isinstance(spec, Predicate):
-        x = traj.channel(spec.channel)
-        return x - spec.threshold if spec.comparator == ">" else spec.threshold - x
-    if isinstance(spec, Not):
-        return -_rho_signal(spec.sub, traj)
-    if isinstance(spec, And):
-        return np.min([_rho_signal(a, traj) for a in spec.args], axis=0)
-    if isinstance(spec, Or):
-        return np.max([_rho_signal(a, traj) for a in spec.args], axis=0)
-    if isinstance(spec, (Globally, Eventually)):
-        inner = _rho_signal(spec.sub, traj)
-        lo, hi = _window_offsets(spec.interval, traj.dt)
+def _margin(p: Predicate, x: np.ndarray) -> np.ndarray:
+    return x - p.threshold if p.comparator == ">" else p.threshold - x
+
+
+def _sign(p: Predicate, x: np.ndarray) -> np.ndarray:
+    return np.where(x > p.threshold if p.comparator == ">" else x < p.threshold, 1.0, -1.0)
+
+
+def _signal(node: SafetySpec, m: int, samples: np.ndarray, channels: tuple[str, ...],
+            dt: float, leaf: Callable[[Predicate, np.ndarray], np.ndarray],
+            empty: list[str]) -> np.ndarray:
+    """The signal of ``node`` at the first ``m`` samples of every row, shape (batch, m).
+
+    ``leaf`` maps a predicate and its channel's samples to the predicate's
+    signal. An interval with no sample point yields NaN and is recorded in
+    ``empty``, so that the caller can rank it after the other errors.
+    """
+    rest = (samples, channels, dt, leaf, empty)
+    if isinstance(node, Predicate):
+        if node.channel not in channels:
+            raise InvalidArgumentError(
+                f"unknown channel {node.channel!r}; trajectory has {channels}"
+            )
+        return leaf(node, samples[:, channels.index(node.channel), :m])
+    if isinstance(node, Not):
+        return -_signal(node.sub, m, *rest)
+    if isinstance(node, (And, Or)):
+        op = np.minimum if isinstance(node, And) else np.maximum
+        return reduce(op, (_signal(a, m, *rest) for a in node.args))
+    if isinstance(node, (Globally, Eventually)):
+        lo, hi = _window_offsets(node.interval, dt)
+        inner = _signal(node.sub, min(m + hi, samples.shape[2]), *rest)
         if lo > hi:
-            raise SpecEvaluationError(
-                f"interval [{spec.interval[0]:g},{spec.interval[1]:g}] contains no "
-                f"sample points at dt={traj.dt:g}"
-            )
-        take_max = isinstance(spec, Eventually)
-        return _sliding_extremum(inner, lo, hi, take_max)
-    raise TypeError(f"not a spec node: {spec!r}")
+            a, b = node.interval
+            empty.append(f"interval [{a:g},{b:g}] contains no sample points at dt={dt:g}")
+            return np.full((samples.shape[0], m), np.nan)
+        return _sliding(inner, lo, hi, m, isinstance(node, Eventually))
+    raise TypeError(f"not a spec node: {node!r}")
 
 
-def _validate(spec: SafetySpec, traj: Trajectory) -> None:
-    if isinstance(spec, Predicate):
-        traj.channel(spec.channel)  # raises on unknown channel
-        return
-    if isinstance(spec, Not):
-        _validate(spec.sub, traj)
-        return
-    if isinstance(spec, (And, Or)):
-        for a in spec.args:
-            _validate(a, traj)
-        return
-    if isinstance(spec, (Globally, Eventually)):
-        _validate(spec.sub, traj)
-        return
-    raise TypeError(f"not a spec node: {spec!r}")
+def _evaluate(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str], dt: float,
+              leaf: Callable[[Predicate, np.ndarray], np.ndarray]) -> np.ndarray:
+    """One walk of ``spec`` over (batch, channels, steps) ``samples``: one value per row.
+
+    Errors rank as in a check-first evaluator: an unknown channel anywhere,
+    then a reach past the trajectory duration, then the first interval with
+    no sample point.
+    """
+    samples = np.asarray(samples, dtype=float)
+    empty: list[str] = []
+    values = _signal(spec, 1, samples, tuple(channels), dt, leaf, empty)[:, 0]
+    reach, duration = horizon(spec), (samples.shape[2] - 1) * dt
+    if reach > duration + 1e-9:
+        raise SpecEvaluationError(
+            f"spec needs {reach:g} s of signal but the trajectory lasts {duration:g} s"
+        )
+    if empty:
+        raise SpecEvaluationError(empty[0])
+    return values
 
 
-def _rho_at_zero(spec: SafetySpec, traj: Trajectory) -> float:
-    # Fast path for evaluation at the trajectory start: only the outermost
-    # temporal window is reduced directly; the O(n) deque sweep is needed
-    # solely for temporal operators nested inside another temporal operator.
-    if isinstance(spec, Predicate):
-        return float(_rho_signal(spec, traj)[0])
-    if isinstance(spec, Not):
-        return -_rho_at_zero(spec.sub, traj)
-    if isinstance(spec, And):
-        return min(_rho_at_zero(a, traj) for a in spec.args)
-    if isinstance(spec, Or):
-        return max(_rho_at_zero(a, traj) for a in spec.args)
-    if isinstance(spec, (Globally, Eventually)):
-        inner = _rho_signal(spec.sub, traj)
-        lo, hi = _window_offsets(spec.interval, traj.dt)
-        end = min(hi, len(inner) - 1)
-        if lo > hi or lo > end:
-            raise SpecEvaluationError(
-                f"interval [{spec.interval[0]:g},{spec.interval[1]:g}] contains no "
-                f"sample points at dt={traj.dt:g}"
-            )
-        seg = inner[lo : end + 1]
-        return float(np.max(seg) if isinstance(spec, Eventually) else np.min(seg))
-    raise TypeError(f"not a spec node: {spec!r}")
+def robustness_batch(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str],
+                     dt: float) -> np.ndarray:
+    """Robustness at the start time of every row of a (batch, channels, steps) array.
+
+    Raises :class:`InvalidArgumentError` for an unknown channel and
+    :class:`SpecEvaluationError` for an interval with no sample point, a
+    reach past the trajectory duration, or a non-finite value.
+    """
+    values = _evaluate(spec, samples, channels, dt, _margin)
+    if not np.isfinite(values).all():
+        raise SpecEvaluationError("robustness evaluated to a non-finite value")
+    return values
 
 
 def robustness(spec: SafetySpec, trajectory: Trajectory) -> RobustnessValue:
-    """Quantitative robustness of ``spec`` on ``trajectory`` at its start time.
-
-    Positive iff the trajectory satisfies the spec. Raises
-    :class:`SpecEvaluationError` for unknown channels or intervals whose
-    total reach exceeds the trajectory duration.
-    """
-    _validate(spec, trajectory)
-    reach = horizon(spec)
-    if reach > trajectory.duration + 1e-9:
-        raise SpecEvaluationError(
-            f"spec needs {reach:g} s of signal but the trajectory lasts "
-            f"{trajectory.duration:g} s"
-        )
-    value = _rho_at_zero(spec, trajectory)
-    if not np.isfinite(value):
-        raise SpecEvaluationError("robustness evaluated to a non-finite value")
-    return value
-
-
-def _bool_signal(spec: SafetySpec, traj: Trajectory) -> np.ndarray:
-    if isinstance(spec, Predicate):
-        x = traj.channel(spec.channel)
-        return x > spec.threshold if spec.comparator == ">" else x < spec.threshold
-    if isinstance(spec, Not):
-        return ~_bool_signal(spec.sub, traj)
-    if isinstance(spec, And):
-        return np.logical_and.reduce([_bool_signal(a, traj) for a in spec.args])
-    if isinstance(spec, Or):
-        return np.logical_or.reduce([_bool_signal(a, traj) for a in spec.args])
-    if isinstance(spec, (Globally, Eventually)):
-        inner = _bool_signal(spec.sub, traj).astype(float)
-        lo, hi = _window_offsets(spec.interval, traj.dt)
-        if lo > hi:
-            raise SpecEvaluationError("interval contains no sample points")
-        take_max = isinstance(spec, Eventually)
-        return _sliding_extremum(inner, lo, hi, take_max) > 0.5
-    raise TypeError(f"not a spec node: {spec!r}")
+    """Robustness of ``spec`` at the trajectory's start, positive iff it holds."""
+    t = trajectory
+    return float(robustness_batch(spec, t.samples[None], t.channels, t.dt)[0])
 
 
 def satisfied(spec: SafetySpec, trajectory: Trajectory) -> bool:
     """Boolean monitor over the same AST (strict predicate comparisons)."""
-    _validate(spec, trajectory)
-    if horizon(spec) > trajectory.duration + 1e-9:
-        raise SpecEvaluationError("spec horizon exceeds trajectory duration")
-    return bool(_bool_signal(spec, trajectory)[0])
+    t = trajectory
+    return bool(_evaluate(spec, t.samples[None], t.channels, t.dt, _sign)[0] > 0)

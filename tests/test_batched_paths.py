@@ -332,3 +332,40 @@ def test_optimize_fidelity_propagates_programming_errors(loss_path_bug, braking)
     tasks = sample_tasks(braking, 1, 2, seed=5)
     with pytest.raises(TypeError, match="synthetic programming error"):
         optimize_fidelity(braking, tasks, None, T=2, seed=5)
+
+
+class SeedOffsetHigh:
+    """Braking, except that each high-fidelity row is offset by an amount
+    set by its seed, so that the seed scheme of the cached runs shows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def run(self, spec, e_values, f_values, seeds):
+        samples, steps = self.inner.run(spec, e_values, f_values, seeds)
+        if f_values is None:
+            samples = samples + np.array([(s % 1000) * 1e-3 for s in seeds])[:, None, None]
+        return samples, steps
+
+
+def test_cached_high_runs_share_the_loss_seed_scheme(monkeypatch, braking):
+    monkeypatch.setitem(
+        sim_module._REGISTRY, "braking", SeedOffsetHigh(sim_module._REGISTRY["braking"])
+    )
+    config = CampaignConfig(
+        simulator="braking",
+        task_count=2,
+        params_per_task=2,
+        outer_iterations=1,
+        master_seed=7,
+        falsify_budget=FalsifyBudget(max_evaluations=64, population=32),
+        analysis_pairs=10,
+    )
+    result = run_joint(config)
+    tasks = sample_tasks(braking, config.task_count, config.params_per_task, config.master_seed)
+    extras = [braking.environment_space.config(c.values) for c in result.counterexamples]
+    f = braking.fidelity_space.setting(result.iterations[0].fidelity)
+    fresh = aggregate_loss(
+        braking, f, tasks, extra_configs=extras, seed=split_seed(config.master_seed, "loss")
+    )
+    assert result.iterations[0].loss == fresh.total

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from safeval.core import FalsificationFailedError, InvalidArgumentError
-from safeval.falsify import FalsifyBudget, falsify
-from safeval.sim import simulate_low
+from safeval.core import FalsificationFailedError, InvalidArgumentError, split_seed
+from safeval.falsify import FalsifyBudget, _evaluate_population, falsify
+from safeval.sim import register_backend, simulate_low
 from safeval.stl import robustness
-from tests.conftest import QUAD_CENTER
+from tests.conftest import QUAD_CENTER, make_synthetic
 
 
 class TestBudgetValidation:
@@ -76,6 +76,32 @@ class TestFailureModes:
         f = diverging_spec.fidelity_space.setting((0.5,))
         with pytest.raises(FalsificationFailedError):
             falsify(diverging_spec, synth_phi, f, FalsifyBudget(max_evaluations=64), seed=0)
+
+    def test_rows_diverging_in_one_repeat(self, synth_phi):
+        # Rows with e > 0.65 diverge only under the second repeat seed and the
+        # row at e = 0 only under the first; every other row scores the mean
+        # of its per-trajectory robustness values.
+        repeat_seeds = [split_seed(13, "rep", k) for k in range(2)]
+
+        class SeedOffsetBackend:
+            def run(self, spec, e_values, f_values, seeds):
+                out = np.empty((len(e_values), 1, spec.steps))
+                for i, (e, seed) in enumerate(zip(e_values, seeds)):
+                    bad = e[0] > 0.65 if seed == repeat_seeds[1] else e[0] == 0.0
+                    out[i, 0, :] = np.nan if bad else e[0] + (seed % 997) / 997.0
+                return out, len(e_values) * spec.steps
+
+        spec = make_synthetic("synth-seed-offset", lambda e, f: 0.0, (0.0,), (1.0,))
+        register_backend(spec.id, SeedOffsetBackend())
+        f = spec.fidelity_space.setting((0.5,))
+        points = np.linspace(0.0, 1.0, 11)[:, None]
+        scores = _evaluate_population(spec, synth_phi, f, points, repeat_seeds)
+        dead = (points[:, 0] > 0.65) | (points[:, 0] == 0.0)
+        assert np.isinf(scores[dead]).all() and dead.sum() == 5
+        for i in np.flatnonzero(~dead):
+            e = spec.environment_space.config(points[i])
+            rhos = [robustness(synth_phi, simulate_low(spec, e, f, s)) for s in repeat_seeds]
+            assert scores[i] == (rhos[0] + rhos[1]) / 2
 
     def test_spec_horizon_checked(self, quad_robustness_spec):
         from safeval.stl import parse_spec

@@ -17,6 +17,7 @@ from safeval.stl import (
     horizon,
     parse_spec,
     robustness,
+    robustness_batch,
     satisfied,
 )
 
@@ -207,3 +208,121 @@ class TestProperties:
 
         pred = Predicate("a", ">", 0.5)
         assert robustness(pred, shifted) - robustness(pred, t) == pytest.approx(delta, abs=1e-12)
+
+
+def reference_rho(spec, x, channels, dt, k=0):
+    """Brute-force robustness at anchor ``k``: every window sliced explicitly."""
+    if isinstance(spec, Predicate):
+        v = x[channels.index(spec.channel), k]
+        return v - spec.threshold if spec.comparator == ">" else spec.threshold - v
+    if isinstance(spec, Not):
+        return -reference_rho(spec.sub, x, channels, dt, k)
+    if isinstance(spec, (And, Or)):
+        values = [reference_rho(a, x, channels, dt, k) for a in spec.args]
+        return min(values) if isinstance(spec, And) else max(values)
+    lo = int(np.ceil(spec.interval[0] / dt - 1e-9))
+    hi = int(np.floor(spec.interval[1] / dt + 1e-9))
+    window = [reference_rho(spec.sub, x, channels, dt, j)
+              for j in range(k + lo, min(k + hi, x.shape[1] - 1) + 1)]
+    if isinstance(spec, Globally):
+        return min(window, default=np.inf)
+    return max(window, default=-np.inf)
+
+
+def reference_holds(spec, x, channels, dt, k=0):
+    """Brute-force boolean verdict at anchor ``k`` (strict comparisons)."""
+    if isinstance(spec, Predicate):
+        v = x[channels.index(spec.channel), k]
+        return bool(v > spec.threshold if spec.comparator == ">" else v < spec.threshold)
+    if isinstance(spec, Not):
+        return not reference_holds(spec.sub, x, channels, dt, k)
+    if isinstance(spec, (And, Or)):
+        verdicts = [reference_holds(a, x, channels, dt, k) for a in spec.args]
+        return all(verdicts) if isinstance(spec, And) else any(verdicts)
+    lo = int(np.ceil(spec.interval[0] / dt - 1e-9))
+    hi = int(np.floor(spec.interval[1] / dt + 1e-9))
+    window = [reference_holds(spec.sub, x, channels, dt, j)
+              for j in range(k + lo, min(k + hi, x.shape[1] - 1) + 1)]
+    return all(window) if isinstance(spec, Globally) else any(window)
+
+
+def tied_batch(data, spec, dt=0.1):
+    """Random (batch, 2, steps) samples on a 0.1 grid, as short as the spec allows."""
+    need = max(2, int(round(horizon(spec) / dt)) + 1)
+    steps = data.draw(st.integers(need, need + 3))
+    batch = data.draw(st.integers(1, 5))
+    values = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 1) + 0.0)
+    flat = data.draw(st.lists(values, min_size=batch * 2 * steps, max_size=batch * 2 * steps))
+    return np.array(flat).reshape(batch, 2, steps)
+
+
+class TestBatchedEvaluator:
+    @given(data=st.data(), spec=formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_and_per_row(self, data, spec):
+        samples = tied_batch(data, spec)
+        values = robustness_batch(spec, samples, ("a", "b"), 0.1)
+        assert values.shape == (samples.shape[0],)
+        for row, value in zip(samples, values):
+            assert value == reference_rho(spec, row, ("a", "b"), 0.1)
+            assert value == robustness(spec, Trajectory(0.0, 0.1, ("a", "b"), row))
+
+    @given(data=st.data(), spec=formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_boolean_monitor_matches_brute_force(self, data, spec):
+        for row in tied_batch(data, spec):
+            t = Trajectory(0.0, 0.1, ("a", "b"), row)
+            assert satisfied(spec, t) == reference_holds(spec, row, ("a", "b"), 0.1)
+
+    def test_negated_predicate_holds_at_the_threshold(self):
+        t = traj([0.5, 0.5, 0.5])
+        assert satisfied(parse_spec("!(x > 0.5)"), t)
+        assert not satisfied(parse_spec("x > 0.5"), t)
+        assert satisfied(parse_spec("G[0,0.2](!(x > 0.5))"), t)
+
+    def test_windows_clipped_at_the_end_and_empty(self):
+        from safeval.stl import _sliding
+
+        y = np.array([[3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0]])
+        n = y.shape[1]
+        for lo, hi in [(0, 0), (0, 2), (1, 3), (2, 6), (0, 9), (5, 8), (8, 10)]:
+            for take_max in (False, True):
+                got = _sliding(y, lo, hi, n, take_max)
+                for k in range(n):
+                    window = y[0, k + lo : min(k + hi, n - 1) + 1]
+                    if window.size:
+                        want = window.max() if take_max else window.min()
+                    else:
+                        want = -np.inf if take_max else np.inf
+                    assert got[0, k] == want
+
+    def test_evaluation_leaves_no_reference_cycles(self):
+        # A cycle would keep each sample batch alive until the cyclic
+        # collector happens to run, which numpy-heavy loops rarely trigger.
+        import gc
+
+        spec = parse_spec("G[0,1](F[0,0.5](a > 0) | !(b < 2))")
+        samples = np.ones((4, 2, 31))
+        gc.collect()
+        gc.disable()
+        try:
+            robustness_batch(spec, samples, ("a", "b"), 0.1)
+            satisfied(spec, Trajectory(0.0, 0.1, ("a", "b"), samples[0]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_batch_errors(self):
+        samples = np.ones((3, 2, 11))
+        with pytest.raises(InvalidArgumentError):
+            robustness_batch(parse_spec("G[0,0.2](nope > 0)"), samples, ("a", "b"), 0.1)
+        with pytest.raises(SpecEvaluationError):
+            robustness_batch(parse_spec("G[0,2](a > 0)"), samples, ("a", "b"), 0.1)
+        with pytest.raises(SpecEvaluationError, match="no sample points"):
+            robustness_batch(parse_spec("G[0.13,0.17](a > 0)"), samples, ("a", "b"), 0.1)
+        # An unknown channel outranks an empty interval met earlier in the walk.
+        with pytest.raises(InvalidArgumentError):
+            robustness_batch(parse_spec("G[0.13,0.17](a > 0) & nope > 0"), samples, ("a", "b"), 0.1)
+        samples[1, 0, 0] = np.inf
+        with pytest.raises(SpecEvaluationError):
+            robustness_batch(parse_spec("a > 0"), samples, ("a", "b"), 0.1)
