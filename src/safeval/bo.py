@@ -35,6 +35,7 @@ from .core import (
     NumericalFailureError,
     Seed,
     Task,
+    check_number_fields,
     latin_hypercube_unit,
     split_seed,
 )
@@ -189,6 +190,7 @@ class BetaSchedule:
     grid_size: int = 512
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgumentError("delta must lie in (0, 1)")
         if self.grid_size < 1:

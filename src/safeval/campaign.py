@@ -37,6 +37,7 @@ from .core import (
     Seed,
     Task,
     Trajectory,
+    check_number_fields,
     sample_uniform,
     split_seed,
 )
@@ -86,6 +87,7 @@ class AdaptiveBudgetPolicy:
     sigma_threshold: float = 1e-3
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.base_budget < 4:
             raise InvalidArgumentError("base_budget must be >= 4")
         if self.scale < 0:
@@ -129,39 +131,45 @@ class CampaignConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.task_count < 1:
             raise InvalidArgumentError("task_count must be >= 1")
-        if isinstance(self.params_per_task, (list, tuple)):
-            object.__setattr__(self, "params_per_task", tuple(int(m) for m in self.params_per_task))
-            if len(self.params_per_task) != self.task_count:
+        counts = self.params_per_task
+        if isinstance(counts, (list, tuple)):
+            object.__setattr__(self, "params_per_task", tuple(counts))
+            if len(counts) != self.task_count:
                 raise InvalidArgumentError("params_per_task list must have one entry per task")
-            if any(m < 1 for m in self.params_per_task):
-                raise InvalidArgumentError("every per-task parameter count must be >= 1")
-        elif self.params_per_task < 1:
-            raise InvalidArgumentError("params_per_task must be >= 1")
+        else:
+            counts = [counts]
+        if any(isinstance(m, bool) or not isinstance(m, int) for m in counts):
+            raise InvalidArgumentError("params_per_task must be an integer or a list of integers")
+        if any(m < 1 for m in counts):
+            raise InvalidArgumentError("every per-task parameter count must be >= 1")
         if self.outer_iterations < 1:
             raise InvalidArgumentError("outer_iterations must be >= 1")
         if self.counterexample_cap < 1:
             raise InvalidArgumentError("counterexample_cap must be >= 1")
         if self.analysis_pairs < 10:
             raise InvalidArgumentError("analysis_pairs must be >= 10")
+        weights = {} if self.task_weights is None else self.task_weights
+        if not isinstance(weights, dict) or any(
+            isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights.values()
+        ):
+            raise InvalidArgumentError("task_weights must map task ids to numbers")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidArgumentError(f"unknown campaign config fields: {sorted(unknown)}")
-        kwargs: dict[str, Any] = dict(data)
-        if "falsify_budget" in kwargs:
-            kwargs["falsify_budget"] = FalsifyBudget(**kwargs["falsify_budget"])
-        if "beta_schedule" in kwargs:
-            kwargs["beta_schedule"] = BetaSchedule(**kwargs["beta_schedule"])
-        if "budget_policy" in kwargs:
-            kwargs["budget_policy"] = AdaptiveBudgetPolicy(**kwargs["budget_policy"])
+        kwargs = _field_kwargs(cls, "campaign config", data)
+        for name, nested in (
+            ("falsify_budget", FalsifyBudget),
+            ("beta_schedule", BetaSchedule),
+            ("budget_policy", AdaptiveBudgetPolicy),
+        ):
+            if name in kwargs:
+                kwargs[name] = nested(**_field_kwargs(nested, name, kwargs[name]))
         return cls(**kwargs)
 
     @classmethod
@@ -174,6 +182,26 @@ class CampaignConfig:
                 f"config file {path} is not valid JSON at byte offset {exc.pos}: {exc.msg}"
             ) from exc
         return cls.from_dict(data)
+
+
+def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
+    """``data`` as keyword arguments for dataclass ``cls``; names every unknown or missing field."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{what} must be a JSON object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise InvalidArgumentError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise InvalidArgumentError(f"{what} missing fields: {missing}")
+    return dict(data)
 
 
 def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:

@@ -10,6 +10,7 @@ same seed, every sampling operation here is byte-identical across runs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -59,6 +60,25 @@ class NumericalFailureError(RuntimeError):
 
 class SchemaVersionError(ValueError):
     """A persisted document does not match the supported schema version."""
+
+
+def check_number_fields(obj: object) -> None:
+    """Raise if a dataclass field annotated ``int``/``Seed`` or ``float`` holds another type.
+
+    Configs read from JSON reach their range checks holding whatever the file
+    held; without this a string there surfaces as a ``TypeError``. Booleans
+    are rejected too, although Python counts them as integers.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", "Seed"):
+            kind, types = "an integer", (int, np.integer)
+        elif f.type == "float":
+            kind, types = "a number", (int, float, np.integer, np.floating)
+        else:
+            continue
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, types):
+            raise InvalidArgumentError(f"{f.name} must be {kind}, got {value!r}")
 
 
 def split_seed(seed: Seed, *path: str | int) -> Seed:

@@ -28,6 +28,7 @@ from .core import (
     FidelitySetting,
     InvalidArgumentError,
     Seed,
+    check_number_fields,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -57,6 +58,7 @@ class FalsifyBudget:
     samples_per_eval: int = 1
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.population < 4:
             raise InvalidArgumentError("population must be >= 4")
         if self.max_evaluations < self.population:

@@ -108,7 +108,8 @@ def aggregate_loss(
 
     Each (task i, parameter j) pair contributes
     ``w_i * mse_loss(high(p_ij), low(p_ij, f))``; ``extra_configs`` contribute
-    the same summand with weight 1 under the pseudo-task id ``"extra"``.
+    the same summand with weight 1 under the pseudo-task id ``"extra"``;
+    ``weights`` may name only ids in ``tasks``.
     Per-(i, j) seeds are derived from ``seed`` so results are reproducible,
     and ``high_cache`` (keyed by (task id, j), with ("extra", k) for extras)
     lets a driver reuse the fidelity-independent high-fidelity runs.
@@ -125,6 +126,9 @@ def aggregate_loss(
     if not spec.fidelity_space.contains(f.values):
         raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
     weights = dict(weights or {})
+    unknown = set(weights) - {task.id for task in tasks}
+    if unknown:
+        raise InvalidArgumentError(f"weights name tasks that do not exist: {sorted(unknown)}")
     groups = [(task.id, task.sampled_params, float(weights.get(task.id, 1.0))) for task in tasks]
     if extra_configs:
         groups.append(("extra", tuple(extra_configs), 1.0))

@@ -155,6 +155,30 @@ class TestJointCommand:
             out_b / "events.jsonl"
         )
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"falsify_budget": {"max_evaluations": 128, "wormhole": 1}},
+            {"falsify_budget": {"population": 64}},
+            {"falsify_budget": {"max_evaluations": "128"}},
+            {"falsify_budget": [128]},
+            {"beta_schedule": {"delta": 0.1, "wormhole": 1}},
+            {"beta_schedule": {"grid_size": 64.0}},
+            {"budget_policy": {"scale": "1"}},
+            {"task_count": "2"},
+            {"counterexample_cap": 2.0},
+            {"params_per_task": "2"},
+            {"params_per_task": ["2"]},
+            {"task_weights": {"task-0": "heavy"}},
+            {"task_weights": {"task-7": 2.0}},
+        ],
+        ids=lambda overrides: json.dumps(overrides),
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, overrides):
+        cfg = tiny_config_file(tmp_path, outer_iterations=1, **overrides)
+        assert main(["joint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["joint", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 

@@ -1,0 +1,167 @@
+"""The RK4 integrator against the plain textbook formulation, byte for byte.
+
+``_integrate_to_grid`` reuses buffers, evaluates time-only terms twice per
+step and combines the stages in place. The reference below is the direct
+formulation it replaced: one ``_rk4_step`` per step that calls a right-hand
+side returning a fresh ``np.stack`` of the derivatives four times, with the
+time-only terms computed inside it. Both must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from safeval import sim
+from safeval.core import sample_uniform
+from safeval.sim import get_benchmark, simulate_batch_multi_f
+
+
+def ref_osc_rhs(t, x, e, blend):
+    pos = x[:, 0]
+    vel = x[:, 1]
+    c = e[:, 2]
+    drag = c * ((1.0 - blend) * vel**3 + blend * vel)
+    return np.stack([vel, -(sim._OSC_OMEGA**2) * pos - drag], axis=1)
+
+
+def ref_brk_rhs(t, x, e, blend):
+    v_ego = x[:, 1]
+    v_lead = x[:, 2]
+    a_lead = e[:, 2]
+    after_reaction = np.maximum(t - sim._BRK_REACTION_TIME, 0.0)
+    braking_on = (t >= sim._BRK_REACTION_TIME).astype(float)
+    actuation = 1.0 - blend * np.exp(-after_reaction / sim._BRK_BRAKE_LAG)
+    ego_ramp = np.clip(v_ego / sim._BRK_SPEED_RAMP, 0.0, 1.0)
+    lead_ramp = np.clip(v_lead / sim._BRK_SPEED_RAMP, 0.0, 1.0)
+    dv_ego = -sim._BRK_EGO_DECEL * braking_on * actuation * ego_ramp
+    dv_lead = -a_lead * lead_ramp
+    return np.stack([v_lead - v_ego, dv_ego, dv_lead], axis=1)
+
+
+REFERENCE_RHS = {sim._osc_rhs: ref_osc_rhs, sim._brk_rhs: ref_brk_rhs}
+
+
+def ref_rk4_step(rhs, t, x, h, e, blend):
+    hc = h[:, None]
+    k1 = rhs(t, x, e, blend)
+    k2 = rhs(t + 0.5 * h, x + 0.5 * hc * k1, e, blend)
+    k3 = rhs(t + 0.5 * h, x + 0.5 * hc * k2, e, blend)
+    k4 = rhs(t + h, x + hc * k3, e, blend)
+    return x + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_integrate_to_grid(drive, rhs, x0, e, h, blend, duration, grid):
+    rhs = REFERENCE_RHS[rhs]
+    batch, state_dim = x0.shape
+    base_dt = float(grid[1] - grid[0])
+    full_steps = np.floor(duration / h + 1e-9).astype(int)
+    remainder = duration - full_steps * h
+    remainder = np.where(remainder > 1e-12 * max(duration, 1.0), remainder, 0.0)
+    max_full = int(full_steps.max())
+
+    hist = np.empty((max_full + 2, batch, state_dim))
+    hist[0] = x0
+    x = x0.copy()
+    t = np.zeros(batch)
+    for k in range(max_full):
+        hk = np.where(k < full_steps, h, 0.0)
+        x = ref_rk4_step(rhs, t, x, hk, e, blend)
+        t = t + hk
+        hist[k + 1] = x
+    hist[max_full + 1] = ref_rk4_step(rhs, t, x, remainder, e, blend)
+
+    n_grid = len(grid)
+    out = np.empty((batch, state_dim, n_grid))
+    for i in range(batch):
+        fi = int(full_steps[i])
+        if h[i] == base_dt and fi == n_grid - 1:
+            out[i] = hist[:n_grid, i, :].T
+            continue
+        knots_t = h[i] * np.arange(fi + 1)
+        knots_x = hist[: fi + 1, i, :]
+        if remainder[i] > 0.0:
+            knots_t = np.append(knots_t, duration)
+            knots_x = np.vstack([knots_x, hist[max_full + 1, i, :][None, :]])
+        for s in range(state_dim):
+            out[i, s] = np.interp(grid, knots_t, knots_x[:, s])
+    return out, full_steps + (remainder > 0.0)
+
+
+def random_batch(spec, batch, seed):
+    """Rows at mixed step sizes and blends, some noisy, some high, one all-ones."""
+    rng = np.random.default_rng(seed)
+    e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, seed)])
+    f_rows = rng.random((batch, 3))
+    f_rows[:, 2] = np.where(rng.random(batch) < 0.5, 1.0, f_rows[:, 2])
+    f_rows[0] = 1.0
+    f_rows[1, 0] = 0.0
+    high = np.zeros(batch, dtype=bool)
+    high[2] = True
+    return e_rows, f_rows, list(range(batch)), high
+
+
+@pytest.mark.parametrize(
+    "sim_id, batch, seed",
+    [("braking", 24, 1), ("braking", 9, 2), ("braking", 5, 3), ("oscillator", 6, 4)],
+)
+def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeypatch):
+    spec = get_benchmark(sim_id)
+    e_rows, f_rows, seeds, high = random_batch(spec, batch, seed)
+    h, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows[~high], int((~high).sum()))
+    assert len(set(np.floor(spec.duration / h + 1e-9).tolist())) >= 3  # rows end at different steps
+    assert (spec.duration % h > 1e-9).any() and (blend > 0).any() and (sigma > 0).any()
+
+    samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
+    monkeypatch.setattr(sim, "_integrate_to_grid", ref_integrate_to_grid)
+    expected, ok_ref = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
+
+    assert ok.all() and ok_ref.all()
+    assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sim_id", ["braking", "oscillator"])
+def test_knob_arrays_match_the_per_row_mapping(sim_id):
+    spec = get_benchmark(sim_id)
+    _, f_rows, _, _ = random_batch(spec, 16, 5)
+    backend = sim._REGISTRY[sim_id]
+    h, blend, sigma = backend._knob_arrays(spec, f_rows, len(f_rows))
+    phys = np.stack([spec.fidelity_mapping.to_physical(row) for row in f_rows])
+    expected_h = np.minimum(spec.base_dt * np.maximum(phys[:, 0], 1.0), spec.duration)
+    assert h.tobytes() == expected_h.tobytes()
+    assert blend.tobytes() == np.clip(phys[:, 1], 0.0, 1.0).tobytes()
+    assert sigma.tobytes() == np.maximum(phys[:, 2], 0.0).tobytes()
+
+
+@pytest.mark.parametrize("sim_id", ["braking", "oscillator"])
+def test_two_drive_and_four_rhs_calls_per_step(sim_id):
+    spec = get_benchmark(sim_id)
+    backend = sim._REGISTRY[sim_id]
+    calls = {"drive": 0, "rhs": 0}
+
+    def drive(t, blend):
+        calls["drive"] += 1
+        return backend.drive(t, blend)
+
+    def rhs(x, e, d, out):
+        calls["rhs"] += 1
+        backend.rhs(x, e, d, out)
+
+    e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 3, 6)])
+    h = spec.base_dt * np.array([1.0, 7.3, 32.0])
+    h = np.minimum(h, spec.duration)
+    x0 = backend.initial_state(e_rows)
+    sim._integrate_to_grid(
+        drive, rhs, x0, e_rows, h, np.full(3, 0.5), spec.duration, spec.grid_times()
+    )
+    loop_steps = int(np.floor(spec.duration / h + 1e-9).max()) + 1  # the remainder step counts
+    assert calls == {"drive": 2 * loop_steps + 1, "rhs": 4 * loop_steps}
+
+
+def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
+    # v_ego = -0.0 and NaN reach the ramp; np.clip keeps -0.0 and NaN as they are.
+    x = np.array([[1.0, -0.0, 0.05], [1.0, np.nan, 2.0], [1.0, -1.0, 0.1], [1.0, 0.0, 0.3]])
+    e = np.tile([50.0, 20.0, 5.0], (4, 1))
+    drive = sim._brk_drive(np.full(4, 1.0), np.full(4, 0.3))
+    out = np.empty((3, 4))
+    sim._brk_rhs(x.T.copy(), e.T.copy(), drive, out)
+    expected = ref_brk_rhs(np.full(4, 1.0), x, e, np.full(4, 0.3))
+    assert out.T.tobytes() == expected.tobytes()

@@ -5,8 +5,6 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from safeval.core import InvalidArgumentError, SimulationDivergedError
 from safeval.loss import mse_loss
@@ -38,15 +36,6 @@ class TestFidelityMapping:
         assert phys_hi == pytest.approx([1.0, 0.0, 0.0])
         phys_lo = m.to_physical((0.0, 0.0, 0.0))
         assert phys_lo == pytest.approx([32.0, 1.0, 0.1])
-
-    @given(
-        v=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_normalization_round_trip(self, v):
-        m = get_benchmark("braking").fidelity_mapping
-        back = m.to_normalized(m.to_physical(v))
-        assert np.all(np.abs(back - np.asarray(v)) <= 1e-12)
 
     def test_monotone_required(self):
         with pytest.raises(InvalidArgumentError):
