@@ -16,7 +16,6 @@ from .core import (
     Seed,
     Task,
     Trajectory,
-    latin_hypercube,
     rng_from_seed,
     sample_uniform,
     split_seed,
@@ -30,7 +29,7 @@ from .sim import (
     simulate_low,
 )
 from .loss import aggregate_loss, mse_loss
-from .falsify import FalsificationResult, FalsifyBudget, falsify
+from .falsify import FalsificationResult, FalsifyBudget, falsify, falsify_many
 from .bo import (
     BetaSchedule,
     FidelityOptResult,

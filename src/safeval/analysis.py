@@ -37,7 +37,7 @@ from .core import (
     rng_from_seed,
     split_seed,
 )
-from .falsify import FalsifyBudget, falsify
+from .falsify import FalsifyBudget, falsify, falsify_many
 from .loss import aggregate_loss, mse_loss
 from .sim import SimulatorSpec, simulate_batch, simulate_batch_multi_f
 from .stl import SafetySpec, robustness_batch
@@ -421,24 +421,18 @@ def sensitivity(
 
     total = None
     if refalsify:
-        totals = []
-        for i, (k, plus, minus, _) in enumerate(entries):
-            rp = falsify(
-                spec,
-                phi,
-                spec.fidelity_space.setting(plus),
-                falsify_budget,
-                split_seed(seed, "falsify"),
-            ).best_robustness
-            rm = falsify(
-                spec,
-                phi,
-                spec.fidelity_space.setting(minus),
-                falsify_budget,
-                split_seed(seed, "falsify"),
-            ).best_robustness
-            totals.append((rp - rm) / float(plus[k] - minus[k]))
-        total = tuple(totals)
+        fseed = split_seed(seed, "falsify")
+        found = falsify_many(
+            spec,
+            phi,
+            [(spec.fidelity_space.setting(row), fseed) for row in f_rows],
+            falsify_budget,
+        )
+        total = tuple(
+            (found[2 * i].best_robustness - found[2 * i + 1].best_robustness)
+            / float(plus[k] - minus[k])
+            for i, (k, plus, minus, _) in enumerate(entries)
+        )
 
     return SensitivityReport(
         fidelity=tuple(float(v) for v in f0),

@@ -42,7 +42,7 @@ from .core import (
     split_seed,
 )
 from .falsify import FalsificationFailedError, FalsifyBudget, falsify
-from .loss import LOSS_FAILURES, aggregate_loss
+from .loss import LOSS_FAILURES, aggregate_loss, check_task_weights
 from .sim import (
     CALL_COUNTER,
     SimulatorSpec,
@@ -450,6 +450,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         )
     phi = parse_spec(spec_text)
     tasks = sample_tasks(spec, config.task_count, config.params_per_task, config.master_seed)
+    check_task_weights(config.task_weights, tasks)
     events = _EventLog(out / "events.jsonl" if out else None)
     events.emit("start", simulator=spec.id, outer_iterations=config.outer_iterations)
 

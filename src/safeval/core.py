@@ -34,7 +34,7 @@ __all__ = [
     "Trajectory",
     "Task",
     "sample_uniform",
-    "latin_hypercube",
+    "latin_hypercube_unit",
 ]
 
 # Seeds are 64-bit unsigned integers; wider ints are reduced mod 2**64.
@@ -195,7 +195,6 @@ class FidelitySpace:
 
     dimension: int
     knob_names: tuple[str, ...] = ()
-    metric: str = "euclidean"
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -208,8 +207,6 @@ class FidelitySpace:
             )
         else:
             object.__setattr__(self, "knob_names", tuple(str(n) for n in self.knob_names))
-        if self.metric != "euclidean":
-            raise InvalidArgumentError("only the euclidean metric is supported")
 
     def contains(self, values: Sequence[float], tol: float = 1e-12) -> bool:
         v = np.asarray(values, dtype=float)
@@ -358,12 +355,3 @@ def latin_hypercube_unit(dimension: int, count: int, seed: Seed) -> np.ndarray:
         perm = rng.permutation(count)
         out[:, d] = (perm + rng.random(count)) / count
     return out
-
-
-def latin_hypercube(space: EnvironmentSpace, count: int, seed: Seed) -> list[EnvironmentConfig]:
-    """Space-filling Latin hypercube sample of ``space``."""
-    unit = latin_hypercube_unit(space.dimension, count, seed)
-    lo = space.lower_array()
-    hi = space.upper_array()
-    pts = lo + unit * (hi - lo)
-    return [space.config(row) for row in pts]

@@ -13,12 +13,33 @@ construction.
 Noisy fidelity settings are handled by averaging the robustness over
 ``samples_per_eval`` fixed repeat seeds shared by all candidates (common
 random numbers). Diverged simulations score +inf and still consume budget.
+
+Simulator calls. A call costs about the same at 64 rows as at 128, so the
+search sends few, full batches:
+
+* Only generation 0 and the CEM generations refit the Gaussian, so the
+  points of the CEM generation after a later exploration generation g do
+  not depend on g's scores, and the stop check after g sees the spread the
+  check after g - 1 saw and cannot fire. Generations g and g + 1 therefore
+  share one call (g + 1 truncated to the budget, or left out when none
+  remains) and are then processed in order, exactly as two calls would be.
+* All ``samples_per_eval`` repeats go into that call, the candidate rows
+  tiled once per repeat seed. A candidate scores +inf once any repeat has
+  diverged, and the repeats' robustness values are summed in seed order.
+* :func:`falsify_many` advances several searches sharing one budget in
+  lockstep, one call per step for all of them (``simulate_batch`` when
+  they share a fidelity setting, ``simulate_batch_multi_f`` otherwise). A
+  search leaves the step loop when it stops early, exhausts the budget or
+  fails. When searches fail, the error raised is that of the lowest-index
+  failing search, the one a loop of :func:`falsify` calls would raise.
+  :func:`falsify` is its one-search case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +54,10 @@ from .core import (
     rng_from_seed,
     split_seed,
 )
-from .sim import SimulatorSpec, simulate_batch
+from .sim import SimulatorSpec, simulate_batch, simulate_batch_multi_f
 from .stl import RobustnessValue, SafetySpec, horizon, robustness_batch
 
-__all__ = ["FalsifyBudget", "FalsificationResult", "falsify"]
+__all__ = ["FalsifyBudget", "FalsificationResult", "falsify", "falsify_many"]
 
 _LHS_EVERY = 4  # every 4th generation explores; 1/4 of the budget overall
 
@@ -88,26 +109,188 @@ class FalsificationResult:
             raise InvalidArgumentError("counterexample_found must mirror best_robustness < 0")
 
 
-def _evaluate_population(
+@dataclass
+class _Search:
+    """State of one search: its fidelity, seeds, best-so-far and CEM Gaussian."""
+
+    f: FidelitySetting
+    seed: Seed
+    repeat_seeds: list[Seed]
+    best_score: float = np.inf
+    best_values: tuple[float, ...] | None = None
+    trace: list[float] = field(default_factory=list)
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
+    evaluations: int = 0
+    generation: int = 0
+    stopped: bool = False
+
+    def _explores(self, generation: int) -> bool:
+        return generation % _LHS_EVERY == 0 or self.mean is None
+
+    def _points(self, generation: int, population: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        if self._explores(generation):
+            unit = latin_hypercube_unit(len(lo), population, split_seed(self.seed, "lhs", generation))
+            return lo + unit * (hi - lo)
+        rng = rng_from_seed(split_seed(self.seed, "cem", generation))
+        points = self.mean + self.std * rng.standard_normal((population, len(lo)))
+        return np.clip(points, lo, hi)
+
+    def next_generations(
+        self, budget: FalsifyBudget, lo: np.ndarray, hi: np.ndarray
+    ) -> list[np.ndarray]:
+        """Points of the generations the next call evaluates, each cut to the budget.
+
+        The next generation, followed by the CEM generation after it when the
+        next one is an exploration generation that leaves the Gaussian as it is.
+        """
+        left = budget.max_evaluations - self.evaluations
+        g = self.generation
+        gens = [self._points(g, budget.population, lo, hi)[:left]]
+        left -= len(gens[0])
+        if self.mean is not None and self._explores(g) and left > 0:
+            gens.append(self._points(g + 1, budget.population, lo, hi)[:left])
+        return gens
+
+    def absorb(
+        self, points: np.ndarray, scores: np.ndarray, budget: FalsifyBudget, width: np.ndarray
+    ) -> None:
+        """Book one evaluated generation: best-so-far, trace, Gaussian refit, stop check."""
+        refit = not self._explores(self.generation) or self.mean is None
+        self.evaluations += len(points)
+        self.generation += 1
+        finite = np.isfinite(scores)
+        if not finite.any():
+            raise FalsificationFailedError(
+                f"entire population diverged at generation {self.generation}"
+            )
+        order = sorted(range(len(scores)), key=lambda i: (scores[i], tuple(points[i])))
+        top = order[0]
+        if (scores[top], tuple(points[top])) < (
+            self.best_score,
+            self.best_values if self.best_values is not None else (),
+        ):
+            self.best_score = float(scores[top])
+            self.best_values = tuple(points[top])
+        self.trace.append(self.best_score)
+        if len(self.trace) > 1 and not self.trace[-1] <= self.trace[-2]:
+            raise RuntimeError("best-so-far trace must be nonincreasing")
+
+        n_elite = max(2, math.ceil(budget.elite_fraction * len(points)))
+        elite = points[[i for i in order if finite[i]][:n_elite]]
+        if refit:
+            self.mean = elite.mean(axis=0)
+            self.std = np.maximum(elite.std(axis=0), 1e-12 * np.maximum(width, 1.0))
+        if budget.stop_tolerance > 0.0 and float(np.max(self.std / width)) <= budget.stop_tolerance:
+            self.stopped = True
+
+    def result(self, spec: SimulatorSpec) -> FalsificationResult:
+        if self.best_values is None:
+            raise RuntimeError("falsification evaluated no candidate")
+        return FalsificationResult(
+            best_config=spec.environment_space.config(self.best_values),
+            best_robustness=self.best_score,
+            counterexample_found=self.best_score < 0,
+            evaluations_used=self.evaluations,
+            iterations=self.generation,
+            trace=tuple(self.trace),
+        )
+
+
+def _evaluate(
+    spec: SimulatorSpec, phi: SafetySpec, searches: Sequence[_Search], points: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Mean robustness of ``points[k]`` under search k, one row per search; +inf if diverged.
+
+    One simulator call covers every search and repeat: search k's rows are
+    its points tiled once per repeat seed, and every ``points[k]`` has the
+    same length.
+    """
+    n = len(points[0])
+    repeats = len(searches[0].repeat_seeds)
+    e_rows = np.vstack([np.tile(p, (repeats, 1)) for p in points])
+    seeds = [rep for s in searches for rep in s.repeat_seeds for _ in range(n)]
+    if len({s.f for s in searches}) == 1:
+        samples, ok = simulate_batch(spec, e_rows, searches[0].f, seeds)
+    else:
+        f_rows = np.repeat([s.f.as_array() for s in searches], repeats * n, axis=0)
+        samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds)
+    # A candidate stays alive while every repeat so far is finite; later
+    # repeats of a dead candidate are not scored.
+    alive = np.logical_and.accumulate(ok.reshape(len(searches), repeats, n), axis=1)
+    rho = np.zeros(alive.shape)
+    rows = samples if alive.all() else samples[alive.ravel()]
+    rho[alive] = robustness_batch(phi, rows, spec.channels, spec.base_dt)
+    scores = np.zeros((len(searches), n))
+    for r in range(repeats):
+        scores += rho[:, r]
+    scores /= repeats
+    scores[~alive[:, -1]] = np.inf
+    return scores
+
+
+def falsify_many(
     spec: SimulatorSpec,
     phi: SafetySpec,
-    f: FidelitySetting,
-    points: np.ndarray,
-    repeat_seeds: list[Seed],
-) -> np.ndarray:
-    """Mean robustness per candidate over the repeat seeds; +inf if diverged."""
-    n = points.shape[0]
-    scores = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for rep_seed in repeat_seeds:
-        samples, ok = simulate_batch(spec, points, f, [rep_seed] * n)
-        alive &= ok
-        # Boolean indexing copies the batch; do it only once a row has died.
-        rows = samples if alive.all() else samples[alive]
-        scores[alive] += robustness_batch(phi, rows, spec.channels, spec.base_dt)
-    scores /= len(repeat_seeds)
-    scores[~alive] = np.inf
-    return scores
+    searches: Sequence[tuple[FidelitySetting, Seed]],
+    budget: FalsifyBudget,
+) -> list[FalsificationResult]:
+    """Run one falsification per ``(f, seed)`` pair in lockstep; results in input order.
+
+    Each result equals what :func:`falsify` returns for its pair. Raises the
+    :class:`FalsificationFailedError` of the lowest-index search whose
+    entire population diverges.
+    """
+    space = spec.environment_space
+    if horizon(phi) > spec.duration + 1e-9:
+        raise InvalidArgumentError(
+            f"spec horizon {horizon(phi):g} s exceeds simulator duration {spec.duration:g} s"
+        )
+    if not searches:
+        return []
+    lo = space.lower_array()
+    hi = space.upper_array()
+    width = hi - lo
+    state = [
+        _Search(f, seed, [split_seed(seed, "rep", k) for k in range(budget.samples_per_eval)])
+        for f, seed in searches
+    ]
+
+    if np.all(width < 1e-12):
+        center = space.config((lo + hi) / 2.0)
+        scores = _evaluate(spec, phi, state, [center.as_array()[None, :]] * len(state))
+        return [
+            FalsificationResult(
+                best_config=center,
+                best_robustness=score,
+                counterexample_found=score < 0,
+                evaluations_used=1,
+                iterations=1,
+                trace=(score,),
+            )
+            for score in scores[:, 0].tolist()
+        ]
+
+    failures: dict[int, FalsificationFailedError] = {}
+    active = list(range(len(state)))
+    while active:
+        gens = [state[k].next_generations(budget, lo, hi) for k in active]
+        scores = _evaluate(spec, phi, [state[k] for k in active], [np.vstack(g) for g in gens])
+        for k, points, row in zip(active, gens, scores):
+            try:
+                for p, part in zip(points, np.split(row, [len(points[0])])):
+                    state[k].absorb(p, part, budget, width)
+            except FalsificationFailedError as exc:
+                failures[k] = exc
+        # A search after the first failure cannot change the error raised.
+        last = min(failures, default=len(state))
+        active = [
+            k for k in active
+            if k < last and not state[k].stopped and state[k].evaluations < budget.max_evaluations
+        ]
+    if failures:
+        raise failures[min(failures)]
+    return [s.result(spec) for s in state]
 
 
 def falsify(
@@ -123,92 +306,4 @@ def falsify(
     robustness are broken by lexicographic order of the configuration values.
     Raises :class:`FalsificationFailedError` if an entire population diverges.
     """
-    space = spec.environment_space
-    if horizon(phi) > spec.duration + 1e-9:
-        raise InvalidArgumentError(
-            f"spec horizon {horizon(phi):g} s exceeds simulator duration {spec.duration:g} s"
-        )
-    lo = space.lower_array()
-    hi = space.upper_array()
-    width = hi - lo
-    dim = space.dimension
-    repeat_seeds = [split_seed(seed, "rep", k) for k in range(budget.samples_per_eval)]
-
-    if np.all(width < 1e-12):
-        center = space.config((lo + hi) / 2.0)
-        score = float(
-            _evaluate_population(spec, phi, f, center.as_array()[None, :], repeat_seeds)[0]
-        )
-        return FalsificationResult(
-            best_config=center,
-            best_robustness=score,
-            counterexample_found=score < 0,
-            evaluations_used=1,
-            iterations=1,
-            trace=(score,),
-        )
-
-    best_score = np.inf
-    best_values: tuple[float, ...] | None = None
-    trace: list[float] = []
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
-    evaluations = 0
-    generation = 0
-
-    while evaluations < budget.max_evaluations:
-        take = min(budget.population, budget.max_evaluations - evaluations)
-        if generation % _LHS_EVERY == 0 or mean is None:
-            unit = latin_hypercube_unit(dim, budget.population, split_seed(seed, "lhs", generation))
-            points = lo + unit * width
-            is_cem = False
-        else:
-            rng = rng_from_seed(split_seed(seed, "cem", generation))
-            points = mean + std * rng.standard_normal((budget.population, dim))
-            points = np.clip(points, lo, hi)
-            is_cem = True
-        points = points[:take]
-        scores = _evaluate_population(spec, phi, f, points, repeat_seeds)
-        evaluations += take
-        generation += 1
-
-        finite = np.isfinite(scores)
-        if not finite.any():
-            raise FalsificationFailedError(
-                f"entire population diverged at generation {generation}"
-            )
-        order = sorted(range(len(scores)), key=lambda i: (scores[i], tuple(points[i])))
-        top = order[0]
-        if (scores[top], tuple(points[top])) < (
-            best_score,
-            best_values if best_values is not None else (),
-        ):
-            best_score = float(scores[top])
-            best_values = tuple(points[top])
-        trace.append(best_score)
-        if len(trace) > 1 and not trace[-1] <= trace[-2]:
-            raise RuntimeError("best-so-far trace must be nonincreasing")
-
-        n_elite = max(2, math.ceil(budget.elite_fraction * take))
-        elite_idx = [i for i in order if finite[i]][:n_elite]
-        elite = points[elite_idx]
-        if is_cem or mean is None:
-            mean = elite.mean(axis=0)
-            std = np.maximum(elite.std(axis=0), 1e-12 * np.maximum(width, 1.0))
-        if (
-            budget.stop_tolerance > 0.0
-            and std is not None
-            and float(np.max(std / width)) <= budget.stop_tolerance
-        ):
-            break
-
-    if best_values is None:
-        raise RuntimeError("falsification evaluated no candidate")
-    return FalsificationResult(
-        best_config=space.config(best_values),
-        best_robustness=best_score,
-        counterexample_found=best_score < 0,
-        evaluations_used=evaluations,
-        iterations=generation,
-        trace=tuple(trace),
-    )
+    return falsify_many(spec, phi, [(f, seed)], budget)[0]

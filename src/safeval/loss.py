@@ -95,6 +95,17 @@ class AggregateLossResult:
         return self.total / self.pair_count if self.pair_count else 0.0
 
 
+def check_task_weights(
+    weights: Mapping[str, float] | None, tasks: Sequence[Task]
+) -> dict[str, float]:
+    """``weights`` as a dict; raises if it names a task id not in ``tasks``."""
+    weights = dict(weights or {})
+    unknown = set(weights) - {task.id for task in tasks}
+    if unknown:
+        raise InvalidArgumentError(f"weights name tasks that do not exist: {sorted(unknown)}")
+    return weights
+
+
 def aggregate_loss(
     spec: SimulatorSpec,
     f: FidelitySetting,
@@ -125,10 +136,7 @@ def aggregate_loss(
         raise InvalidArgumentError("aggregate_loss needs at least one task or extra config")
     if not spec.fidelity_space.contains(f.values):
         raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
-    weights = dict(weights or {})
-    unknown = set(weights) - {task.id for task in tasks}
-    if unknown:
-        raise InvalidArgumentError(f"weights name tasks that do not exist: {sorted(unknown)}")
+    weights = check_task_weights(weights, tasks)
     groups = [(task.id, task.sampled_params, float(weights.get(task.id, 1.0))) for task in tasks]
     if extra_configs:
         groups.append(("extra", tuple(extra_configs), 1.0))

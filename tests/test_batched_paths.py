@@ -32,7 +32,7 @@ from safeval.core import (
     sample_uniform,
     split_seed,
 )
-from safeval.falsify import FalsifyBudget
+from safeval.falsify import FalsifyBudget, falsify
 from safeval.loss import aggregate_loss, mse_loss
 from safeval.sim import (
     SimulatorSpec,
@@ -48,6 +48,7 @@ sim_module = importlib.import_module("safeval.sim")
 loss_module = importlib.import_module("safeval.loss")
 analysis_module = importlib.import_module("safeval.analysis")
 campaign_module = importlib.import_module("safeval.campaign")
+falsify_module = importlib.import_module("safeval.falsify")
 
 
 def reference_loss(spec, f, tasks, extras, seed, weights, cache):
@@ -248,6 +249,34 @@ class TestEstimators:
             rm = rho_reference(braking, braking_phi, got.base_config, minus, stencil_seed, 3)
             expected.append((rp - rm) / float(plus[k] - minus[k]))
         assert got.gradient == tuple(expected)
+
+    def test_sensitivity_refalsifies_the_stencil_in_lockstep(self, braking, braking_phi, monkeypatch):
+        f = braking.fidelity_space.setting((0.6, 0.8, 1.0))
+        budget = FalsifyBudget(max_evaluations=192, population=32)
+        seed, h = 31, 0.05
+        entries, _ = _stencil(np.asarray(f.values), h)
+        falsify_seed = split_seed(seed, "falsify")
+        expected = []
+        for k, plus, minus, _ in entries:
+            rp, rm = (
+                falsify(braking, braking_phi, braking.fidelity_space.setting(row), budget,
+                        falsify_seed).best_robustness
+                for row in (plus, minus)
+            )
+            expected.append((rp - rm) / float(plus[k] - minus[k]))
+        calls = []
+        real = falsify_module.simulate_batch_multi_f
+
+        def counting(*args, **kwargs):
+            samples, ok = real(*args, **kwargs)
+            calls.append(len(ok))
+            return samples, ok
+
+        monkeypatch.setattr(falsify_module, "simulate_batch_multi_f", counting)
+        got = sensitivity(braking, braking_phi, f, h, budget, seed, repeats=2, refalsify=True)
+        assert got.total_derivative == tuple(expected)
+        # Six searches; generations 0-3 alone, then 4 with 5.
+        assert calls == [6 * 32] * 4 + [6 * 64]
 
 
 def per_row(spec, e_values, settings, seeds):

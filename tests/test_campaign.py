@@ -1,5 +1,7 @@
+import importlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,23 @@ from safeval.campaign import (
     sample_tasks,
     save_result,
 )
-from safeval.core import InvalidArgumentError, SchemaVersionError
+from safeval.core import InvalidArgumentError, SchemaVersionError, latin_hypercube_unit, split_seed
 from safeval.falsify import FalsifyBudget
+
+sim_module = importlib.import_module("safeval.sim")
+
+
+class LowRowsDivergeAt:
+    """A backend whose low-fidelity rows at the given environment points diverge."""
+
+    def __init__(self, inner, points):
+        self.inner, self.points = inner, {tuple(p) for p in points}
+
+    def run(self, spec, e_values, f_values, seeds):
+        samples, steps = self.inner.run(spec, e_values, f_values, seeds)
+        if f_values is not None:
+            samples[[tuple(e) in self.points for e in e_values]] = np.nan
+        return samples, steps
 
 
 def tiny_config(**overrides):
@@ -193,6 +210,27 @@ class TestRunJoint:
         events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
         assert events[-1]["event"] == "error"
         assert "synthetic hard failure" in events[-1]["message"]
+
+    def test_failed_search_books_the_paired_rows(self, monkeypatch):
+        # Every row of iteration 1's exploration generation 4 diverges. That
+        # generation shares its simulator call with CEM generation 5, so the
+        # iteration books 6 x 32 inner rows, where a call per generation would
+        # have stopped at 5 x 32.
+        config = tiny_config(
+            task_count=1,
+            outer_iterations=1,
+            falsify_budget=FalsifyBudget(max_evaluations=192, population=32),
+            budget_policy=AdaptiveBudgetPolicy(base_budget=192, scale=0.0),
+        )
+        space = resolve_simulator("braking").environment_space
+        lo, hi = space.lower_array(), space.upper_array()
+        seed = split_seed(config.master_seed, "falsify", 1)
+        points = lo + latin_hypercube_unit(3, 32, split_seed(seed, "lhs", 4)) * (hi - lo)
+        real = sim_module._REGISTRY["braking"]
+        monkeypatch.setitem(sim_module._REGISTRY, "braking", LowRowsDivergeAt(real, points))
+        (record,) = run_joint(config).iterations
+        assert record.falsification_failed
+        assert record.inner_sim_calls == 6 * 32
 
     def test_deterministic_result_bytes(self, tiny_result, tmp_path):
         result, out, cfg = tiny_result

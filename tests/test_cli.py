@@ -3,6 +3,7 @@ import json
 import pytest
 
 from safeval.cli import main
+from safeval.sim import CALL_COUNTER
 
 
 def read_stripped_events(path):
@@ -178,6 +179,16 @@ class TestJointCommand:
         cfg = tiny_config_file(tmp_path, outer_iterations=1, **overrides)
         assert main(["joint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_weight_key_fails_before_any_simulation(self, tmp_path, capsys):
+        cfg = tiny_config_file(tmp_path, task_weights={"task-0": 2.0, "task-7": 2.0})
+        out = tmp_path / "out"
+        before = CALL_COUNTER.snapshot()
+        assert main(["joint", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: weights name tasks that do not exist: ['task-7']\n"
+        assert CALL_COUNTER.snapshot() == before
+        assert not (out / "events.jsonl").exists()
+        assert not (out / "result.partial.json").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["joint", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1

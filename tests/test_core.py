@@ -11,7 +11,7 @@ from safeval.core import (
     InvalidArgumentError,
     SimulationDivergedError,
     Trajectory,
-    latin_hypercube,
+    latin_hypercube_unit,
     rng_from_seed,
     sample_uniform,
     split_seed,
@@ -54,37 +54,35 @@ class TestSampleUniform:
 
 class TestLatinHypercube:
     def test_one_point_per_stratum(self):
-        pts = latin_hypercube(unit_box(), 4, seed=5)
-        values = sorted(p.values[0] for p in pts)
+        values = sorted(latin_hypercube_unit(1, 4, seed=5)[:, 0])
         for i, v in enumerate(values):
             assert i * 0.25 <= v <= (i + 1) * 0.25
 
     def test_single_point(self):
-        (p,) = latin_hypercube(unit_box(), 1, seed=9)
-        assert 0.0 <= p.values[0] <= 1.0
+        unit = latin_hypercube_unit(1, 1, seed=9)
+        assert unit.shape == (1, 1) and 0.0 <= unit[0, 0] <= 1.0
 
     def test_strata_occupancy_2d(self):
         # Brute-force binning oracle: every axis stratum holds exactly one point.
-        space = EnvironmentSpace(lower=(0.0, 0.0), upper=(10.0, 10.0))
-        pts = latin_hypercube(space, 8, seed=3)
-        arr = np.array([p.values for p in pts])
+        unit = latin_hypercube_unit(2, 8, seed=3)
         for d in range(2):
-            bins = np.clip(np.floor(arr[:, d] / (10.0 / 8.0)).astype(int), 0, 7)
+            bins = np.clip(np.floor(unit[:, d] * 8).astype(int), 0, 7)
             assert sorted(bins) == list(range(8))
 
     def test_zero_count_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            latin_hypercube(unit_box(), 0, seed=1)
+            latin_hypercube_unit(1, 0, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            latin_hypercube_unit(0, 4, seed=1)
 
     @given(count=st.integers(1, 40), seed=st.integers(0, 2**32), dim=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_always_in_bounds_and_deterministic(self, count, seed, dim):
-        space = EnvironmentSpace(lower=(-1.0,) * dim, upper=(2.0,) * dim)
-        a = latin_hypercube(space, count, seed)
-        b = latin_hypercube(space, count, seed)
-        assert [p.values for p in a] == [p.values for p in b]
-        for p in a:
-            assert space.contains(p.values)
+        a = latin_hypercube_unit(dim, count, seed)
+        b = latin_hypercube_unit(dim, count, seed)
+        assert a.shape == (count, dim)
+        assert np.array_equal(a, b)
+        assert np.all((a >= 0.0) & (a <= 1.0))
 
 
 class TestSeeds:
