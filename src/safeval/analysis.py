@@ -39,7 +39,7 @@ from .core import (
 )
 from .falsify import FalsifyBudget, falsify, falsify_many
 from .loss import aggregate_loss, mse_loss
-from .sim import SimulatorSpec, simulate_batch, simulate_batch_multi_f
+from .sim import SimulatorSpec, simulate_batch_multi_f
 from .stl import SafetySpec, robustness_batch
 
 __all__ = [
@@ -163,13 +163,9 @@ def _rho_rows(
     n = e_values.shape[0]
     seeds = _repeat_seeds(seed, repeats)
     e_all = np.tile(e_values, (len(seeds), 1))
+    f_all = np.tile(f_rows, (len(seeds), 1))
     rep_seeds = [rep for rep in seeds for _ in range(n)]
-    if np.all(f_rows == f_rows[0]):
-        f = spec.fidelity_space.setting(f_rows[0])
-        samples, ok = simulate_batch(spec, e_all, f, rep_seeds)
-    else:
-        f_all = np.tile(f_rows, (len(seeds), 1))
-        samples, ok = simulate_batch_multi_f(spec, e_all, f_all, rep_seeds)
+    samples, ok = simulate_batch_multi_f(spec, e_all, f_all, rep_seeds)
     total = np.zeros(n)
     for r in range(len(seeds)):
         block = slice(r * n, (r + 1) * n)

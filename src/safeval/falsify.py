@@ -30,8 +30,11 @@ search sends few, full batches:
   lockstep, one call per step for all of them (``simulate_batch`` when
   they share a fidelity setting, ``simulate_batch_multi_f`` otherwise). A
   search leaves the step loop when it stops early, exhausts the budget or
-  fails. When searches fail, the error raised is that of the lowest-index
-  failing search, the one a loop of :func:`falsify` calls would raise.
+  fails. When searches diverge, the :class:`FalsificationFailedError`
+  raised is that of the lowest-index failing search, the one a loop of
+  :func:`falsify` calls would raise. Any other error from the shared call
+  (an ``AdapterProtocolError``, say) is raised as soon as it happens, even
+  when it comes from rows a loop would not have simulated yet.
   :func:`falsify` is its one-search case.
 """
 
@@ -239,7 +242,8 @@ def falsify_many(
 
     Each result equals what :func:`falsify` returns for its pair. Raises the
     :class:`FalsificationFailedError` of the lowest-index search whose
-    entire population diverges.
+    entire population diverges; errors of the simulator call itself
+    propagate from the step that raised them.
     """
     space = spec.environment_space
     if horizon(phi) > spec.duration + 1e-9:

@@ -557,8 +557,10 @@ def simulate_batch_multi_f(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`simulate_batch` but with one fidelity setting per item.
 
-    Used by the fidelity-direction estimators; backends without a native
-    ``run_multi_f`` are driven item by item. ``high`` optionally flags
+    Used by the fidelity-direction estimators; a backend without a native
+    ``run_multi_f`` gets one ``run`` call per distinct setting (each
+    fidelity row, and the high-fidelity path), in order of first
+    appearance. ``high`` optionally flags
     items that take the high-fidelity path, as ``simulate_batch`` with
     ``f=None`` would run them; their fidelity rows are ignored, and
     ``CALL_COUNTER`` books them and their steps as high-fidelity calls.
@@ -580,17 +582,27 @@ def simulate_batch_multi_f(
     backend = _backend_for(spec)
     if hasattr(backend, "run_multi_f"):
         samples, steps = backend.run_multi_f(spec, e_values, f_rows, list(seeds), high)
+        high_steps, low_steps = int(steps[high].sum()), int(steps[~high].sum())
     else:
-        parts = []
-        steps = np.zeros(batch, dtype=int)
+        # One ``run`` call per distinct setting, in order of first appearance.
+        groups: dict[tuple[float, ...] | None, list[int]] = {}
         for i in range(batch):
-            f_i = None if high[i] else f_rows[i]
-            s, steps[i] = backend.run(spec, e_values[i : i + 1], f_i, [seeds[i]])
-            parts.append(s)
-        samples = np.concatenate(parts, axis=0)
+            groups.setdefault(None if high[i] else tuple(f_rows[i]), []).append(i)
+        samples = None
+        high_steps = low_steps = 0
+        for key, rows in groups.items():
+            f_vec = None if key is None else f_rows[rows[0]]
+            part, steps = backend.run(spec, e_values[rows], f_vec, [seeds[i] for i in rows])
+            if samples is None:
+                samples = np.empty((batch,) + part.shape[1:])
+            samples[rows] = part
+            if key is None:
+                high_steps += steps
+            else:
+                low_steps += steps
     ok = np.isfinite(samples).all(axis=(1, 2))
-    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=int(steps[high].sum()))
-    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=int(steps[~high].sum()))
+    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=high_steps)
+    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=low_steps)
     return samples, ok
 
 

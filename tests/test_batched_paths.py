@@ -313,7 +313,6 @@ def test_campaign_totals_match_per_trajectory_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaign_module, "simulate_batch", one_row_calls)
     monkeypatch.setattr(loss_module, "simulate_batch", one_row_calls)
-    monkeypatch.setattr(analysis_module, "simulate_batch", one_row_calls)
     monkeypatch.setattr(analysis_module, "simulate_batch_multi_f", one_row_multi_f)
     reference = run_joint(config)
     save_result(reference, tmp_path / "reference.json")

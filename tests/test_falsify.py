@@ -410,6 +410,29 @@ class TestLockstep:
         # Generations 0-3 alone, then 4 (64 rows) with 5 (10 rows): 3 searches x 2 repeats.
         assert calls == [3 * 2 * 64] * 4 + [3 * 2 * 74]
 
+    def test_run_only_backend_one_call_per_setting_per_step(self):
+        # DivergeAt has no run_multi_f: each step gives it one run call per
+        # distinct fidelity setting, the two f = 1 searches sharing theirs.
+        spec = make_synthetic("synth-lockstep-run", lambda e, f: 0.0, (0.0, 0.0), (1.0, 1.0))
+        settings = []
+
+        class Counting(DivergeAt):
+            def run(self, spec, e_values, f_values, seeds):
+                settings.append((tuple(f_values), len(seeds)))
+                return super().run(spec, e_values, f_values, seeds)
+
+        register_backend(spec.id, Counting([]))
+        setting = spec.fidelity_space.setting
+        jobs = [(setting((1.0,)), 1), (setting((0.2,)), 2), (setting((0.7,)), 3), (setting((1.0,)), 4)]
+        budget = FalsifyBudget(max_evaluations=640)
+        want = [falsify(spec, SYNTH_PHI, f, budget, seed) for f, seed in jobs]
+        settings.clear()
+        assert falsify_many(spec, SYNTH_PHI, jobs, budget) == want
+        rows = [64, 64, 64, 64, 128, 64, 64, 128]
+        assert settings == [
+            (f, k * n) for n in rows for f, k in [((1.0,), 2), ((0.2,), 1), ((0.7,), 1)]
+        ]
+
     def test_degenerate_box(self, synth_phi):
         spec = make_synthetic("synth-point", lambda e, f: e[0] - f[0], (0.5,), (0.5 + 1e-13,))
         setting = spec.fidelity_space.setting

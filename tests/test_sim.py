@@ -15,12 +15,14 @@ from safeval.sim import (
     builtin_benchmarks,
     external_simulator_spec,
     get_benchmark,
+    register_backend,
     simulate_batch,
     simulate_batch_multi_f,
     simulate_high,
     simulate_low,
 )
 from safeval.stl import robustness
+from tests.conftest import make_synthetic
 
 
 def rand_configs(spec, n, seed):
@@ -187,7 +189,7 @@ class TestBatchConsistency:
     def test_multi_f_high_rows_match_separate_calls(self, sim_id, quad_loss_spec):
         # One mixed call equals a high-fidelity simulate_batch over the
         # flagged rows plus a multi-f call over the rest, bytes and booking.
-        # synth-quad-loss has no run_multi_f, so it covers the per-item loop.
+        # synth-quad-loss has no run_multi_f, so it covers the run-only fallback.
         spec = quad_loss_spec if sim_id == "synth-quad-loss" else get_benchmark(sim_id)
         values = np.array([c.values for c in rand_configs(spec, 4, seed=5)])
         values = np.vstack([values, values])
@@ -211,6 +213,39 @@ class TestBatchConsistency:
         assert np.array_equal(samples[~high], lows)
         assert mixed == separate
         assert mixed["high_calls"] == mixed["low_calls"] == 4
+
+    def test_run_only_backend_gets_one_call_per_setting(self):
+        # Rows of one setting share a run call, in order of first appearance;
+        # every row lands where a per-row call would have put it.
+        class Recording:
+            def __init__(self):
+                self.calls = []
+
+            def run(self, spec, e_values, f_values, seeds):
+                self.calls.append((None if f_values is None else tuple(f_values), list(seeds)))
+                f0 = -1.0 if f_values is None else f_values[0]
+                values = e_values[:, 0] + 10.0 * f0 + 100.0 * np.asarray(seeds)
+                out = np.repeat(values[:, None, None], spec.steps, axis=2)
+                return out, 3 * len(seeds)
+
+        spec = make_synthetic("synth-run-only", lambda e, f: 0.0, (0.0,), (1.0,), fidelity_dim=2)
+        backend = Recording()
+        register_backend(spec.id, backend)
+        e_values = np.linspace(0.1, 0.7, 7)[:, None]
+        f_rows = np.array([[0.2, 0.5], [0.9, 0.5], [0.2, 0.5], [0.0, 0.0],
+                           [0.9, 0.5], [0.2, 0.5], [0.9, 0.5]])
+        high = np.array([False, False, False, True, False, False, True])
+        seeds = [1, 2, 3, 4, 5, 6, 7]
+
+        before = CALL_COUNTER.snapshot()
+        samples, ok = simulate_batch_multi_f(spec, e_values, f_rows, seeds, high=high)
+        delta = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        assert backend.calls == [((0.2, 0.5), [1, 3, 6]), ((0.9, 0.5), [2, 5]), (None, [4, 7])]
+        f0 = np.where(high, -1.0, f_rows[:, 0])
+        want = e_values[:, 0] + 10.0 * f0 + 100.0 * np.array(seeds)
+        assert ok.all()
+        assert np.array_equal(samples[:, 0, 0], want)
+        assert delta == {"high_calls": 2, "low_calls": 5, "high_steps": 6, "low_steps": 15}
 
     def test_multi_f_high_mask_shape_checked(self, braking):
         values = np.array([c.values for c in rand_configs(braking, 2, seed=1)])
