@@ -36,7 +36,6 @@ from .bo import (
     GpKernel,
     GpState,
     RegretTrace,
-    acquisition,
     gp_posterior,
     gp_ucb_minimize,
     optimize_fidelity,

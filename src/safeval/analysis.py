@@ -32,7 +32,6 @@ from .core import (
     InvalidArgumentError,
     Seed,
     Task,
-    Trajectory,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -312,13 +311,13 @@ def _loss_pair_ratios(
     times = spec.grid_times()
     out = []
     for k in range(pairs):
-        high1 = Trajectory(0.0, spec.base_dt, spec.channels, highs[k])
-        low1 = Trajectory(0.0, spec.base_dt, spec.channels, lows[k])
+        high1 = spec.trajectory(highs[k])
+        low1 = spec.trajectory(lows[k])
         mode = k % 3  # perturb high, low, or both
         dh = _smooth_offset(high1.samples.shape, times, rng) if mode != 1 else 0.0
         dl = _smooth_offset(low1.samples.shape, times, rng) if mode != 0 else 0.0
-        high2 = Trajectory(high1.start_time, high1.dt, high1.channels, high1.samples + dh)
-        low2 = Trajectory(low1.start_time, low1.dt, low1.channels, low1.samples + dl)
+        high2 = spec.trajectory(high1.samples + dh)
+        low2 = spec.trajectory(low1.samples + dl)
         denom = _sup_norm(high1.samples - high2.samples) + _sup_norm(low1.samples - low2.samples)
         if denom <= 1e-15:
             continue

@@ -50,7 +50,6 @@ __all__ = [
     "FidelityOptResult",
     "gp_posterior",
     "gp_posterior_many",
-    "acquisition",
     "UcbMinimizer",
     "gp_ucb_minimize",
     "optimize_fidelity",
@@ -200,14 +199,6 @@ class BetaSchedule:
         if t < 1:
             raise InvalidArgumentError("t must be >= 1")
         return 2.0 * math.log(self.grid_size * t**2 * math.pi**2 / (6.0 * self.delta))
-
-
-def acquisition(
-    gp: GpState, f: FidelitySetting | Sequence[float], t: int, schedule: BetaSchedule
-) -> float:
-    """Lower confidence bound mu_t(f) - sqrt(beta_t)*sigma_t(f) (minimization form)."""
-    mean, std = gp_posterior(gp, f)
-    return mean - math.sqrt(schedule.beta(t)) * std
 
 
 @dataclass(frozen=True)

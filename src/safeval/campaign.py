@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Sequence
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .analysis import (
 )
 from .bo import BetaSchedule, UcbMinimizer
 from .core import (
+    EnvironmentConfig,
     EnvironmentSpace,
+    FidelitySetting,
     InvalidArgumentError,
+    NumericalFailureError,
     SchemaVersionError,
     Seed,
     Task,
-    Trajectory,
     check_number_fields,
     sample_uniform,
     split_seed,
@@ -51,7 +53,7 @@ from .sim import (
     get_benchmark,
     simulate_batch,
 )
-from .stl import parse_spec
+from .stl import SafetySpec, parse_spec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,6 +64,7 @@ __all__ = [
     "CampaignResult",
     "resolve_simulator",
     "sample_tasks",
+    "analysis_summary",
     "run_joint",
     "save_result",
     "load_result",
@@ -151,6 +154,10 @@ class CampaignConfig:
             raise InvalidArgumentError("counterexample_cap must be >= 1")
         if self.analysis_pairs < 10:
             raise InvalidArgumentError("analysis_pairs must be >= 10")
+        if self.convergence_window < 2:
+            raise InvalidArgumentError("convergence_window must be >= 2")
+        if not all(isinstance(v, (str, type(None))) for v in (self.safety_spec, self.output_dir)):
+            raise InvalidArgumentError("safety_spec and output_dir must be strings or null")
         weights = {} if self.task_weights is None else self.task_weights
         if not isinstance(weights, dict) or any(
             isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights.values()
@@ -204,6 +211,29 @@ def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
     return dict(data)
 
 
+@dataclass(frozen=True)
+class _AdapterConfig:
+    """A config's external simulator object; see :func:`resolve_simulator`."""
+
+    id: str
+    adapter: str
+    environment: dict[str, Any]
+    fidelity_dimension: int
+    channels: list[str]
+    base_dt: float
+    duration: float
+    safety_spec: str | None = None
+
+
+def _check_array(what: str, value: Any, kinds: tuple[type, ...], noun: str) -> tuple:
+    """``value`` as a tuple; raises unless it is an array of ``kinds`` (booleans never count)."""
+    if not isinstance(value, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, kinds) for v in value
+    ):
+        raise InvalidArgumentError(f"{what} must be an array of {noun}, got {value!r}")
+    return tuple(value)
+
+
 def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
     """Turn a config's simulator field into a SimulatorSpec.
 
@@ -213,23 +243,25 @@ def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
     """
     if isinstance(simulator, str):
         return get_benchmark(simulator)
-    required = {"id", "adapter", "environment", "fidelity_dimension", "channels", "base_dt", "duration"}
-    missing = required - set(simulator)
-    if missing:
-        raise InvalidArgumentError(f"external simulator config missing fields: {sorted(missing)}")
-    env = simulator["environment"]
-    space = EnvironmentSpace(
-        lower=tuple(env["lower"]), upper=tuple(env["upper"]), names=tuple(env.get("names", ()))
-    )
+    ext = _AdapterConfig(**_field_kwargs(_AdapterConfig, "external simulator config", simulator))
+    check_number_fields(ext)
+    if not all(isinstance(v, str) for v in (ext.id, ext.adapter, ext.safety_spec or "")):
+        raise InvalidArgumentError("simulator id, adapter and safety_spec must be strings")
+    env = _field_kwargs(EnvironmentSpace, "simulator environment", ext.environment)
+    number = (int, float)
     return external_simulator_spec(
-        sim_id=simulator["id"],
-        adapter=simulator["adapter"],
-        environment_space=space,
-        fidelity_dimension=int(simulator["fidelity_dimension"]),
-        channels=tuple(simulator["channels"]),
-        base_dt=float(simulator["base_dt"]),
-        duration=float(simulator["duration"]),
-        safety_spec=simulator.get("safety_spec"),
+        sim_id=ext.id,
+        adapter=ext.adapter,
+        environment_space=EnvironmentSpace(
+            lower=_check_array("environment lower", env["lower"], number, "numbers"),
+            upper=_check_array("environment upper", env["upper"], number, "numbers"),
+            names=_check_array("environment names", env.get("names", ()), (str,), "strings"),
+        ),
+        fidelity_dimension=ext.fidelity_dimension,
+        channels=_check_array("channels", ext.channels, (str,), "strings"),
+        base_dt=float(ext.base_dt),
+        duration=float(ext.duration),
+        safety_spec=ext.safety_spec,
     )
 
 
@@ -306,31 +338,21 @@ class CampaignResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignResult":
-        known = {
-            "schema_version",
-            "config",
-            "best_fidelity",
-            "best_loss",
-            "iterations",
-            "counterexamples",
-            "regret_reference",
-            "regret_reference_is_proxy",
-            "totals",
-            "analysis",
-            "convergence",
-        }
+        if not isinstance(data, dict):
+            raise InvalidArgumentError(f"result must be a JSON object, got {type(data).__name__}")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"result schema version {version!r} is not supported; this build "
                 f"reads version {SCHEMA_VERSION}"
             )
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise SchemaVersionError(
                 f"result contains unknown fields {sorted(unknown)}; it was likely "
                 f"written by a newer schema than version {SCHEMA_VERSION}"
             )
+        _field_kwargs(cls, "result", data)  # names any missing field
         iterations = tuple(
             IterationRecord(
                 **{
@@ -426,6 +448,47 @@ def sample_tasks(
     return tasks
 
 
+def analysis_summary(
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    tasks: Sequence[Task],
+    config: CampaignConfig,
+    f_probe: FidelitySetting,
+    e_probe: EnvironmentConfig,
+    K1: int,
+) -> dict[str, Any]:
+    """The three Lipschitz estimates and the sample plan, as JSON-ready dicts.
+
+    The environment estimate runs at ``f_probe``, the fidelity estimate at
+    ``e_probe`` and the loss estimate over ``tasks``; the plan takes ``K1``
+    inner evaluations per outer iteration.
+    """
+    pairs, seed = config.analysis_pairs, config.master_seed
+    estimates = {
+        "lipschitz_env": estimate_lipschitz_env(
+            spec, phi, f_probe, pairs, split_seed(seed, "lip-env")
+        ),
+        "lipschitz_fidelity": estimate_lipschitz_fidelity(
+            spec, phi, e_probe, pairs, split_seed(seed, "lip-fid")
+        ),
+        "lipschitz_loss": estimate_lipschitz_loss(spec, tasks, pairs, split_seed(seed, "lip-loss")),
+    }
+    plan = sample_complexity_plan(
+        epsilon=config.analysis_epsilon,
+        delta=config.analysis_delta,
+        lipschitz=estimates["lipschitz_env"].constant,
+        K1=K1,
+        K2=config.outer_iterations,
+        lipschitz_alt=estimates["lipschitz_loss"].constant,
+    )
+    summary: dict[str, Any] = {}
+    for key, est in estimates.items():
+        summary[key] = dataclasses.asdict(est)
+        summary[key]["max_pair"] = [list(p) for p in est.max_pair]
+    summary["sample_plan"] = dataclasses.asdict(plan)
+    return summary
+
+
 def _counter_delta(before: dict[str, int]) -> dict[str, int]:
     after = CALL_COUNTER.snapshot()
     return {k: after[k] - before[k] for k in after}
@@ -472,7 +535,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     counterexamples: list[CounterexampleRecord] = []
     extras_high: dict[tuple[float, ...], Any] = {}
     raw_records: list[dict[str, Any]] = []
-    losses: list[float] = []
     sigma_ref = 0.0
     last_inner_trace: tuple[float, ...] = ()
 
@@ -491,10 +553,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         )
         if not ok.all():
             raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
-        high_cache: dict = {
-            key: Trajectory(0.0, spec.base_dt, spec.channels, row)
-            for key, row in zip(keys, samples)
-        }
+        high_cache = {key: spec.trajectory(row) for key, row in zip(keys, samples)}
         totals["setup_high_calls"] = _counter_delta(before)["high_calls"]
 
         for t in range(1, config.outer_iterations + 1):
@@ -562,7 +621,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     extras_high.setdefault(tuple(cfg.values), iter_cache[("extra", k)])
 
             optimizer.observe(f_vec, loss_total)
-            losses.append(loss_total)
             if inner_result is not None:
                 last_inner_trace = inner_result.trace
 
@@ -603,73 +661,47 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         raise
 
     # Regret against the best observed loss (proxy; the true optimum is unknown).
-    finite = [l for l in losses if math.isfinite(l)]
-    if not finite:
+    try:
+        regret, best_f, best_loss = optimizer.trace(None, spec.fidelity_space)
+    except NumericalFailureError:
         events.emit("error", message="every outer evaluation failed")
         events.close()
-        raise FalsificationFailedError("every outer loss evaluation failed")
-    reference = min(finite)
-    best_t = min(range(len(losses)), key=lambda i: (losses[i], i))
-    cumulative = 0.0
-    records: list[IterationRecord] = []
-    for raw in raw_records:
-        r_t = raw["loss"] - reference
-        cumulative += r_t
-        records.append(IterationRecord(**raw, regret=float(r_t), cumulative_regret=float(cumulative)))
-
-    best_fidelity = records[best_t].fidelity
-    best_loss = records[best_t].loss
+        raise FalsificationFailedError("every outer loss evaluation failed") from None
+    records = [
+        IterationRecord(**raw, regret=r_t, cumulative_regret=r_cum)
+        for raw, r_t, r_cum in zip(raw_records, regret.instantaneous, regret.cumulative)
+    ]
 
     # Analysis summary at desk scale; estimates run on the noise-free face
     # of the fidelity box so they are deterministic.
     before = CALL_COUNTER.snapshot()
-    probe_f_values = np.asarray(best_fidelity, dtype=float)
+    probe_f_values = best_f.as_array()
     if spec.fidelity_mapping.noise_knob is not None:
         probe_f_values[spec.fidelity_mapping.noise_knob] = 1.0
-    f_best = spec.fidelity_space.setting(probe_f_values)
     if counterexamples:
         probe_values = min(counterexamples, key=lambda c: c.robustness).values
     else:
         lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
         probe_values = tuple((lo + hi) / 2.0)
-    probe_e = spec.environment_space.config(probe_values)
-    lip_env = estimate_lipschitz_env(
-        spec, phi, f_best, config.analysis_pairs, split_seed(config.master_seed, "lip-env")
-    )
-    lip_fid = estimate_lipschitz_fidelity(
-        spec, phi, probe_e, config.analysis_pairs, split_seed(config.master_seed, "lip-fid")
-    )
-    lip_loss = estimate_lipschitz_loss(
-        spec, tasks, config.analysis_pairs, split_seed(config.master_seed, "lip-loss")
-    )
     mean_evals = sum(r.inner_evaluations for r in records) / len(records)
-    plan = sample_complexity_plan(
-        epsilon=config.analysis_epsilon,
-        delta=config.analysis_delta,
-        lipschitz=lip_env.constant,
+    analysis = analysis_summary(
+        spec,
+        phi,
+        tasks,
+        config,
+        spec.fidelity_space.setting(probe_f_values),
+        spec.environment_space.config(probe_values),
         K1=max(1, round(mean_evals)),
-        K2=config.outer_iterations,
-        lipschitz_alt=lip_loss.constant,
     )
+    analysis["probe_config"] = list(probe_values)
     analysis_delta = _counter_delta(before)
     totals["analysis_high_calls"] = analysis_delta["high_calls"]
     totals["analysis_low_calls"] = analysis_delta["low_calls"]
 
-    analysis = {
-        "lipschitz_env": dataclasses.asdict(lip_env),
-        "lipschitz_fidelity": dataclasses.asdict(lip_fid),
-        "lipschitz_loss": dataclasses.asdict(lip_loss),
-        "sample_plan": dataclasses.asdict(plan),
-        "probe_config": list(probe_values),
-    }
-    # JSON-safe nesting for the max pairs
-    for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss"):
-        analysis[key]["max_pair"] = [list(p) for p in analysis[key]["max_pair"]]
-
-    window = min(config.convergence_window, len(losses))
+    window = min(config.convergence_window, len(regret.losses))
     convergence: dict[str, Any] = {}
     if window >= 2:
-        outer_rep = convergence_report(losses, window, config.convergence_tol)
+        outer_rep = convergence_report(regret.losses, window, config.convergence_tol)
         convergence["outer"] = dataclasses.asdict(outer_rep)
     if len(last_inner_trace) >= 2:
         inner_window = min(config.convergence_window, len(last_inner_trace))
@@ -687,12 +719,12 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
 
     result = CampaignResult(
         config=config,
-        best_fidelity=best_fidelity,
+        best_fidelity=best_f.values,
         best_loss=best_loss,
         iterations=tuple(records),
         counterexamples=tuple(counterexamples),
-        regret_reference=float(reference),
-        regret_reference_is_proxy=True,
+        regret_reference=regret.reference,
+        regret_reference_is_proxy=regret.reference_is_proxy,
         totals=totals_out,
         analysis=analysis,
         convergence=convergence,

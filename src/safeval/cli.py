@@ -24,16 +24,11 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    estimate_lipschitz_env,
-    estimate_lipschitz_fidelity,
-    estimate_lipschitz_loss,
-    sample_complexity_plan,
-    sensitivity,
-)
+from .analysis import sensitivity
 from .bo import optimize_fidelity
 from .campaign import (
     CampaignConfig,
+    analysis_summary,
     load_result,
     report,
     resolve_simulator,
@@ -75,9 +70,14 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     if not spec_text:
         raise InvalidArgumentError("--spec is required for this simulator")
     phi = parse_spec(spec_text)
-    values = [float(v) for v in args.fidelity.split(",")] if args.fidelity else [1.0] * (
-        spec.fidelity_space.dimension
-    )
+    values = [1.0] * spec.fidelity_space.dimension
+    if args.fidelity:
+        try:
+            values = [float(v) for v in args.fidelity.split(",")]
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--fidelity must be comma-separated numbers, got {args.fidelity!r}"
+            ) from None
     f = spec.fidelity_space.setting(values)
     budget = FalsifyBudget(max_evaluations=args.budget)
     result = falsify(spec, phi, f, budget, args.seed)
@@ -162,48 +162,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lo = spec.environment_space.lower_array()
     hi = spec.environment_space.upper_array()
     center = spec.environment_space.config((lo + hi) / 2.0)
-    lip_env = estimate_lipschitz_env(
-        spec, phi, f_max, config.analysis_pairs, split_seed(seed, "lip-env")
-    )
-    lip_fid = estimate_lipschitz_fidelity(
-        spec, phi, center, config.analysis_pairs, split_seed(seed, "lip-fid")
-    )
-    lip_loss = estimate_lipschitz_loss(
-        spec, tasks, config.analysis_pairs, split_seed(seed, "lip-loss")
+    summary = analysis_summary(
+        spec, phi, tasks, config, f_max, center, K1=config.falsify_budget.max_evaluations
     )
     sens = sensitivity(
         spec, phi, f_max, 1e-3, config.falsify_budget, split_seed(seed, "sens"), repeats=3
-    )
-    plan = sample_complexity_plan(
-        epsilon=config.analysis_epsilon,
-        delta=config.analysis_delta,
-        lipschitz=lip_env.constant,
-        K1=config.falsify_budget.max_evaluations,
-        K2=config.outer_iterations,
-        lipschitz_alt=lip_loss.constant,
     )
     payload = {
         "simulator": spec.id,
         "safety_spec": spec_text,
         "master_seed": seed,
-        "lipschitz_env": dataclasses.asdict(lip_env),
-        "lipschitz_fidelity": dataclasses.asdict(lip_fid),
-        "lipschitz_loss": dataclasses.asdict(lip_loss),
         "sensitivity": dataclasses.asdict(sens),
-        "sample_plan": dataclasses.asdict(plan),
+        **summary,
     }
-    for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss"):
-        payload[key]["max_pair"] = [list(p) for p in payload[key]["max_pair"]]
-    for key in ("fidelity", "gradient", "boundary_clipped", "base_config"):
-        payload["sensitivity"][key] = list(payload["sensitivity"][key])
-    if payload["sensitivity"]["total_derivative"] is not None:
-        payload["sensitivity"]["total_derivative"] = list(
-            payload["sensitivity"]["total_derivative"]
-        )
     _dump(payload, Path(args.out) / "analysis.json")
     print(
-        f"Lipschitz estimates: env {lip_env.constant:.4g}, fidelity {lip_fid.constant:.4g}, "
-        f"loss {lip_loss.constant:.4g}; Hoeffding n = {plan.n_per_iteration}"
+        f"Lipschitz estimates: env {summary['lipschitz_env']['constant']:.4g}, "
+        f"fidelity {summary['lipschitz_fidelity']['constant']:.4g}, "
+        f"loss {summary['lipschitz_loss']['constant']:.4g}; "
+        f"Hoeffding n = {summary['sample_plan']['n_per_iteration']}"
     )
     return 0
 

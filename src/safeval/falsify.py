@@ -26,16 +26,18 @@ search sends few, full batches:
 * All ``samples_per_eval`` repeats go into that call, the candidate rows
   tiled once per repeat seed. A candidate scores +inf once any repeat has
   diverged, and the repeats' robustness values are summed in seed order.
+* Each call is one ``simulate_batch_multi_f`` call whose rows carry their
+  search's fidelity setting; a backend without ``run_multi_f`` gets one
+  ``run`` call per distinct setting in it.
 * :func:`falsify_many` advances several searches sharing one budget in
-  lockstep, one call per step for all of them (``simulate_batch`` when
-  they share a fidelity setting, ``simulate_batch_multi_f`` otherwise). A
-  search leaves the step loop when it stops early, exhausts the budget or
-  fails. When searches diverge, the :class:`FalsificationFailedError`
-  raised is that of the lowest-index failing search, the one a loop of
-  :func:`falsify` calls would raise. Any other error from the shared call
-  (an ``AdapterProtocolError``, say) is raised as soon as it happens, even
-  when it comes from rows a loop would not have simulated yet.
-  :func:`falsify` is its one-search case.
+  lockstep, one call per step for all of them. A search leaves the step
+  loop when it stops early, exhausts the budget or fails. When searches
+  diverge, the :class:`FalsificationFailedError` raised is that of the
+  lowest-index failing search, the one a loop of :func:`falsify` calls
+  would raise. Any other error from the shared call (an
+  ``AdapterProtocolError``, say) is raised as soon as it happens, even when
+  it comes from rows a loop would not have simulated yet. :func:`falsify`
+  is its one-search case.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .core import (
     rng_from_seed,
     split_seed,
 )
-from .sim import SimulatorSpec, simulate_batch, simulate_batch_multi_f
+from .sim import SimulatorSpec, simulate_batch_multi_f
 from .stl import RobustnessValue, SafetySpec, horizon, robustness_batch
 
 __all__ = ["FalsifyBudget", "FalsificationResult", "falsify", "falsify_many"]
@@ -213,11 +215,8 @@ def _evaluate(
     repeats = len(searches[0].repeat_seeds)
     e_rows = np.vstack([np.tile(p, (repeats, 1)) for p in points])
     seeds = [rep for s in searches for rep in s.repeat_seeds for _ in range(n)]
-    if len({s.f for s in searches}) == 1:
-        samples, ok = simulate_batch(spec, e_rows, searches[0].f, seeds)
-    else:
-        f_rows = np.repeat([s.f.as_array() for s in searches], repeats * n, axis=0)
-        samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds)
+    f_rows = np.repeat([s.f.as_array() for s in searches], repeats * n, axis=0)
+    samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds)
     # A candidate stays alive while every repeat so far is finite; later
     # repeats of a dead candidate are not scored.
     alive = np.logical_and.accumulate(ok.reshape(len(searches), repeats, n), axis=1)

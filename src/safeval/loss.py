@@ -162,13 +162,10 @@ def aggregate_loss(
             f"{_diverged(spec, cfg)}"
         )
 
-    def trajectory(samples: np.ndarray) -> Trajectory:
-        return Trajectory(0.0, spec.base_dt, spec.channels, samples)
-
     for k, i in enumerate(missing):
         task_id, j, _, _ = pairs[i]
-        highs[i] = cache[(task_id, j)] = trajectory(fresh[k])
-    losses = [w * mse_loss(highs[i], trajectory(lows[i])) for i, (*_, w) in enumerate(pairs)]
+        highs[i] = cache[(task_id, j)] = spec.trajectory(fresh[k])
+    losses = [w * mse_loss(highs[i], spec.trajectory(lows[i])) for i, (*_, w) in enumerate(pairs)]
 
     per_task: list[tuple[str, float]] = []
     start = 0

@@ -32,6 +32,11 @@ program receives one JSON request ``{"e": [...], "f": [...]|null,
 "seed": int, "duration": float, "dt": float}`` on stdin and must print a
 JSON trajectory ``{"start_time": float, "dt": float, "channels": [...],
 "samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid.
+
+Every simulation goes through one dispatch over rows of (environment,
+fidelity, seed, high flag): ``simulate_batch`` (one setting) and
+``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
+``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
 """
 
 from __future__ import annotations
@@ -166,6 +171,10 @@ class SimulatorSpec:
     def grid_times(self) -> np.ndarray:
         return self.base_dt * np.arange(self.steps)
 
+    def trajectory(self, samples: np.ndarray) -> Trajectory:
+        """One row of simulator output, (channels, steps), as a trajectory."""
+        return Trajectory(0.0, self.base_dt, self.channels, samples)
+
 
 @dataclass
 class SimCallCounter:
@@ -196,15 +205,13 @@ class SimCallCounter:
             "low_steps": self.low_steps,
         }
 
-    def reset(self) -> None:
-        self.high_calls = self.low_calls = 0
-        self.high_steps = self.low_steps = 0
-
 
 CALL_COUNTER = SimCallCounter()
 
 
 class SimulatorBackend(Protocol):
+    """``run`` is required; ``run_multi_f`` (see :class:`OdeBenchmark`) optional."""
+
     def run(
         self,
         spec: SimulatorSpec,
@@ -360,41 +367,13 @@ class OdeBenchmark:
     initial_state: Callable[[np.ndarray], np.ndarray]
 
     def _knob_arrays(
-        self, spec: SimulatorSpec, f_rows: np.ndarray | None, batch: int
+        self, spec: SimulatorSpec, f_rows: np.ndarray, batch: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if f_rows is None:
-            return np.full(batch, spec.base_dt), np.zeros(batch), np.zeros(batch)
         phys = [k.physical(f_rows[:, i]) for i, k in enumerate(spec.fidelity_mapping.knobs)]
         h = np.minimum(spec.base_dt * np.maximum(phys[0], 1.0), spec.duration)
         blend = np.clip(phys[1], 0.0, 1.0) if len(phys) > 1 else np.zeros(batch)
         sigma = np.maximum(phys[2], 0.0) if len(phys) > 2 else np.zeros(batch)
         return h, blend, sigma
-
-    def _run_rows(
-        self,
-        spec: SimulatorSpec,
-        e_values: np.ndarray,
-        f_rows: np.ndarray | None,
-        seeds: Sequence[Seed],
-        high: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Samples and per-row step counts; ``high`` rows take the high-fidelity knobs."""
-        batch = e_values.shape[0]
-        h, blend, sigma = self._knob_arrays(spec, f_rows, batch)
-        if high is not None:
-            h_high, blend_high, sigma_high = self._knob_arrays(spec, None, batch)
-            h = np.where(high, h_high, h)
-            blend = np.where(high, blend_high, blend)
-            sigma = np.where(high, sigma_high, sigma)
-        x0 = self.initial_state(e_values)
-        samples, steps = _integrate_to_grid(
-            self.drive, self.rhs, x0, e_values, h, blend, spec.duration, spec.grid_times()
-        )
-        for i in range(batch):
-            if sigma[i] > 0.0:
-                rng = rng_from_seed(split_seed(seeds[i], "obs-noise", spec.id))
-                samples[i] += sigma[i] * rng.standard_normal(samples[i].shape)
-        return samples, steps
 
     def run(
         self,
@@ -403,10 +382,12 @@ class OdeBenchmark:
         f_values: np.ndarray | None,
         seeds: Sequence[Seed],
     ) -> tuple[np.ndarray, int]:
-        rows = None
-        if f_values is not None:
-            rows = np.broadcast_to(f_values, (e_values.shape[0], len(f_values)))
-        samples, steps = self._run_rows(spec, e_values, rows, seeds)
+        """:meth:`run_multi_f` with one setting for every item (None: high fidelity)."""
+        batch = e_values.shape[0]
+        f_vec = np.ones(spec.fidelity_space.dimension) if f_values is None else f_values
+        f_rows = np.broadcast_to(f_vec, (batch, len(f_vec)))
+        high = np.full(batch, f_values is None)
+        samples, steps = self.run_multi_f(spec, e_values, f_rows, seeds, high)
         return samples, int(steps.sum())
 
     def run_multi_f(
@@ -422,7 +403,20 @@ class OdeBenchmark:
         Items flagged in ``high`` take the high-fidelity path instead of
         their fidelity row. Returns the samples and per-item step counts.
         """
-        return self._run_rows(spec, e_values, f_rows, seeds, high)
+        batch = e_values.shape[0]
+        h, blend, sigma = self._knob_arrays(spec, f_rows, batch)
+        h = np.where(high, spec.base_dt, h)
+        blend = np.where(high, 0.0, blend)
+        sigma = np.where(high, 0.0, sigma)
+        x0 = self.initial_state(e_values)
+        samples, steps = _integrate_to_grid(
+            self.drive, self.rhs, x0, e_values, h, blend, spec.duration, spec.grid_times()
+        )
+        for i in range(batch):
+            if sigma[i] > 0.0:
+                rng = rng_from_seed(split_seed(seeds[i], "obs-noise", spec.id))
+                samples[i] += sigma[i] * rng.standard_normal(samples[i].shape)
+        return samples, steps
 
 
 class _AdapterBackend:
@@ -522,48 +516,20 @@ def _env_rows(spec: SimulatorSpec, e_values: np.ndarray, seeds: Sequence[Seed]) 
     return e_values
 
 
-def simulate_batch(
-    spec: SimulatorSpec,
-    e_values: np.ndarray,
-    f: FidelitySetting | None,
-    seeds: Sequence[Seed],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulation of many environment points at one fidelity setting.
-
-    Returns ``(samples, ok)`` where ``samples`` has shape
-    (batch, channels, steps) and ``ok[i]`` is False for items that diverged
-    (non-finite output). ``f=None`` selects the high-fidelity path. This is
-    the hot path used by the optimizers; the single-trajectory wrappers
-    delegate to it.
-    """
-    e_values = _env_rows(spec, e_values, seeds)
-    f_vec = None
-    if f is not None:
-        if f.space.dimension != spec.fidelity_space.dimension:
-            raise InvalidArgumentError("fidelity setting dimension mismatch")
-        f_vec = f.as_array()
-    samples, steps = _backend_for(spec).run(spec, e_values, f_vec, list(seeds))
-    ok = np.isfinite(samples).all(axis=(1, 2))
-    CALL_COUNTER.record(high=f is None, calls=e_values.shape[0], steps=steps)
-    return samples, ok
-
-
-def simulate_batch_multi_f(
+def _simulate(
     spec: SimulatorSpec,
     e_values: np.ndarray,
     f_rows: np.ndarray,
     seeds: Sequence[Seed],
-    high: Sequence[bool] | np.ndarray | None = None,
+    high: Sequence[bool] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`simulate_batch` but with one fidelity setting per item.
+    """The one simulator dispatch: check the rows, run them, book them.
 
-    Used by the fidelity-direction estimators; a backend without a native
-    ``run_multi_f`` gets one ``run`` call per distinct setting (each
-    fidelity row, and the high-fidelity path), in order of first
-    appearance. ``high`` optionally flags
-    items that take the high-fidelity path, as ``simulate_batch`` with
-    ``f=None`` would run them; their fidelity rows are ignored, and
-    ``CALL_COUNTER`` books them and their steps as high-fidelity calls.
+    Rows flagged in ``high`` take the high-fidelity path and are booked as
+    high-fidelity calls; their fidelity rows are ignored. A backend with
+    ``run_multi_f`` gets all rows in one call, any other one ``run`` call
+    per distinct setting (each fidelity row, and the high-fidelity path),
+    in order of first appearance.
     """
     e_values = _env_rows(spec, e_values, seeds)
     f_rows = np.asarray(f_rows, dtype=float)
@@ -576,7 +542,7 @@ def simulate_batch_multi_f(
         )
     if np.any(f_rows < -1e-12) or np.any(f_rows > 1.0 + 1e-12):
         raise InvalidArgumentError("fidelity rows must lie in [0, 1]")
-    high = np.zeros(batch, dtype=bool) if high is None else np.asarray(high, dtype=bool)
+    high = np.asarray(high, dtype=bool)
     if high.shape != (batch,):
         raise InvalidArgumentError("high must hold one flag per batch item")
     backend = _backend_for(spec)
@@ -584,7 +550,6 @@ def simulate_batch_multi_f(
         samples, steps = backend.run_multi_f(spec, e_values, f_rows, list(seeds), high)
         high_steps, low_steps = int(steps[high].sum()), int(steps[~high].sum())
     else:
-        # One ``run`` call per distinct setting, in order of first appearance.
         groups: dict[tuple[float, ...] | None, list[int]] = {}
         for i in range(batch):
             groups.setdefault(None if high[i] else tuple(f_rows[i]), []).append(i)
@@ -606,36 +571,69 @@ def simulate_batch_multi_f(
     return samples, ok
 
 
+def simulate_batch(
+    spec: SimulatorSpec,
+    e_values: np.ndarray,
+    f: FidelitySetting | None,
+    seeds: Sequence[Seed],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate many environment points at one fidelity setting.
+
+    Returns ``(samples, ok)`` where ``samples`` has shape
+    (batch, channels, steps) and ``ok[i]`` is False for items that diverged
+    (non-finite output). ``f=None`` selects the high-fidelity path.
+    """
+    if f is not None and f.space.dimension != spec.fidelity_space.dimension:
+        raise InvalidArgumentError("fidelity setting dimension mismatch")
+    f_vec = np.ones(spec.fidelity_space.dimension) if f is None else f.as_array()
+    f_rows = np.broadcast_to(f_vec, (len(seeds), len(f_vec)))
+    return _simulate(spec, e_values, f_rows, seeds, np.full(len(seeds), f is None))
+
+
+def simulate_batch_multi_f(
+    spec: SimulatorSpec,
+    e_values: np.ndarray,
+    f_rows: np.ndarray,
+    seeds: Sequence[Seed],
+    high: Sequence[bool] | np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Like :func:`simulate_batch` but with one fidelity setting per item.
+
+    ``high`` optionally flags items that take the high-fidelity path, as
+    ``simulate_batch`` with ``f=None`` would run them.
+    """
+    if high is None:
+        high = np.zeros(len(seeds), dtype=bool)
+    return _simulate(spec, e_values, f_rows, seeds, high)
+
+
 def _diverged(spec: SimulatorSpec, e: EnvironmentConfig) -> SimulationDivergedError:
     return SimulationDivergedError(
         f"simulator {spec.id!r} produced non-finite samples at e={e.values}"
     )
 
 
-def _single(
+def simulate_low(
     spec: SimulatorSpec, e: EnvironmentConfig, f: FidelitySetting | None, seed: Seed
 ) -> Trajectory:
+    """Trajectory of one config under fidelity setting ``f`` on the base grid.
+
+    A one-row :func:`simulate_batch` call; ``f=None`` selects the
+    high-fidelity path. Raises :class:`SimulationDivergedError` if the row
+    diverged.
+    """
+    if f is not None and not spec.fidelity_space.contains(f.values):
+        raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
     _check_env(spec, e)
     samples, ok = simulate_batch(spec, e.as_array()[None, :], f, [seed])
     if not ok[0]:
         raise _diverged(spec, e)
-    return Trajectory(
-        start_time=0.0, dt=spec.base_dt, channels=spec.channels, samples=samples[0]
-    )
+    return spec.trajectory(samples[0])
 
 
 def simulate_high(spec: SimulatorSpec, e: EnvironmentConfig, seed: Seed) -> Trajectory:
     """Ground-truth trajectory at the base grid; deterministic and noise-free."""
-    return _single(spec, e, None, seed)
-
-
-def simulate_low(
-    spec: SimulatorSpec, e: EnvironmentConfig, f: FidelitySetting, seed: Seed
-) -> Trajectory:
-    """Approximate trajectory under fidelity setting ``f`` on the base grid."""
-    if not spec.fidelity_space.contains(f.values):
-        raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
-    return _single(spec, e, f, seed)
+    return simulate_low(spec, e, None, seed)
 
 
 # ---------------------------------------------------------------------------

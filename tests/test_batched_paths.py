@@ -275,8 +275,9 @@ class TestEstimators:
         monkeypatch.setattr(falsify_module, "simulate_batch_multi_f", counting)
         got = sensitivity(braking, braking_phi, f, h, budget, seed, repeats=2, refalsify=True)
         assert got.total_derivative == tuple(expected)
-        # Six searches; generations 0-3 alone, then 4 with 5.
-        assert calls == [6 * 32] * 4 + [6 * 64]
+        # The base search at f, then the six stencil searches in lockstep;
+        # each makes generations 0-3 alone, then 4 with 5.
+        assert calls == [32] * 4 + [64] + [6 * 32] * 4 + [6 * 64]
 
 
 def per_row(spec, e_values, settings, seeds):

@@ -11,7 +11,6 @@ from safeval.bo import (
     GpState,
     RegretTrace,
     UcbMinimizer,
-    acquisition,
     gp_posterior,
     gp_ucb_minimize,
     optimize_fidelity,
@@ -108,32 +107,6 @@ class TestBetaSchedule:
 
 
 class TestAcquisition:
-    def test_equals_mean_when_variance_vanishes(self):
-        gp = GpState.empty(1, kernel(noise=1e-12))
-        gp = gp.with_observation((0.5,), 0.7)
-        sched = BetaSchedule()
-        val = acquisition(gp, (0.5,), t=3, schedule=sched)
-        mean, _ = gp_posterior(gp, (0.5,))
-        assert val == pytest.approx(mean, abs=1e-4)
-
-    def test_empty_gp_constant_and_ties_resolve_to_first(self):
-        sched = BetaSchedule(grid_size=64)
-        opt = UcbMinimizer(1, seed=0, schedule=sched)
-        gp = opt.gp()
-        expected = -math.sqrt(sched.beta(5)) * gp.kernel.amplitude
-        for q in (0.1, 0.5, 0.9):
-            assert acquisition(gp, (q,), 5, sched) == pytest.approx(expected)
-
-    def test_larger_beta_strictly_lowers_acquisition(self):
-        gp = GpState.empty(1, kernel())
-        gp = gp.with_observation((0.2,), 0.4)
-        small = BetaSchedule(delta=0.5)
-        large = BetaSchedule(delta=0.01)
-        t = 4
-        assert large.beta(t) > small.beta(t)
-        # sigma > 0 away from the observation
-        assert acquisition(gp, (0.9,), t, large) < acquisition(gp, (0.9,), t, small)
-
     def test_argmin_invariant_under_candidate_reordering(self):
         # The winner is determined by (value, canonical index), so chunked or
         # permuted evaluation of the candidate set cannot change it.

@@ -17,7 +17,7 @@ from safeval.campaign import (
     save_result,
 )
 from safeval.core import InvalidArgumentError, SchemaVersionError, latin_hypercube_unit, split_seed
-from safeval.falsify import FalsifyBudget
+from safeval.falsify import FalsificationFailedError, FalsifyBudget
 
 sim_module = importlib.import_module("safeval.sim")
 
@@ -231,6 +231,32 @@ class TestRunJoint:
         (record,) = run_joint(config).iterations
         assert record.falsification_failed
         assert record.inner_sim_calls == 6 * 32
+
+    def test_every_loss_failing_raises_and_logs_the_error(self, tmp_path, monkeypatch):
+        # Every low-fidelity row diverges: each search fails and each loss is
+        # +inf, so no iteration has a loss to pick the best fidelity from.
+        class LowRowsDiverge:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, spec, e_values, f_values, seeds):
+                samples, steps = self.inner.run(spec, e_values, f_values, seeds)
+                if f_values is not None:
+                    samples[:] = np.nan
+                return samples, steps
+
+        real = sim_module._REGISTRY["braking"]
+        monkeypatch.setitem(sim_module._REGISTRY, "braking", LowRowsDiverge(real))
+        with pytest.raises(FalsificationFailedError, match="^every outer loss evaluation failed$"):
+            run_joint(tiny_config(outer_iterations=2), output_dir=tmp_path)
+        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        kinds = [e["event"] for e in events]
+        assert kinds == ["start"] + ["loss_failure", "iteration"] * 2 + ["error"]
+        assert all(e["falsification_failed"] and e["loss"] == float("inf")
+                   for e in events if e["event"] == "iteration")
+        assert events[-1]["message"] == "every outer evaluation failed"
+        assert not (tmp_path / "result.json").exists()
+        assert not (tmp_path / "result.partial.json").exists()
 
     def test_deterministic_result_bytes(self, tiny_result, tmp_path):
         result, out, cfg = tiny_result

@@ -13,6 +13,20 @@ def read_stripped_events(path):
     ]
 
 
+# A well-formed external simulator whose adapter does not exist: a config
+# using it passes validation and fails only when it runs.
+GHOST_SIM = {
+    "id": "ghost-sim",
+    "adapter": "missing-binary",
+    "environment": {"lower": [0.0], "upper": [1.0], "names": ["x"]},
+    "fidelity_dimension": 1,
+    "channels": ["y"],
+    "base_dt": 0.1,
+    "duration": 2.0,
+    "safety_spec": "G[0,2](y > 0)",
+}
+
+
 def tiny_config_file(tmp_path, **overrides):
     base = dict(
         simulator="braking",
@@ -172,6 +186,18 @@ class TestJointCommand:
             {"params_per_task": ["2"]},
             {"task_weights": {"task-0": "heavy"}},
             {"task_weights": {"task-7": 2.0}},
+            {"convergence_window": 1},
+            {"safety_spec": 5},
+            {"output_dir": 5},
+            {"simulator": {**GHOST_SIM, "environment": {}}},
+            {"simulator": {**GHOST_SIM, "environment": [0, 1]}},
+            {"simulator": {**GHOST_SIM, "environment": {"lower": [0.0], "upper": "1"}}},
+            {"simulator": {**GHOST_SIM, "fidelity_dimension": "two"}},
+            {"simulator": {**GHOST_SIM, "channels": "gap"}},
+            {"simulator": {**GHOST_SIM, "base_dt": "0.1"}},
+            {"simulator": {**GHOST_SIM, "adapter": 7}},
+            {"simulator": {**GHOST_SIM, "wormhole": 1}},
+            {"simulator": [GHOST_SIM]},
         ],
         ids=lambda overrides: json.dumps(overrides),
     )
@@ -197,16 +223,7 @@ class TestJointCommand:
         # A structurally valid config whose external adapter cannot execute
         # fails at runtime, not at argument validation.
         config = {
-            "simulator": {
-                "id": "ghost-sim",
-                "adapter": str(tmp_path / "missing-binary"),
-                "environment": {"lower": [0.0], "upper": [1.0], "names": ["x"]},
-                "fidelity_dimension": 1,
-                "channels": ["y"],
-                "base_dt": 0.1,
-                "duration": 2.0,
-                "safety_spec": "G[0,2](y > 0)",
-            },
+            "simulator": {**GHOST_SIM, "adapter": str(tmp_path / "missing-binary")},
             "task_count": 1,
             "params_per_task": 1,
             "outer_iterations": 1,
@@ -262,3 +279,26 @@ class TestReportCommand:
 
     def test_missing_result_is_usage_error(self, tmp_path):
         assert main(["report", "--result", str(tmp_path / "ghost.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["falsify", "--sim", "braking", "--budget", "64", "--fidelity", "a,b,c"], None),
+        (["falsify", "--sim", "braking", "--budget", "64", "--fidelity", "0.5,,0.5"], None),
+        (["falsify", "--sim", "braking", "--budget", "64", "--fidelity", "0.5,0.5"], None),
+        (["report"], [1, 2]),
+        (["report"], {"schema_version": 1}),
+        (["report"], "result"),
+    ],
+    ids=lambda value: json.dumps(value),
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, argv, document):
+    if document is None:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(document))
+        argv = argv + ["--result", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -340,13 +340,13 @@ class TestGenerationSchedule:
     def test_one_call_per_paired_step(self, quad_robustness_spec, synth_phi, monkeypatch,
                                       max_evaluations, rows):
         calls = []
-        real = falsify_module.simulate_batch
+        real = falsify_module.simulate_batch_multi_f
 
-        def counting(spec, e_values, f, seeds):
+        def counting(spec, e_values, f_rows, seeds):
             calls.append(len(seeds))
-            return real(spec, e_values, f, seeds)
+            return real(spec, e_values, f_rows, seeds)
 
-        monkeypatch.setattr(falsify_module, "simulate_batch", counting)
+        monkeypatch.setattr(falsify_module, "simulate_batch_multi_f", counting)
         f = quad_robustness_spec.fidelity_space.setting((1.0,))
         falsify(quad_robustness_spec, synth_phi, f, FalsifyBudget(max_evaluations), seed=0)
         assert calls == rows

@@ -220,9 +220,11 @@ class TestBatchConsistency:
         class Recording:
             def __init__(self):
                 self.calls = []
+                self.e_values = []
 
             def run(self, spec, e_values, f_values, seeds):
                 self.calls.append((None if f_values is None else tuple(f_values), list(seeds)))
+                self.e_values.append(e_values.copy())
                 f0 = -1.0 if f_values is None else f_values[0]
                 values = e_values[:, 0] + 10.0 * f0 + 100.0 * np.asarray(seeds)
                 out = np.repeat(values[:, None, None], spec.steps, axis=2)
@@ -246,6 +248,24 @@ class TestBatchConsistency:
         assert ok.all()
         assert np.array_equal(samples[:, 0, 0], want)
         assert delta == {"high_calls": 2, "low_calls": 5, "high_steps": 6, "low_steps": 15}
+
+        # simulate_batch is the one-setting case: a single run call with the
+        # rows in order, the setting as given (None for high) and the seeds.
+        f = spec.fidelity_space.setting((0.2, 0.5))
+        high_run = {"high_calls": 7, "low_calls": 0, "high_steps": 21, "low_steps": 0}
+        low_run = {"high_calls": 0, "low_calls": 7, "high_steps": 0, "low_steps": 21}
+        for setting, key, booked in ((None, None, high_run), (f, (0.2, 0.5), low_run)):
+            backend.calls.clear()
+            backend.e_values.clear()
+            before = CALL_COUNTER.snapshot()
+            samples, ok = simulate_batch(spec, e_values, setting, seeds)
+            delta = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+            assert backend.calls == [(key, seeds)]
+            assert np.array_equal(backend.e_values[0], e_values)
+            assert ok.all()
+            f0 = -1.0 if setting is None else 0.2
+            assert np.array_equal(samples[:, 0, 0], e_values[:, 0] + 10.0 * f0 + 100.0 * np.array(seeds))
+            assert delta == booked
 
     def test_multi_f_high_mask_shape_checked(self, braking):
         values = np.array([c.values for c in rand_configs(braking, 2, seed=1)])
