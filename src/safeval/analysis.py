@@ -16,13 +16,22 @@ and convergence statements into things that run:
 
 All estimators refuse to run with the observation-noise knob active unless
 an averaging repeat count is supplied.
+
+The Lipschitz estimators are row plans: a :class:`RowPlan` holds the
+(environment, fidelity, seed, high flag) rows an estimate needs and the
+reduction of their simulator output to the estimate. :func:`run_plans` runs
+the rows of many plans in one simulator call and reduces each plan in turn,
+so errors raised while reducing come in plan order. Each public estimator is
+its plan run on its own; the campaign's analysis summary runs all three
+plans in one call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +55,11 @@ __all__ = [
     "SensitivityReport",
     "SampleComplexityPlan",
     "ConvergenceReport",
+    "RowPlan",
+    "run_plans",
+    "lipschitz_env_plan",
+    "lipschitz_fidelity_plan",
+    "lipschitz_loss_plan",
     "estimate_lipschitz_env",
     "estimate_lipschitz_fidelity",
     "estimate_lipschitz_loss",
@@ -118,6 +132,44 @@ class ConvergenceReport:
     window: int
 
 
+@dataclass(frozen=True)
+class RowPlan:
+    """Simulator rows and the reduction of their output.
+
+    ``reduce(samples, ok)`` receives the rows' samples and finite flags in
+    row order.
+    """
+
+    e_rows: np.ndarray
+    f_rows: np.ndarray
+    seeds: list[Seed]
+    high: np.ndarray
+    reduce: Callable[[np.ndarray, np.ndarray], Any]
+
+    def then(self, finish: Callable[[Any], Any]) -> "RowPlan":
+        """The same rows, with ``finish`` applied to this plan's reduction."""
+        reduce = self.reduce
+        return dataclasses.replace(self, reduce=lambda samples, ok: finish(reduce(samples, ok)))
+
+
+def run_plans(spec: SimulatorSpec, plans: Sequence[RowPlan]) -> list[Any]:
+    """Run the rows of all ``plans`` in one simulator call; reduce each plan in order."""
+    samples, ok = simulate_batch_multi_f(
+        spec,
+        np.vstack([p.e_rows for p in plans]),
+        np.vstack([p.f_rows for p in plans]),
+        [s for p in plans for s in p.seeds],
+        np.concatenate([p.high for p in plans]),
+    )
+    results = []
+    start = 0
+    for plan in plans:
+        rows = slice(start, start + len(plan.seeds))
+        results.append(plan.reduce(samples[rows], ok[rows]))
+        start = rows.stop
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Robustness evaluation helpers
 # ---------------------------------------------------------------------------
@@ -142,6 +194,47 @@ def _force_noise_off(spec: SimulatorSpec, f_rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _rho_plan(
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    e_values: np.ndarray,
+    f_rows: np.ndarray,
+    seed: Seed,
+    repeats: int | None,
+) -> RowPlan:
+    """Plan of the mean robustness for each (e, f) row; errors out on diverged items.
+
+    The rows are tiled once per repeat seed; robustness is summed per repeat
+    in seed order.
+    """
+    if _noise_active(spec, f_rows) and repeats is None:
+        raise InvalidArgumentError(
+            "the noise knob is active; supply a repeats count for averaging"
+        )
+    n = e_values.shape[0]
+    seeds = _repeat_seeds(seed, repeats)
+
+    def reduce(samples: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        total = np.zeros(n)
+        for r in range(len(seeds)):
+            block = slice(r * n, (r + 1) * n)
+            if not ok[block].all():
+                bad = int(np.flatnonzero(~ok[block])[0])
+                raise InvalidArgumentError(
+                    f"simulation diverged during estimation at e={e_values[bad].tolist()}"
+                )
+            total += robustness_batch(phi, samples[block], spec.channels, spec.base_dt)
+        return total / len(seeds)
+
+    return RowPlan(
+        e_rows=np.tile(e_values, (len(seeds), 1)),
+        f_rows=np.tile(f_rows, (len(seeds), 1)),
+        seeds=[rep for rep in seeds for _ in range(n)],
+        high=np.zeros(n * len(seeds), dtype=bool),
+        reduce=reduce,
+    )
+
+
 def _rho_rows(
     spec: SimulatorSpec,
     phi: SafetySpec,
@@ -150,31 +243,8 @@ def _rho_rows(
     seed: Seed,
     repeats: int | None,
 ) -> np.ndarray:
-    """Mean robustness for each (e, f) row; errors out on diverged items.
-
-    Every repeat runs in one batched call, the rows tiled once per repeat
-    seed; robustness is summed per repeat in seed order.
-    """
-    if _noise_active(spec, f_rows) and repeats is None:
-        raise InvalidArgumentError(
-            "the noise knob is active; supply a repeats count for averaging"
-        )
-    n = e_values.shape[0]
-    seeds = _repeat_seeds(seed, repeats)
-    e_all = np.tile(e_values, (len(seeds), 1))
-    f_all = np.tile(f_rows, (len(seeds), 1))
-    rep_seeds = [rep for rep in seeds for _ in range(n)]
-    samples, ok = simulate_batch_multi_f(spec, e_all, f_all, rep_seeds)
-    total = np.zeros(n)
-    for r in range(len(seeds)):
-        block = slice(r * n, (r + 1) * n)
-        if not ok[block].all():
-            bad = int(np.flatnonzero(~ok[block])[0])
-            raise InvalidArgumentError(
-                f"simulation diverged during estimation at e={e_values[bad].tolist()}"
-            )
-        total += robustness_batch(phi, samples[block], spec.channels, spec.base_dt)
-    return total / len(seeds)
+    """Mean robustness for each (e, f) row, all repeats in one batched call."""
+    return run_plans(spec, [_rho_plan(spec, phi, e_values, f_rows, seed, repeats)])[0]
 
 
 def _paired_points(
@@ -222,6 +292,24 @@ def _max_slope(
     )
 
 
+def lipschitz_env_plan(
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    f: FidelitySetting,
+    pairs: int,
+    seed: Seed,
+    repeats: int | None = None,
+) -> RowPlan:
+    """Plan of :func:`estimate_lipschitz_env`."""
+    if pairs < 10:
+        raise InvalidArgumentError("pairs must be >= 10")
+    space = spec.environment_space
+    a, b = _paired_points(space.lower_array(), space.upper_array(), pairs, seed)
+    f_rows = np.tile(f.as_array(), (2 * len(a), 1))
+    plan = _rho_plan(spec, phi, np.vstack([a, b]), f_rows, split_seed(seed, "eval"), repeats)
+    return plan.then(lambda v: _max_slope(a, b, v[: len(a)], v[len(a) :]))
+
+
 def estimate_lipschitz_env(
     spec: SimulatorSpec,
     phi: SafetySpec,
@@ -231,13 +319,27 @@ def estimate_lipschitz_env(
     repeats: int | None = None,
 ) -> LipschitzEstimate:
     """Max slope of robustness between environment points at fixed fidelity."""
+    return run_plans(spec, [lipschitz_env_plan(spec, phi, f, pairs, seed, repeats)])[0]
+
+
+def lipschitz_fidelity_plan(
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    e: EnvironmentConfig,
+    pairs: int,
+    seed: Seed,
+    repeats: int | None = None,
+) -> RowPlan:
+    """Plan of :func:`estimate_lipschitz_fidelity`."""
     if pairs < 10:
         raise InvalidArgumentError("pairs must be >= 10")
-    space = spec.environment_space
-    a, b = _paired_points(space.lower_array(), space.upper_array(), pairs, seed)
-    f_rows = np.tile(f.as_array(), (2 * len(a), 1))
-    v = _rho_rows(spec, phi, np.vstack([a, b]), f_rows, split_seed(seed, "eval"), repeats)
-    return _max_slope(a, b, v[: len(a)], v[len(a) :])
+    dim = spec.fidelity_space.dimension
+    a, b = _paired_points(np.zeros(dim), np.ones(dim), pairs, seed)
+    a = _force_noise_off(spec, a)
+    b = _force_noise_off(spec, b)
+    e_rows = np.tile(e.as_array(), (2 * len(a), 1))
+    plan = _rho_plan(spec, phi, e_rows, np.vstack([a, b]), split_seed(seed, "eval"), repeats)
+    return plan.then(lambda v: _max_slope(a, b, v[: len(a)], v[len(a) :]))
 
 
 def estimate_lipschitz_fidelity(
@@ -254,15 +356,7 @@ def estimate_lipschitz_fidelity(
     off position in every sampled setting, so the slope reflects the
     deterministic fidelity mechanisms.
     """
-    if pairs < 10:
-        raise InvalidArgumentError("pairs must be >= 10")
-    dim = spec.fidelity_space.dimension
-    a, b = _paired_points(np.zeros(dim), np.ones(dim), pairs, seed)
-    a = _force_noise_off(spec, a)
-    b = _force_noise_off(spec, b)
-    e_rows = np.tile(e.as_array(), (2 * len(a), 1))
-    v = _rho_rows(spec, phi, e_rows, np.vstack([a, b]), split_seed(seed, "eval"), repeats)
-    return _max_slope(a, b, v[: len(a)], v[len(a) :])
+    return run_plans(spec, [lipschitz_fidelity_plan(spec, phi, e, pairs, seed, repeats)])[0]
 
 
 def _sup_norm(x: np.ndarray) -> float:
@@ -280,15 +374,15 @@ def _smooth_offset(shape: tuple[int, int], times: np.ndarray, rng: np.random.Gen
     return const + amp * wave
 
 
-def _loss_pair_ratios(
+def _loss_pair_plan(
     spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
-) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
-    """(ratio, config, fidelity) per sampled pair; degenerate pairs skipped.
+) -> RowPlan:
+    """Plan of (ratio, config, fidelity) per sampled pair; degenerate pairs skipped.
 
     Base trajectory pairs cycle through the tasks' parameters at random
-    noise-free fidelity settings (high and low runs share one batched
-    call); each is compared against a smoothly perturbed copy of itself
-    (high side, low side, or both).
+    noise-free fidelity settings (the high rows, then the low rows); each
+    is compared against a smoothly perturbed copy of itself (high side, low
+    side, or both).
     """
     configs = [cfg for task in tasks for cfg in task.sampled_params]
     dim_f = spec.fidelity_space.dimension
@@ -297,35 +391,69 @@ def _loss_pair_ratios(
         spec, latin_hypercube_unit(dim_f, pairs, split_seed(seed, "fid"))
     )
     pair_seeds = [split_seed(seed, "pair", k) for k in range(pairs)]
-    samples, ok = simulate_batch_multi_f(
-        spec,
-        np.vstack([e_rows, e_rows]),
-        np.vstack([f_rows, f_rows]),
-        pair_seeds * 2,
+
+    def reduce(
+        samples: np.ndarray, ok: np.ndarray
+    ) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+        if not ok.all():
+            raise InvalidArgumentError("simulation diverged while sampling trajectory pairs")
+        highs, lows = samples[:pairs], samples[pairs:]
+        rng = rng_from_seed(split_seed(seed, "perturb"))
+        times = spec.grid_times()
+        out = []
+        for k in range(pairs):
+            high1 = spec.trajectory(highs[k])
+            low1 = spec.trajectory(lows[k])
+            mode = k % 3  # perturb high, low, or both
+            dh = _smooth_offset(high1.samples.shape, times, rng) if mode != 1 else 0.0
+            dl = _smooth_offset(low1.samples.shape, times, rng) if mode != 0 else 0.0
+            high2 = spec.trajectory(high1.samples + dh)
+            low2 = spec.trajectory(low1.samples + dl)
+            denom = _sup_norm(high1.samples - high2.samples) + _sup_norm(
+                low1.samples - low2.samples
+            )
+            if denom <= 1e-15:
+                continue
+            ratio = abs(mse_loss(high1, low1) - mse_loss(high2, low2)) / denom
+            out.append(
+                (ratio, tuple(float(v) for v in e_rows[k]), tuple(float(v) for v in f_rows[k]))
+            )
+        return out
+
+    return RowPlan(
+        e_rows=np.vstack([e_rows, e_rows]),
+        f_rows=np.vstack([f_rows, f_rows]),
+        seeds=pair_seeds * 2,
         high=np.arange(2 * pairs) < pairs,
+        reduce=reduce,
     )
-    if not ok.all():
-        raise InvalidArgumentError("simulation diverged while sampling trajectory pairs")
-    highs, lows = samples[:pairs], samples[pairs:]
-    rng = rng_from_seed(split_seed(seed, "perturb"))
-    times = spec.grid_times()
-    out = []
-    for k in range(pairs):
-        high1 = spec.trajectory(highs[k])
-        low1 = spec.trajectory(lows[k])
-        mode = k % 3  # perturb high, low, or both
-        dh = _smooth_offset(high1.samples.shape, times, rng) if mode != 1 else 0.0
-        dl = _smooth_offset(low1.samples.shape, times, rng) if mode != 0 else 0.0
-        high2 = spec.trajectory(high1.samples + dh)
-        low2 = spec.trajectory(low1.samples + dl)
-        denom = _sup_norm(high1.samples - high2.samples) + _sup_norm(low1.samples - low2.samples)
-        if denom <= 1e-15:
-            continue
-        ratio = abs(mse_loss(high1, low1) - mse_loss(high2, low2)) / denom
-        out.append(
-            (ratio, tuple(float(v) for v in e_rows[k]), tuple(float(v) for v in f_rows[k]))
-        )
-    return out
+
+
+def _loss_pair_ratios(
+    spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
+) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+    """(ratio, config, fidelity) per sampled pair, high and low runs in one call."""
+    return run_plans(spec, [_loss_pair_plan(spec, tasks, pairs, seed)])[0]
+
+
+def _max_ratio(
+    ratios: list[tuple[float, tuple[float, ...], tuple[float, ...]]],
+) -> LipschitzEstimate:
+    if not ratios:
+        raise InvalidArgumentError("all trajectory pairs were identical")
+    best_ratio, cfg, fid = max(ratios, key=lambda r: r[0])
+    return LipschitzEstimate(constant=best_ratio, pairs_used=len(ratios), max_pair=(cfg, fid))
+
+
+def lipschitz_loss_plan(
+    spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
+) -> RowPlan:
+    """Plan of :func:`estimate_lipschitz_loss`."""
+    if pairs < 10:
+        raise InvalidArgumentError("pairs must be >= 10")
+    if not tasks:
+        raise InvalidArgumentError("estimate_lipschitz_loss needs at least one task")
+    return _loss_pair_plan(spec, tasks, pairs, seed).then(_max_ratio)
 
 
 def estimate_lipschitz_loss(
@@ -335,15 +463,7 @@ def estimate_lipschitz_loss(
     seed: Seed,
 ) -> LipschitzEstimate:
     """Max ratio of loss change to summed sup-norm trajectory change."""
-    if pairs < 10:
-        raise InvalidArgumentError("pairs must be >= 10")
-    if not tasks:
-        raise InvalidArgumentError("estimate_lipschitz_loss needs at least one task")
-    ratios = _loss_pair_ratios(spec, tasks, pairs, seed)
-    if not ratios:
-        raise InvalidArgumentError("all trajectory pairs were identical")
-    best_ratio, cfg, fid = max(ratios, key=lambda r: r[0])
-    return LipschitzEstimate(constant=best_ratio, pairs_used=len(ratios), max_pair=(cfg, fid))
+    return run_plans(spec, [lipschitz_loss_plan(spec, tasks, pairs, seed)])[0]
 
 
 # ---------------------------------------------------------------------------

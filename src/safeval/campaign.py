@@ -24,9 +24,10 @@ import numpy as np
 
 from .analysis import (
     convergence_report,
-    estimate_lipschitz_env,
-    estimate_lipschitz_fidelity,
-    estimate_lipschitz_loss,
+    lipschitz_env_plan,
+    lipschitz_fidelity_plan,
+    lipschitz_loss_plan,
+    run_plans,
     sample_complexity_plan,
 )
 from .bo import BetaSchedule, UcbMinimizer
@@ -353,27 +354,34 @@ class CampaignResult:
                 f"written by a newer schema than version {SCHEMA_VERSION}"
             )
         _field_kwargs(cls, "result", data)  # names any missing field
-        iterations = tuple(
-            IterationRecord(
-                **{
-                    **rec,
-                    "fidelity": tuple(rec["fidelity"]),
-                    "inner_trace": tuple(rec["inner_trace"]),
-                    "e_star": None if rec["e_star"] is None else tuple(rec["e_star"]),
-                }
+        for name in ("iterations", "counterexamples"):
+            if not isinstance(data[name], list):
+                raise InvalidArgumentError(
+                    f"result {name} must be a JSON array, got {type(data[name]).__name__}"
+                )
+        iterations = []
+        for raw in data["iterations"]:
+            rec = _field_kwargs(IterationRecord, "iteration record", raw)
+            iterations.append(
+                IterationRecord(
+                    **{
+                        **rec,
+                        "fidelity": tuple(rec["fidelity"]),
+                        "inner_trace": tuple(rec["inner_trace"]),
+                        "e_star": None if rec["e_star"] is None else tuple(rec["e_star"]),
+                    }
+                )
             )
-            for rec in data["iterations"]
-        )
-        counterexamples = tuple(
-            CounterexampleRecord(**{**c, "values": tuple(c["values"])})
-            for c in data["counterexamples"]
-        )
+        counterexamples = []
+        for raw in data["counterexamples"]:
+            c = _field_kwargs(CounterexampleRecord, "counterexample record", raw)
+            counterexamples.append(CounterexampleRecord(**{**c, "values": tuple(c["values"])}))
         return cls(
             config=CampaignConfig.from_dict(data["config"]),
             best_fidelity=tuple(data["best_fidelity"]),
             best_loss=data["best_loss"],
-            iterations=iterations,
-            counterexamples=counterexamples,
+            iterations=tuple(iterations),
+            counterexamples=tuple(counterexamples),
             regret_reference=data["regret_reference"],
             regret_reference_is_proxy=data["regret_reference_is_proxy"],
             totals=dict(data["totals"]),
@@ -460,19 +468,19 @@ def analysis_summary(
     """The three Lipschitz estimates and the sample plan, as JSON-ready dicts.
 
     The environment estimate runs at ``f_probe``, the fidelity estimate at
-    ``e_probe`` and the loss estimate over ``tasks``; the plan takes ``K1``
-    inner evaluations per outer iteration.
+    ``e_probe`` and the loss estimate over ``tasks``, all three in one
+    simulator call; the plan takes ``K1`` inner evaluations per outer
+    iteration.
     """
     pairs, seed = config.analysis_pairs, config.master_seed
-    estimates = {
-        "lipschitz_env": estimate_lipschitz_env(
-            spec, phi, f_probe, pairs, split_seed(seed, "lip-env")
-        ),
-        "lipschitz_fidelity": estimate_lipschitz_fidelity(
+    plans = {
+        "lipschitz_env": lipschitz_env_plan(spec, phi, f_probe, pairs, split_seed(seed, "lip-env")),
+        "lipschitz_fidelity": lipschitz_fidelity_plan(
             spec, phi, e_probe, pairs, split_seed(seed, "lip-fid")
         ),
-        "lipschitz_loss": estimate_lipschitz_loss(spec, tasks, pairs, split_seed(seed, "lip-loss")),
+        "lipschitz_loss": lipschitz_loss_plan(spec, tasks, pairs, split_seed(seed, "lip-loss")),
     }
+    estimates = dict(zip(plans, run_plans(spec, list(plans.values()))))
     plan = sample_complexity_plan(
         epsilon=config.analysis_epsilon,
         delta=config.analysis_delta,

@@ -37,6 +37,12 @@ Every simulation goes through one dispatch over rows of (environment,
 fidelity, seed, high flag): ``simulate_batch`` (one setting) and
 ``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
+
+The built-in benchmarks run on one batched RK4 integrator. Each splits its
+dynamics into a right-hand side, evaluated four times per step, and a
+time-only drive, evaluated once per block of steps on all the block's
+times at once; the block's times are summed in the order a step-by-step
+loop would sum them, so the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -252,20 +258,28 @@ def _backend_for(spec: SimulatorSpec) -> SimulatorBackend:
 # Right-hand side contract. A state is stored variable-major, shape (S, B):
 # each state variable is one contiguous row over the batch, which keeps every
 # NumPy call on a row or a block of rows contiguous. The time-only terms are
-# split off so that they run twice per step instead of four times:
+# split off so that they run once per block of steps instead of four times
+# per step:
 #
-# * ``drive(t, blend)`` with t (B,) and blend (B,) returns the terms that
-#   depend only on time and the model blend: an array or a tuple of arrays,
-#   handed to ``rhs`` as it is. The integrator evaluates it at each step's
-#   midpoint and end, and the end value serves as the next step's start.
+# * ``drive(t, blend)`` with t (n, B) and blend (B,) returns the terms that
+#   depend only on time and the model blend at n time points at once: a
+#   sequence whose entry j (an array or a tuple of (B,) arrays) holds the
+#   terms at times t[j] and is handed to ``rhs`` as it is. The integrator
+#   calls it twice per block of steps, on the steps' start and end times and
+#   on their midpoints. A drive that does not depend on time may return one
+#   shared entry n times.
 # * ``rhs(x, e, drive, out)`` with x (S, B) and e (d_e, B) writes dx/dt into
 #   ``out`` (S, B) and returns nothing. ``out`` is an integrator buffer that
 #   the next call overwrites: the RHS must write every element of it, must
 #   not keep it or a view of it, and must not modify x, e or drive.
 #
 # Both must be elementwise per batch item.
-DriveFn = Callable[[np.ndarray, np.ndarray], Any]
+DriveFn = Callable[[np.ndarray, np.ndarray], Sequence[Any]]
 RhsFn = Callable[[np.ndarray, np.ndarray, Any, np.ndarray], None]
+
+# Loop steps per drive evaluation: large enough to spread the drive's
+# per-call cost, small enough that its (block, B) arrays stay small.
+_DRIVE_BLOCK = 64
 
 
 def _integrate_to_grid(
@@ -303,39 +317,45 @@ def _integrate_to_grid(
     hist[0] = x0.T
     x = hist[0]
     k1, k2, k3, k4, xs = np.empty((5, state_dim, batch))
-    t = np.zeros(batch)
-    d_start = drive(t, blend)
-    # The step sizes change only at the first step, where some item's full
-    # steps end, and at the final remainder step (k == max_full).
+    # (h, h/2, h/6) of every loop step. The step sizes change only at the
+    # first step, where some item's full steps end, and at the final
+    # remainder step (k == max_full); the steps in between share one tuple.
     changes = {0, *full_steps.tolist()}
+    sizes = []
     for k in range(max_full + 1):
         if k in changes:
             hk = remainder if k == max_full else np.where(k < full_steps, h, 0.0)
-            half_h = 0.5 * hk
-            sixth_h = hk / 6.0
-        tm = t + half_h
-        tn = t + hk
-        rhs(x, e, d_start, k1)
-        d_mid = drive(tm, blend)
-        np.multiply(half_h, k1, out=xs)
-        xs += x
-        rhs(xs, e, d_mid, k2)
-        np.multiply(half_h, k2, out=xs)
-        xs += x
-        rhs(xs, e, d_mid, k3)
-        d_end = drive(tn, blend)
-        np.multiply(hk, k3, out=xs)
-        xs += x
-        rhs(xs, e, d_end, k4)
-        # x + h/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth_h
-        x = np.add(x, k1, out=hist[k + 1])
-        t, d_start = tn, d_end
+            size = (hk, 0.5 * hk, hk / 6.0)
+        sizes.append(size)
+    t = np.zeros(batch)
+    for first in range(0, max_full + 1, _DRIVE_BLOCK):
+        block = sizes[first : first + _DRIVE_BLOCK]
+        # Start and end times of the block's steps, summed left to right as
+        # a step-by-step t + h would sum them.
+        times = np.add.accumulate([t, *(hk for hk, _, _ in block)])
+        d_ends = drive(times, blend)
+        d_mids = drive(times[:-1] + np.array([half_h for _, half_h, _ in block]), blend)
+        for j, (hk, half_h, sixth_h) in enumerate(block):
+            d_mid = d_mids[j]
+            rhs(x, e, d_ends[j], k1)
+            np.multiply(half_h, k1, out=xs)
+            xs += x
+            rhs(xs, e, d_mid, k2)
+            np.multiply(half_h, k2, out=xs)
+            xs += x
+            rhs(xs, e, d_mid, k3)
+            np.multiply(hk, k3, out=xs)
+            xs += x
+            rhs(xs, e, d_ends[j + 1], k4)
+            # x + h/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+            k2 *= 2.0
+            k3 *= 2.0
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= sixth_h
+            x = np.add(x, k1, out=hist[first + j + 1])
+        t = times[-1]
 
     n_grid = len(grid)
     out = np.empty((batch, state_dim, n_grid))
@@ -648,9 +668,10 @@ _BRK_BRAKE_LAG = 0.8  # s first-order actuation lag of the simplified model
 _BRK_SPEED_RAMP = 0.1  # m/s width of the smooth stop ramp
 
 
-def _osc_drive(t: np.ndarray, blend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Weights of the cubic and the linear drag; they do not depend on time.
-    return 1.0 - blend, blend
+def _osc_drive(t: np.ndarray, blend: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    # Weights of the cubic and the linear drag; they do not depend on time,
+    # so every time point shares one tuple.
+    return [(1.0 - blend, blend)] * len(t)
 
 
 def _osc_rhs(
@@ -672,6 +693,7 @@ def _osc_init(e: np.ndarray) -> np.ndarray:
 def _brk_drive(t: np.ndarray, blend: np.ndarray) -> np.ndarray:
     # Ego deceleration command before the stop ramp: -0.0 until the reaction
     # time, then full braking, lagged by the simplified model's actuation.
+    # Row j of the (n, B) result holds the command at times t[j].
     after_reaction = np.maximum(t - _BRK_REACTION_TIME, 0.0)
     braking_on = (t >= _BRK_REACTION_TIME).astype(float)
     actuation = 1.0 - blend * np.exp(-after_reaction / _BRK_BRAKE_LAG)

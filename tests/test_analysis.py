@@ -149,6 +149,98 @@ class TestLipschitzLoss:
             estimate_lipschitz_loss(oscillator, [task], pairs=10, seed=5)
 
 
+class TestRowPlans:
+    def test_analysis_summary_is_one_call_equal_to_the_three_estimators(
+        self, braking, braking_phi, monkeypatch
+    ):
+        import dataclasses
+
+        import safeval.analysis as analysis_mod
+        from safeval.campaign import CampaignConfig, analysis_summary, sample_tasks
+        from safeval.core import split_seed
+
+        config = CampaignConfig(
+            simulator="braking",
+            task_count=2,
+            params_per_task=2,
+            outer_iterations=3,
+            master_seed=13,
+            analysis_pairs=10,
+        )
+        tasks = sample_tasks(braking, 2, 2, seed=13)
+        f_probe = braking.fidelity_space.setting((0.4, 0.7, 1.0))
+        e_probe = braking.environment_space.config((40.0, 20.0, 6.0))
+        rows = []
+        real = analysis_mod.simulate_batch_multi_f
+
+        def counting(spec, e_values, *args, **kwargs):
+            rows.append(len(e_values))
+            return real(spec, e_values, *args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "simulate_batch_multi_f", counting)
+        summary = analysis_summary(braking, braking_phi, tasks, config, f_probe, e_probe, K1=64)
+        assert rows == [6 * config.analysis_pairs]
+
+        seed = config.master_seed
+        estimates = {
+            "lipschitz_env": estimate_lipschitz_env(
+                braking, braking_phi, f_probe, 10, split_seed(seed, "lip-env")
+            ),
+            "lipschitz_fidelity": estimate_lipschitz_fidelity(
+                braking, braking_phi, e_probe, 10, split_seed(seed, "lip-fid")
+            ),
+            "lipschitz_loss": estimate_lipschitz_loss(
+                braking, tasks, 10, split_seed(seed, "lip-loss")
+            ),
+        }
+        assert len(rows) == 4
+        plan = sample_complexity_plan(
+            epsilon=config.analysis_epsilon,
+            delta=config.analysis_delta,
+            lipschitz=estimates["lipschitz_env"].constant,
+            K1=64,
+            K2=config.outer_iterations,
+            lipschitz_alt=estimates["lipschitz_loss"].constant,
+        )
+        expected = {
+            key: {**dataclasses.asdict(est), "max_pair": [list(p) for p in est.max_pair]}
+            for key, est in estimates.items()
+        }
+        expected["sample_plan"] = dataclasses.asdict(plan)
+        assert summary == expected
+
+    def test_a_diverging_plan_raises_its_standalone_message(self, diverging_spec, synth_phi):
+        from safeval.analysis import lipschitz_env_plan, lipschitz_loss_plan, run_plans
+
+        f = diverging_spec.fidelity_space.setting((0.5,))
+        task = Task(
+            id="task-0",
+            parameter_space=diverging_spec.environment_space,
+            sampled_params=(diverging_spec.environment_space.config((0.3,)),),
+        )
+        messages = {}
+        for name, call in (
+            ("env", lambda: estimate_lipschitz_env(diverging_spec, synth_phi, f, 10, 1)),
+            ("loss", lambda: estimate_lipschitz_loss(diverging_spec, [task], 10, 2)),
+        ):
+            with pytest.raises(InvalidArgumentError) as info:
+                call()
+            messages[name] = str(info.value)
+        assert messages["env"] != messages["loss"]
+
+        def plans():
+            return {
+                "env": lipschitz_env_plan(diverging_spec, synth_phi, f, 10, 1),
+                "loss": lipschitz_loss_plan(diverging_spec, [task], 10, 2),
+            }
+
+        for first, second in (("env", "loss"), ("loss", "env")):
+            built = plans()
+            with pytest.raises(InvalidArgumentError) as info:
+                run_plans(diverging_spec, [built[first], built[second]])
+            assert str(info.value) == messages[first]
+
+
 class TestSensitivity:
     def test_linear_in_f(self, linear_sens_spec, synth_phi):
         f = linear_sens_spec.fidelity_space.setting((0.5,))

@@ -281,6 +281,18 @@ class TestReportCommand:
         assert main(["report", "--result", str(tmp_path / "ghost.json")]) == 1
 
 
+@pytest.fixture(scope="module")
+def campaign_result_document(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("campaign")
+    out = tmp_path / "camp"
+    assert main(["joint", "--config", str(tiny_config_file(tmp_path)), "--out", str(out)]) == 0
+    return json.loads((out / "result.json").read_text())
+
+
+# A document given as (EDITED, fields) is a real campaign result with those fields replaced.
+EDITED = "campaign result with"
+
+
 @pytest.mark.parametrize(
     "argv, document",
     [
@@ -290,10 +302,15 @@ class TestReportCommand:
         (["report"], [1, 2]),
         (["report"], {"schema_version": 1}),
         (["report"], "result"),
+        (["report"], (EDITED, {"iterations": 3})),
+        (["report"], (EDITED, {"iterations": [{}]})),
+        (["report"], (EDITED, {"counterexamples": [{}]})),
     ],
     ids=lambda value: json.dumps(value),
 )
-def test_malformed_input_is_usage_error(tmp_path, capsys, argv, document):
+def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, document):
+    if isinstance(document, tuple):
+        document = {**request.getfixturevalue("campaign_result_document"), **document[1]}
     if document is None:
         argv = argv + ["--out", str(tmp_path / "out")]
     else:

@@ -1,11 +1,14 @@
 """The RK4 integrator against the plain textbook formulation, byte for byte.
 
-``_integrate_to_grid`` reuses buffers, evaluates time-only terms twice per
-step and combines the stages in place. The reference below is the direct
-formulation it replaced: one ``_rk4_step`` per step that calls a right-hand
-side returning a fresh ``np.stack`` of the derivatives four times, with the
-time-only terms computed inside it. Both must give the same bits.
+``_integrate_to_grid`` reuses buffers, evaluates time-only terms once per
+block of steps and combines the stages in place. The reference below is the
+direct formulation it replaced: one ``_rk4_step`` per step that calls a
+right-hand side returning a fresh ``np.stack`` of the derivatives four
+times, with the time-only terms computed inside it. Both must give the same
+bits.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,16 +102,55 @@ def random_batch(spec, batch, seed):
     return e_rows, f_rows, list(range(batch)), high
 
 
+def shaped_batch(spec, batch, kind):
+    """Rows at full resolution, all on the high path, or ending in different drive blocks."""
+    rng = np.random.default_rng(batch)
+    e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, 7)])
+    f_rows = rng.random((batch, 3))
+    high = np.zeros(batch, dtype=bool)
+    if kind == "full-resolution":
+        f_rows[:] = 1.0
+        high[1::2] = True
+    elif kind == "all-high":
+        high[:] = True
+    elif kind == "blocks":
+        multiplier = np.array([1.0, 1.5, 2.0, 5.0, 32.0])
+        f_rows[:, 0] = (32.0 - multiplier) / 31.0
+        f_rows[:, 2] = 1.0
+    return e_rows, f_rows, list(range(batch)), high
+
+
 @pytest.mark.parametrize(
     "sim_id, batch, seed",
-    [("braking", 24, 1), ("braking", 9, 2), ("braking", 5, 3), ("oscillator", 6, 4)],
+    [
+        ("braking", 24, 1),
+        ("braking", 9, 2),
+        ("braking", 5, 3),
+        ("oscillator", 6, 4),
+        ("braking", 1, "full-resolution"),
+        ("braking", 6, "all-high"),
+        ("braking", 5, "blocks"),
+        ("oscillator", 2, "full-resolution"),
+    ],
 )
 def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeypatch):
     spec = get_benchmark(sim_id)
-    e_rows, f_rows, seeds, high = random_batch(spec, batch, seed)
-    h, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows[~high], int((~high).sum()))
-    assert len(set(np.floor(spec.duration / h + 1e-9).tolist())) >= 3  # rows end at different steps
-    assert (spec.duration % h > 1e-9).any() and (blend > 0).any() and (sigma > 0).any()
+    if isinstance(seed, int):
+        e_rows, f_rows, seeds, high = random_batch(spec, batch, seed)
+        h, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(
+            spec, f_rows[~high], int((~high).sum())
+        )
+        assert len(set(np.floor(spec.duration / h + 1e-9).tolist())) >= 3  # rows end apart
+        assert (spec.duration % h > 1e-9).any() and (blend > 0).any() and (sigma > 0).any()
+    else:
+        e_rows, f_rows, seeds, high = shaped_batch(spec, batch, seed)
+        h, _, _ = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows, batch)
+        last_step = np.floor(spec.duration / np.where(high, spec.base_dt, h) + 1e-9)
+        if seed == "full-resolution":  # spec.steps loop steps: the last block is partial
+            assert (last_step == spec.steps - 1).all()
+            assert spec.steps % sim._DRIVE_BLOCK != 0
+        if seed == "blocks":
+            assert len(set((last_step // sim._DRIVE_BLOCK).tolist())) == batch
 
     samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
     monkeypatch.setattr(sim, "_integrate_to_grid", ref_integrate_to_grid)
@@ -132,7 +174,7 @@ def test_knob_arrays_match_the_per_row_mapping(sim_id):
 
 
 @pytest.mark.parametrize("sim_id", ["braking", "oscillator"])
-def test_two_drive_and_four_rhs_calls_per_step(sim_id):
+def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id):
     spec = get_benchmark(sim_id)
     backend = sim._REGISTRY[sim_id]
     calls = {"drive": 0, "rhs": 0}
@@ -153,7 +195,31 @@ def test_two_drive_and_four_rhs_calls_per_step(sim_id):
         drive, rhs, x0, e_rows, h, np.full(3, 0.5), spec.duration, spec.grid_times()
     )
     loop_steps = int(np.floor(spec.duration / h + 1e-9).max()) + 1  # the remainder step counts
-    assert calls == {"drive": 2 * loop_steps + 1, "rhs": 4 * loop_steps}
+    blocks = -(-loop_steps // sim._DRIVE_BLOCK)
+    assert calls == {"drive": 2 * blocks, "rhs": 4 * loop_steps}
+
+
+def test_integrator_memory_is_history_and_output_plus_a_little():
+    spec = get_benchmark("oscillator")
+    backend = sim._REGISTRY["oscillator"]
+    batch = 64
+    e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, 8)])
+    h = np.full(batch, spec.base_dt)
+    x0 = backend.initial_state(e_rows)
+    grid = spec.grid_times()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out, _ = sim._integrate_to_grid(
+            backend.drive, backend.rhs, x0, e_rows, h, np.zeros(batch), spec.duration, grid
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state_dim = x0.shape[1]
+    history = (spec.steps + 1) * state_dim * batch * 8
+    assert out.nbytes == len(grid) * state_dim * batch * 8
+    assert peak - before <= history + out.nbytes + 2**20
 
 
 def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
