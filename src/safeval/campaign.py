@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,9 +162,12 @@ class CampaignConfig:
             raise InvalidArgumentError("safety_spec and output_dir must be strings or null")
         weights = {} if self.task_weights is None else self.task_weights
         if not isinstance(weights, dict) or any(
-            isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights.values()
+            isinstance(w, bool)
+            or not isinstance(w, (int, float))
+            or not 0 <= w <= sys.float_info.max
+            for w in weights.values()
         ):
-            raise InvalidArgumentError("task_weights must map task ids to numbers")
+            raise InvalidArgumentError("task_weights must map task ids to finite numbers >= 0")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -182,14 +186,21 @@ class CampaignConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "CampaignConfig":
-        raw = Path(path).read_text()
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(
-                f"config file {path} is not valid JSON at byte offset {exc.pos}: {exc.msg}"
-            ) from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json_file(path, "config"))
+
+
+def _read_json_file(path: str | Path, what: str) -> Any:
+    """The JSON document in file ``path``; raises a usage error if it cannot be read or parsed."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(
+            f"{what} file {path} is not valid JSON at byte offset {exc.pos}: {exc.msg}"
+        ) from exc
 
 
 def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
@@ -400,14 +411,7 @@ def save_result(result: CampaignResult, path: str | Path) -> None:
 
 
 def load_result(path: str | Path) -> CampaignResult:
-    raw = Path(path).read_text()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(
-            f"result file {path} is not valid JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    return CampaignResult.from_dict(data)
+    return CampaignResult.from_dict(_read_json_file(path, "result"))
 
 
 class _EventLog:

@@ -59,12 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _out_dir(path: str) -> Path:
+    """``--out`` as a Path; raises a usage error unless it is or can become a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise InvalidArgumentError(f"--out {path}: {existing} exists and is not a directory")
+    return out
+
+
 def _dump(data: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_falsify(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     spec = get_benchmark(args.sim)
     spec_text = args.spec or spec.safety_spec
     if not spec_text:
@@ -94,7 +104,7 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "trace": list(result.trace),
     }
-    _dump(payload, Path(args.out) / "falsify.json")
+    _dump(payload, out / "falsify.json")
     print(
         f"best robustness {result.best_robustness:.6g} at {list(result.best_config.values)} "
         f"({'counterexample' if result.counterexample_found else 'no counterexample'})"
@@ -105,6 +115,7 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     spec = get_benchmark(args.sim)
     tasks = sample_tasks(spec, args.tasks, args.per_task, args.seed)
     result = optimize_fidelity(spec, tasks, None, args.iters, args.seed)
@@ -120,7 +131,6 @@ def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
         "regret_reference_is_proxy": result.regret.reference_is_proxy,
         "losses": list(result.regret.losses),
     }
-    out = Path(args.out)
     _dump(payload, out / "fidelity.json")
     dim = len(result.best_fidelity.values)
     rows = ["t," + ",".join(f"f_{k}" for k in range(dim)) + ",loss,r_t,R_T"]
@@ -140,8 +150,9 @@ def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_joint(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     config = CampaignConfig.from_json_file(args.config)
-    result = run_joint(config, output_dir=args.out)
+    result = run_joint(config, output_dir=out)
     print(
         f"campaign finished: best fidelity {list(result.best_fidelity)} "
         f"loss {result.best_loss:.6g}, {len(result.counterexamples)} counterexample(s)"
@@ -150,6 +161,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     config = CampaignConfig.from_json_file(args.config)
     spec = resolve_simulator(config.simulator)
     spec_text = config.safety_spec or spec.safety_spec
@@ -175,7 +187,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "sensitivity": dataclasses.asdict(sens),
         **summary,
     }
-    _dump(payload, Path(args.out) / "analysis.json")
+    _dump(payload, out / "analysis.json")
     print(
         f"Lipschitz estimates: env {summary['lipschitz_env']['constant']:.4g}, "
         f"fidelity {summary['lipschitz_fidelity']['constant']:.4g}, "
@@ -191,7 +203,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         sys.stdout.write(report(result, "markdown"))
         return 0
     documents = report(result, "csv")
-    out_dir = Path(args.out) if args.out else Path(args.result).parent
+    out_dir = _out_dir(args.out) if args.out else Path(args.result).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(documents.items()):
         (out_dir / name).write_text(text)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -67,17 +68,25 @@ def check_number_fields(obj: object) -> None:
 
     Configs read from JSON reach their range checks holding whatever the file
     held; without this a string there surfaces as a ``TypeError``. Booleans
-    are rejected too, although Python counts them as integers.
+    are rejected too, although Python counts them as integers, and so is a
+    ``float`` value that is no finite float: NaN or an infinity (Python's
+    ``json`` reads ``NaN`` and ``Infinity``), or an integer too large to
+    convert.
     """
+    largest = sys.float_info.max
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", "Seed"):
             kind, types = "an integer", (int, np.integer)
         elif f.type == "float":
-            kind, types = "a number", (int, float, np.integer, np.floating)
+            kind, types = "a finite number", (int, float, np.integer, np.floating)
         else:
             continue
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, types):
+        if (
+            isinstance(value, (bool, np.bool_))
+            or not isinstance(value, types)
+            or (f.type == "float" and not -largest <= value <= largest)
+        ):
             raise InvalidArgumentError(f"{f.name} must be {kind}, got {value!r}")
 
 

@@ -39,10 +39,11 @@ fidelity, seed, high flag): ``simulate_batch`` (one setting) and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
 
 The built-in benchmarks run on one batched RK4 integrator. Each splits its
-dynamics into a right-hand side, evaluated four times per step, and a
-time-only drive, evaluated once per block of steps on all the block's
-times at once; the block's times are summed in the order a step-by-step
-loop would sum them, so the result does not depend on the block size.
+dynamics into a right-hand side, evaluated four times per step, and a drive
+of the terms that do not depend on the state (time, environment, model
+blend), evaluated once per block of steps on all the block's times at once;
+the block's times are summed in the order a step-by-step loop would sum
+them, so the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -257,24 +258,24 @@ def _backend_for(spec: SimulatorSpec) -> SimulatorBackend:
 
 # Right-hand side contract. A state is stored variable-major, shape (S, B):
 # each state variable is one contiguous row over the batch, which keeps every
-# NumPy call on a row or a block of rows contiguous. The time-only terms are
-# split off so that they run once per block of steps instead of four times
-# per step:
+# NumPy call on a row or a block of rows contiguous. The terms that do not
+# depend on the state are split off so that they run once per block of steps
+# instead of four times per step:
 #
-# * ``drive(t, blend)`` with t (n, B) and blend (B,) returns the terms that
-#   depend only on time and the model blend at n time points at once: a
-#   sequence whose entry j (an array or a tuple of (B,) arrays) holds the
-#   terms at times t[j] and is handed to ``rhs`` as it is. The integrator
-#   calls it twice per block of steps, on the steps' start and end times and
-#   on their midpoints. A drive that does not depend on time may return one
-#   shared entry n times.
+# * ``drive(t, e, blend)`` with t (n, B), e (d_e, B) and blend (B,) returns
+#   the terms that depend only on time, the environment and the model blend,
+#   at n time points at once: a sequence whose entry j (an array or a tuple
+#   of arrays) holds the terms at times t[j] and is handed to ``rhs`` as it
+#   is. The integrator calls it twice per block of steps, on the steps' start
+#   and end times and on their midpoints. A drive that does not depend on
+#   time may return one shared entry n times.
 # * ``rhs(x, e, drive, out)`` with x (S, B) and e (d_e, B) writes dx/dt into
 #   ``out`` (S, B) and returns nothing. ``out`` is an integrator buffer that
 #   the next call overwrites: the RHS must write every element of it, must
 #   not keep it or a view of it, and must not modify x, e or drive.
 #
 # Both must be elementwise per batch item.
-DriveFn = Callable[[np.ndarray, np.ndarray], Sequence[Any]]
+DriveFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[Any]]
 RhsFn = Callable[[np.ndarray, np.ndarray, Any, np.ndarray], None]
 
 # Loop steps per drive evaluation: large enough to spread the drive's
@@ -316,7 +317,10 @@ def _integrate_to_grid(
     hist = np.empty((max_full + 2, state_dim, batch))
     hist[0] = x0.T
     x = hist[0]
-    k1, k2, k3, k4, xs = np.empty((5, state_dim, batch))
+    ks = np.empty((4, state_dim, batch))
+    k1, k2, k3, k4 = ks
+    k2_k3 = ks[1:3]
+    xs = np.empty((state_dim, batch))
     # (h, h/2, h/6) of every loop step. The step sizes change only at the
     # first step, where some item's full steps end, and at the final
     # remainder step (k == max_full); the steps in between share one tuple.
@@ -333,8 +337,8 @@ def _integrate_to_grid(
         # Start and end times of the block's steps, summed left to right as
         # a step-by-step t + h would sum them.
         times = np.add.accumulate([t, *(hk for hk, _, _ in block)])
-        d_ends = drive(times, blend)
-        d_mids = drive(times[:-1] + np.array([half_h for _, half_h, _ in block]), blend)
+        d_ends = drive(times, e, blend)
+        d_mids = drive(times[:-1] + np.array([half_h for _, half_h, _ in block]), e, blend)
         for j, (hk, half_h, sixth_h) in enumerate(block):
             d_mid = d_mids[j]
             rhs(x, e, d_ends[j], k1)
@@ -347,14 +351,13 @@ def _integrate_to_grid(
             np.multiply(hk, k3, out=xs)
             xs += x
             rhs(xs, e, d_ends[j + 1], k4)
-            # x + h/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-            k2 *= 2.0
-            k3 *= 2.0
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= sixth_h
-            x = np.add(x, k1, out=hist[first + j + 1])
+            # x + h/6 * (k1 + 2 k2 + 2 k3 + k4). The reduce over the stage
+            # axis adds the stages left to right onto -0.0, which leaves
+            # every value, a signed zero included, as k1 + k2 + k3 + k4 would.
+            k2_k3 *= 2.0
+            np.add.reduce(ks, axis=0, out=xs, initial=-0.0)
+            xs *= sixth_h
+            x = np.add(x, xs, out=hist[first + j + 1])
         t = times[-1]
 
     n_grid = len(grid)
@@ -668,7 +671,9 @@ _BRK_BRAKE_LAG = 0.8  # s first-order actuation lag of the simplified model
 _BRK_SPEED_RAMP = 0.1  # m/s width of the smooth stop ramp
 
 
-def _osc_drive(t: np.ndarray, blend: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _osc_drive(
+    t: np.ndarray, e: np.ndarray, blend: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     # Weights of the cubic and the linear drag; they do not depend on time,
     # so every time point shares one tuple.
     return [(1.0 - blend, blend)] * len(t)
@@ -690,28 +695,28 @@ def _osc_init(e: np.ndarray) -> np.ndarray:
     return e[:, 0:2].copy()
 
 
-def _brk_drive(t: np.ndarray, blend: np.ndarray) -> np.ndarray:
-    # Ego deceleration command before the stop ramp: -0.0 until the reaction
-    # time, then full braking, lagged by the simplified model's actuation.
-    # Row j of the (n, B) result holds the command at times t[j].
+def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
+    # Row j of the (n, 2, B) result holds the factors of the two speed ramps
+    # at times t[j]. The ego's is its deceleration command: -0.0 until the
+    # reaction time, then full braking, lagged by the simplified model's
+    # actuation. The lead's is its constant deceleration -e[2].
+    factors = np.empty((len(t), 2, t.shape[1]))
     after_reaction = np.maximum(t - _BRK_REACTION_TIME, 0.0)
     braking_on = (t >= _BRK_REACTION_TIME).astype(float)
     actuation = 1.0 - blend * np.exp(-after_reaction / _BRK_BRAKE_LAG)
-    return -_BRK_EGO_DECEL * braking_on * actuation
+    np.multiply(-_BRK_EGO_DECEL * braking_on, actuation, out=factors[:, 0])
+    factors[:, 1] = -e[2]
+    return factors
 
 
 def _brk_rhs(x: np.ndarray, e: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
-    _, v_ego, v_lead = x
-    np.subtract(v_lead, v_ego, out=out[0])
-    # Smooth stop ramps of both speeds, clipped to [0, 1]; maximum(0, v)
-    # before minimum(., 1) matches np.clip bit for bit, -0.0 and NaN included.
+    np.subtract(x[2], x[1], out=out[0])
+    # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by
+    # their factors from ``_brk_drive``.
     ramps = out[1:]
     np.divide(x[1:], _BRK_SPEED_RAMP, out=ramps)
-    np.maximum(0.0, ramps, out=ramps)
-    np.minimum(ramps, 1.0, out=ramps)
-    dv_ego, dv_lead = ramps
-    dv_ego *= drive
-    dv_lead *= -e[2]
+    ramps.clip(0.0, 1.0, out=ramps)
+    ramps *= drive
 
 
 def _brk_init(e: np.ndarray) -> np.ndarray:

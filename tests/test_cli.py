@@ -187,6 +187,14 @@ class TestJointCommand:
             {"task_weights": {"task-0": "heavy"}},
             {"task_weights": {"task-7": 2.0}},
             {"convergence_window": 1},
+            {"convergence_tol": float("nan")},
+            {"analysis_epsilon": float("inf")},
+            {"budget_policy": {"scale": float("nan")}},
+            {"budget_policy": {"sigma_threshold": float("inf")}},
+            {"budget_policy": {"scale": 10**400}},
+            {"falsify_budget": {"max_evaluations": 128, "elite_fraction": float("nan")}},
+            {"beta_schedule": {"delta": float("nan")}},
+            {"simulator": {**GHOST_SIM, "duration": float("inf")}},
             {"safety_spec": 5},
             {"output_dir": 5},
             {"simulator": {**GHOST_SIM, "environment": {}}},
@@ -215,6 +223,18 @@ class TestJointCommand:
         assert CALL_COUNTER.snapshot() == before
         assert not (out / "events.jsonl").exists()
         assert not (out / "result.partial.json").exists()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1, 10**400])
+    def test_bad_weight_value_fails_before_any_simulation(self, tmp_path, capsys, weight):
+        cfg = tiny_config_file(tmp_path, task_weights={"task-0": weight})
+        out = tmp_path / "out"
+        before = CALL_COUNTER.snapshot()
+        assert main(["joint", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: task_weights must map task ids to finite numbers >= 0\n"
+        )
+        assert CALL_COUNTER.snapshot() == before
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["joint", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
@@ -291,6 +311,10 @@ def campaign_result_document(tmp_path_factory):
 
 # A document given as (EDITED, fields) is a real campaign result with those fields replaced.
 EDITED = "campaign result with"
+# Path arguments: a directory, a file that is not UTF-8, an existing regular
+# file, and a valid campaign config.
+DIRECTORY, NOT_UTF8, REGULAR_FILE, CONFIG = "<dir>", "<not-utf8>", "<file>", "<config>"
+FALSIFY = ["falsify", "--sim", "braking", "--budget", "64"]
 
 
 @pytest.mark.parametrize(
@@ -305,17 +329,40 @@ EDITED = "campaign result with"
         (["report"], (EDITED, {"iterations": 3})),
         (["report"], (EDITED, {"iterations": [{}]})),
         (["report"], (EDITED, {"counterexamples": [{}]})),
+        (["joint", "--config", DIRECTORY], None),
+        (["joint", "--config", NOT_UTF8], None),
+        (["analyze", "--config", DIRECTORY], None),
+        (["analyze", "--config", NOT_UTF8], None),
+        (["report", "--result", DIRECTORY], None),
+        (["report", "--result", NOT_UTF8], None),
+        ([*FALSIFY, "--out", REGULAR_FILE], None),
+        ([*FALSIFY, "--out", f"{REGULAR_FILE}/sub"], None),
+        (["joint", "--config", CONFIG, "--out", REGULAR_FILE], None),
+        (["analyze", "--config", CONFIG, "--out", REGULAR_FILE], None),
+        (["report", "--format", "csv", "--out", REGULAR_FILE], (EDITED, {})),
     ],
     ids=lambda value: json.dumps(value),
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, document):
     if isinstance(document, tuple):
         document = {**request.getfixturevalue("campaign_result_document"), **document[1]}
-    if document is None:
-        argv = argv + ["--out", str(tmp_path / "out")]
-    else:
+    (tmp_path / "not-utf8.json").write_bytes(b'{"simulator": "\xff"}')
+    (tmp_path / "file").write_text("")
+    paths = {
+        DIRECTORY: tmp_path,
+        NOT_UTF8: tmp_path / "not-utf8.json",
+        REGULAR_FILE: tmp_path / "file",
+        CONFIG: tiny_config_file(tmp_path),
+    }
+    for key, path in paths.items():
+        argv = [arg.replace(key, str(path)) for arg in argv]
+    before = CALL_COUNTER.snapshot()
+    if document is not None:
         path = tmp_path / "result.json"
         path.write_text(json.dumps(document))
         argv = argv + ["--result", str(path)]
+    elif "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert CALL_COUNTER.snapshot() == before

@@ -1,11 +1,11 @@
 """The RK4 integrator against the plain textbook formulation, byte for byte.
 
-``_integrate_to_grid`` reuses buffers, evaluates time-only terms once per
-block of steps and combines the stages in place. The reference below is the
-direct formulation it replaced: one ``_rk4_step`` per step that calls a
-right-hand side returning a fresh ``np.stack`` of the derivatives four
-times, with the time-only terms computed inside it. Both must give the same
-bits.
+``_integrate_to_grid`` reuses buffers, evaluates the terms that do not
+depend on the state once per block of steps and sums the stages with one
+reduce. The reference below is the direct formulation it replaced: one
+``_rk4_step`` per step that calls a right-hand side returning a fresh
+``np.stack`` of the derivatives four times, with the time and environment
+terms computed inside it. Both must give the same bits.
 """
 
 import tracemalloc
@@ -103,7 +103,8 @@ def random_batch(spec, batch, seed):
 
 
 def shaped_batch(spec, batch, kind):
-    """Rows at full resolution, all on the high path, or ending in different drive blocks."""
+    """Rows at full resolution, all on the high path, ending in different drive blocks, or
+    at one coarse, blended, noisy setting."""
     rng = np.random.default_rng(batch)
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, 7)])
     f_rows = rng.random((batch, 3))
@@ -117,6 +118,8 @@ def shaped_batch(spec, batch, kind):
         multiplier = np.array([1.0, 1.5, 2.0, 5.0, 32.0])
         f_rows[:, 0] = (32.0 - multiplier) / 31.0
         f_rows[:, 2] = 1.0
+    elif kind == "noisy-low":
+        f_rows[:] = (0.9, 0.5, 0.5)
     return e_rows, f_rows, list(range(batch)), high
 
 
@@ -131,6 +134,8 @@ def shaped_batch(spec, batch, kind):
         ("braking", 6, "all-high"),
         ("braking", 5, "blocks"),
         ("oscillator", 2, "full-resolution"),
+        ("oscillator", 1, "noisy-low"),
+        ("braking", 257, 5),
     ],
 )
 def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeypatch):
@@ -151,6 +156,9 @@ def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeyp
             assert spec.steps % sim._DRIVE_BLOCK != 0
         if seed == "blocks":
             assert len(set((last_step // sim._DRIVE_BLOCK).tolist())) == batch
+        if seed == "noisy-low":
+            _, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows, batch)
+            assert (h > spec.base_dt).all() and (blend > 0).all() and (sigma > 0).all()
 
     samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
     monkeypatch.setattr(sim, "_integrate_to_grid", ref_integrate_to_grid)
@@ -179,9 +187,9 @@ def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id):
     backend = sim._REGISTRY[sim_id]
     calls = {"drive": 0, "rhs": 0}
 
-    def drive(t, blend):
+    def drive(t, e, blend):
         calls["drive"] += 1
-        return backend.drive(t, blend)
+        return backend.drive(t, e, blend)
 
     def rhs(x, e, d, out):
         calls["rhs"] += 1
@@ -226,8 +234,25 @@ def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
     # v_ego = -0.0 and NaN reach the ramp; np.clip keeps -0.0 and NaN as they are.
     x = np.array([[1.0, -0.0, 0.05], [1.0, np.nan, 2.0], [1.0, -1.0, 0.1], [1.0, 0.0, 0.3]])
     e = np.tile([50.0, 20.0, 5.0], (4, 1))
-    drive = sim._brk_drive(np.full(4, 1.0), np.full(4, 0.3))
+    drive = sim._brk_drive(np.full((1, 4), 1.0), e.T.copy(), np.full(4, 0.3))[0]
     out = np.empty((3, 4))
     sim._brk_rhs(x.T.copy(), e.T.copy(), drive, out)
     expected = ref_brk_rhs(np.full(4, 1.0), x, e, np.full(4, 0.3))
     assert out.T.tobytes() == expected.tobytes()
+
+
+def test_stage_sum_keeps_signed_zeros():
+    # Four -0.0 stages sum to -0.0, so a state at -0.0 stays there; a reduce
+    # that starts from +0.0 would move it to +0.0.
+    def drive(t, e, blend):
+        return [None] * len(t)
+
+    def rhs(x, e, d, out):
+        out.fill(-0.0)
+
+    x0 = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+    grid = 0.1 * np.arange(11)
+    out, _ = sim._integrate_to_grid(
+        drive, rhs, x0, np.zeros((2, 1)), np.full(2, 0.1), np.zeros(2), 1.0, grid
+    )
+    assert out.tobytes() == np.repeat(x0[:, :, None], len(grid), axis=2).tobytes()
