@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +73,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# Task weights are relative, so a bound costs nothing; it keeps each
+# weighted MSE far from float overflow.
+MAX_TASK_WEIGHT = 1e6
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,12 @@ class CampaignConfig:
         if not isinstance(weights, dict) or any(
             isinstance(w, bool)
             or not isinstance(w, (int, float))
-            or not 0 <= w <= sys.float_info.max
+            or not 0 <= w <= MAX_TASK_WEIGHT
             for w in weights.values()
         ):
-            raise InvalidArgumentError("task_weights must map task ids to finite numbers >= 0")
+            raise InvalidArgumentError(
+                f"task_weights must map task ids to numbers from 0 to {MAX_TASK_WEIGHT:g}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -43,7 +43,13 @@ dynamics into a right-hand side, evaluated four times per step, and a drive
 of the terms that do not depend on the state (time, environment, model
 blend), evaluated once per block of steps on all the block's times at once;
 the block's times are summed in the order a step-by-step loop would sum
-them, so the result does not depend on the block size.
+them, so the result does not depend on the block size. State rows that no
+derivative reads (the braking gap) are quadrature rows: the step loop
+advances only the other, dynamic rows and keeps their stage states, and
+after each block of steps the quadrature rows are integrated from those in
+a few block-wide calls, each step's increment added onto the previous value
+in step order, so every row gets the bits of a step-by-step RK4. A braking
+step makes 22 NumPy calls, an oscillator step 42.
 """
 
 from __future__ import annotations
@@ -258,9 +264,14 @@ def _backend_for(spec: SimulatorSpec) -> SimulatorBackend:
 
 # Right-hand side contract. A state is stored variable-major, shape (S, B):
 # each state variable is one contiguous row over the batch, which keeps every
-# NumPy call on a row or a block of rows contiguous. The terms that do not
-# depend on the state are split off so that they run once per block of steps
-# instead of four times per step:
+# NumPy call on a row or a block of rows contiguous. Its rows are of two
+# kinds. The leading ``quad_rows`` rows are quadrature rows: no derivative
+# reads them (the braking gap, whose rate is v_lead - v_ego), so they are
+# integrated after the step loop from the stored stage states, in the manner
+# of the quadrature variables of SUNDIALS' CVODES. The other D = S -
+# quad_rows rows are the dynamic rows that the step loop advances. The terms
+# that do not depend on the state are split off so that they run once per
+# block of steps instead of four times per step:
 #
 # * ``drive(t, e, blend)`` with t (n, B), e (d_e, B) and blend (B,) returns
 #   the terms that depend only on time, the environment and the model blend,
@@ -269,23 +280,35 @@ def _backend_for(spec: SimulatorSpec) -> SimulatorBackend:
 #   is. The integrator calls it twice per block of steps, on the steps' start
 #   and end times and on their midpoints. A drive that does not depend on
 #   time may return one shared entry n times.
-# * ``rhs(x, e, drive, out)`` with x (S, B) and e (d_e, B) writes dx/dt into
-#   ``out`` (S, B) and returns nothing. ``out`` is an integrator buffer that
-#   the next call overwrites: the RHS must write every element of it, must
-#   not keep it or a view of it, and must not modify x, e or drive.
+# * ``rhs(x, e, drive, out)`` with x (D, B) the dynamic rows and e (d_e, B)
+#   writes their dx/dt into ``out`` (D, B) and returns nothing. ``out`` is an
+#   integrator buffer that the next call overwrites: the RHS must write every
+#   element of it, must not keep it or a view of it, and must not modify x,
+#   e or drive.
+# * ``quad(x, out)`` with x (..., D, B), dynamic-row states at any number of
+#   points, writes the quadrature rows' derivatives at those points into
+#   ``out`` (..., quad_rows, B). They may depend on nothing else. The
+#   integrator calls it once per block of steps, on all of the block's stage
+#   states at once.
 #
-# Both must be elementwise per batch item.
+# All three must be elementwise per batch item.
 DriveFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[Any]]
 RhsFn = Callable[[np.ndarray, np.ndarray, Any, np.ndarray], None]
+QuadFn = Callable[[np.ndarray, np.ndarray], None]
 
 # Loop steps per drive evaluation: large enough to spread the drive's
 # per-call cost, small enough that its (block, B) arrays stay small.
 _DRIVE_BLOCK = 64
 
+# Scalar operands of the per-step NumPy calls. A NumPy scalar skips the
+# conversion a Python float takes on every call; the values are the same.
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+_TWO = np.float64(2.0)
+
 
 def _integrate_to_grid(
-    drive: DriveFn,
-    rhs: RhsFn,
+    model: OdeBenchmark,
     x0: np.ndarray,
     e: np.ndarray,
     h: np.ndarray,
@@ -295,7 +318,9 @@ def _integrate_to_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate each batch item with its own step size and resample onto ``grid``.
 
-    ``x0`` is (B, S) and ``e`` is (B, d_e); the RHS sees both variable-major.
+    ``model`` supplies ``drive``, ``rhs``, ``quad_rows`` and ``quad`` as in
+    the contract above. ``x0`` is (B, S) and ``e`` is (B, d_e); the model's
+    functions see both variable-major.
     Returns the resampled (B, S, len(grid)) samples and each item's
     integration step count. Items whose step equals the grid spacing are
     taken verbatim (no resampling), which makes the maximum-fidelity path
@@ -307,66 +332,92 @@ def _integrate_to_grid(
     on which other items share its batch.
     """
     batch, state_dim = x0.shape
+    n_quad = model.quad_rows
+    dyn = state_dim - n_quad
     base_dt = float(grid[1] - grid[0])
     full_steps = np.floor(duration / h + 1e-9).astype(int)
     remainder = duration - full_steps * h
     remainder = np.where(remainder > 1e-12 * max(duration, 1.0), remainder, 0.0)
     max_full = int(full_steps.max())
 
+    drive, rhs = model.drive, model.rhs
     e = np.ascontiguousarray(e.T)
     hist = np.empty((max_full + 2, state_dim, batch))
     hist[0] = x0.T
-    x = hist[0]
-    ks = np.empty((4, state_dim, batch))
+    hist_quad = hist[:, :n_quad]
+    hist_dyn = hist[:, n_quad:]
+    x = hist_dyn[0]
+    ks = np.empty((4, dyn, batch))
     k1, k2, k3, k4 = ks
     k2_k3 = ks[1:3]
-    xs = np.empty((state_dim, batch))
-    # (h, h/2, h/6) of every loop step. The step sizes change only at the
-    # first step, where some item's full steps end, and at the final
-    # remainder step (k == max_full); the steps in between share one tuple.
+    xs = np.empty((dyn, batch))
+    # The four stage states of every step of a block; the loop writes the
+    # last three, the quadrature pass copies in the first.
+    stages = np.empty((_DRIVE_BLOCK, 4, dyn, batch))
+    stage_views = [tuple(step[1:]) for step in stages]
+    quad_ks = np.empty((_DRIVE_BLOCK, 4, n_quad, batch)) if n_quad else None
+    # (h, h/2, h/6) of every loop step, each shaped (D, B) like the state so
+    # that no per-step call broadcasts; row 0 serves the block-wise calls.
+    # The step sizes change only at the first step, where some item's full
+    # steps end, and at the final remainder step (k == max_full); the steps
+    # in between share one tuple.
     changes = {0, *full_steps.tolist()}
     sizes = []
     for k in range(max_full + 1):
         if k in changes:
             hk = remainder if k == max_full else np.where(k < full_steps, h, 0.0)
-            size = (hk, 0.5 * hk, hk / 6.0)
+            size = tuple(np.tile(v, (dyn, 1)) for v in (hk, 0.5 * hk, hk / 6.0))
         sizes.append(size)
     t = np.zeros(batch)
     for first in range(0, max_full + 1, _DRIVE_BLOCK):
         block = sizes[first : first + _DRIVE_BLOCK]
+        n = len(block)
         # Start and end times of the block's steps, summed left to right as
         # a step-by-step t + h would sum them.
-        times = np.add.accumulate([t, *(hk for hk, _, _ in block)])
+        times = np.add.accumulate([t, *(hk[0] for hk, _, _ in block)])
         d_ends = drive(times, e, blend)
-        d_mids = drive(times[:-1] + np.array([half_h for _, half_h, _ in block]), e, blend)
-        for j, (hk, half_h, sixth_h) in enumerate(block):
-            d_mid = d_mids[j]
-            rhs(x, e, d_ends[j], k1)
-            np.multiply(half_h, k1, out=xs)
-            xs += x
-            rhs(xs, e, d_mid, k2)
-            np.multiply(half_h, k2, out=xs)
-            xs += x
-            rhs(xs, e, d_mid, k3)
-            np.multiply(hk, k3, out=xs)
-            xs += x
-            rhs(xs, e, d_ends[j + 1], k4)
+        d_mids = drive(times[:-1] + np.array([half_h[0] for _, half_h, _ in block]), e, blend)
+        steps = zip(block, stage_views, d_ends, d_mids, d_ends[1:], hist_dyn[first + 1 :])
+        for (hk, half_h, sixth_h), (x2, x3, x4), d_start, d_mid, d_end, x_next in steps:
+            rhs(x, e, d_start, k1)
+            np.multiply(half_h, k1, out=x2)
+            x2 += x
+            rhs(x2, e, d_mid, k2)
+            np.multiply(half_h, k2, out=x3)
+            x3 += x
+            rhs(x3, e, d_mid, k3)
+            np.multiply(hk, k3, out=x4)
+            x4 += x
+            rhs(x4, e, d_end, k4)
             # x + h/6 * (k1 + 2 k2 + 2 k3 + k4). The reduce over the stage
             # axis adds the stages left to right onto -0.0, which leaves
             # every value, a signed zero included, as k1 + k2 + k3 + k4 would.
-            k2_k3 *= 2.0
+            k2_k3 *= _TWO
             np.add.reduce(ks, axis=0, out=xs, initial=-0.0)
             xs *= sixth_h
-            x = np.add(x, xs, out=hist[first + j + 1])
+            x = np.add(x, xs, out=x_next)
+        if n_quad:
+            # The same combine for the quadrature rows, at all of the block's
+            # stage states at once; the accumulate then adds each step's
+            # increment onto the previous value, left to right as the loop
+            # would, so the rows get the bits a per-step update gives them.
+            stages[:n, 0] = hist_dyn[first : first + n]
+            qk = quad_ks[:n]
+            model.quad(stages[:n], qk)
+            qk[:, 1:3] *= _TWO
+            rows = hist_quad[first : first + n + 1]
+            np.add.reduce(qk, axis=1, out=rows[1:], initial=-0.0)
+            rows[1:] *= np.array([sixth_h[:1] for _, _, sixth_h in block])
+            np.add.accumulate(rows, axis=0, out=rows)
         t = times[-1]
 
     n_grid = len(grid)
     out = np.empty((batch, state_dim, n_grid))
-    for i in range(batch):
+    verbatim = (h == base_dt) & (full_steps == n_grid - 1)
+    if verbatim.any():  # then hist holds at least n_grid steps
+        np.copyto(out.transpose(2, 1, 0), hist[:n_grid], where=verbatim)
+    for i in np.flatnonzero(~verbatim):
         fi = int(full_steps[i])
-        if h[i] == base_dt and fi == n_grid - 1:
-            out[i] = hist[:n_grid, :, i].T
-            continue
         knots_t = h[i] * np.arange(fi + 1)
         knots_x = hist[: fi + 1, :, i]
         if remainder[i] > 0.0:
@@ -382,12 +433,16 @@ class OdeBenchmark:
     """ODE-defined benchmark executed by the shared RK4 integrator.
 
     Fidelity knobs are interpreted positionally as (dt multiplier, model
-    blend, noise scale); trailing knobs may be absent.
+    blend, noise scale); trailing knobs may be absent. The leading
+    ``quad_rows`` state rows are quadrature rows with derivatives ``quad``
+    (see the right-hand side contract above).
     """
 
     drive: DriveFn
     rhs: RhsFn
     initial_state: Callable[[np.ndarray], np.ndarray]
+    quad_rows: int = 0
+    quad: QuadFn | None = None
 
     def _knob_arrays(
         self, spec: SimulatorSpec, f_rows: np.ndarray, batch: int
@@ -433,7 +488,7 @@ class OdeBenchmark:
         sigma = np.where(high, 0.0, sigma)
         x0 = self.initial_state(e_values)
         samples, steps = _integrate_to_grid(
-            self.drive, self.rhs, x0, e_values, h, blend, spec.duration, spec.grid_times()
+            self, x0, e_values, h, blend, spec.duration, spec.grid_times()
         )
         for i in range(batch):
             if sigma[i] > 0.0:
@@ -664,11 +719,12 @@ def simulate_high(spec: SimulatorSpec, e: EnvironmentConfig, seed: Seed) -> Traj
 # ---------------------------------------------------------------------------
 
 _OSC_OMEGA = 2.0  # rad/s
+_OSC_NEG_OMEGA_SQ = np.float64(-(_OSC_OMEGA**2))
 
 _BRK_REACTION_TIME = 0.6  # s before the ego vehicle starts braking
 _BRK_EGO_DECEL = 8.0  # m/s^2 ego braking strength
 _BRK_BRAKE_LAG = 0.8  # s first-order actuation lag of the simplified model
-_BRK_SPEED_RAMP = 0.1  # m/s width of the smooth stop ramp
+_BRK_SPEED_RAMP = np.float64(0.1)  # m/s width of the smooth stop ramp
 
 
 def _osc_drive(
@@ -687,7 +743,7 @@ def _osc_rhs(
     drag = e[2] * (cubic_w * vel**3 + linear_w * vel)
     out[0] = vel
     acc = out[1]
-    np.multiply(-(_OSC_OMEGA**2), pos, out=acc)
+    np.multiply(_OSC_NEG_OMEGA_SQ, pos, out=acc)
     acc -= drag
 
 
@@ -710,13 +766,16 @@ def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
 
 
 def _brk_rhs(x: np.ndarray, e: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
-    np.subtract(x[2], x[1], out=out[0])
     # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by
     # their factors from ``_brk_drive``.
-    ramps = out[1:]
-    np.divide(x[1:], _BRK_SPEED_RAMP, out=ramps)
-    ramps.clip(0.0, 1.0, out=ramps)
-    ramps *= drive
+    np.divide(x, _BRK_SPEED_RAMP, out=out)
+    out.clip(_ZERO, _ONE, out=out)
+    out *= drive
+
+
+def _brk_gap_rate(x: np.ndarray, out: np.ndarray) -> None:
+    # The gap closes at v_lead - v_ego.
+    np.subtract(x[..., 1, :], x[..., 0, :], out=out[..., 0, :])
 
 
 def _brk_init(e: np.ndarray) -> np.ndarray:
@@ -771,7 +830,14 @@ register_backend(
     "oscillator", OdeBenchmark(drive=_osc_drive, rhs=_osc_rhs, initial_state=_osc_init)
 )
 register_backend(
-    "braking", OdeBenchmark(drive=_brk_drive, rhs=_brk_rhs, initial_state=_brk_init)
+    "braking",
+    OdeBenchmark(
+        drive=_brk_drive,
+        rhs=_brk_rhs,
+        initial_state=_brk_init,
+        quad_rows=1,
+        quad=_brk_gap_rate,
+    ),
 )
 
 

@@ -1,14 +1,18 @@
 """The RK4 integrator against the plain textbook formulation, byte for byte.
 
 ``_integrate_to_grid`` reuses buffers, evaluates the terms that do not
-depend on the state once per block of steps and sums the stages with one
-reduce. The reference below is the direct formulation it replaced: one
+depend on the state once per block of steps, sums the stages with one
+reduce and integrates the quadrature rows (the braking gap) after each block
+of steps. The reference below is the direct formulation it replaced: one
 ``_rk4_step`` per step that calls a right-hand side returning a fresh
-``np.stack`` of the derivatives four times, with the time and environment
-terms computed inside it. Both must give the same bits.
+``np.stack`` of all the derivatives, the gap's included, four times, with
+the time and environment terms computed inside it. Both must give the same
+bits.
 """
 
+import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -52,8 +56,8 @@ def ref_rk4_step(rhs, t, x, h, e, blend):
     return x + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ref_integrate_to_grid(drive, rhs, x0, e, h, blend, duration, grid):
-    rhs = REFERENCE_RHS[rhs]
+def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid):
+    rhs = REFERENCE_RHS[model.rhs]
     batch, state_dim = x0.shape
     base_dt = float(grid[1] - grid[0])
     full_steps = np.floor(duration / h + 1e-9).astype(int)
@@ -120,7 +124,27 @@ def shaped_batch(spec, batch, kind):
         f_rows[:, 2] = 1.0
     elif kind == "noisy-low":
         f_rows[:] = (0.9, 0.5, 0.5)
+    elif kind == "corners":
+        lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
+        e_rows = np.array([[(lo, hi)[(m >> i) & 1][i] for i in range(3)] for m in range(batch)])
+        f_rows[:, 0] = 0.0
+        f_rows[:, 2] = 1.0
+    elif kind == "signed-zero-nan":
+        f_rows[:, 2] = 1.0
     return e_rows, f_rows, list(range(batch)), high
+
+
+# (gap, v_ego, v_lead) of the "signed-zero-nan" rows: -0.0 and NaN speeds
+# reach the stop ramps and the gap's rate.
+SIGNED_ZERO_NAN_STATES = np.array(
+    [
+        [50.0, -0.0, 0.05],
+        [50.0, np.nan, 2.0],
+        [-0.0, 0.0, -0.0],
+        [50.0, 0.0, np.nan],
+        [20.0, 1.0, -0.0],
+    ]
+)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +160,8 @@ def shaped_batch(spec, batch, kind):
         ("oscillator", 2, "full-resolution"),
         ("oscillator", 1, "noisy-low"),
         ("braking", 257, 5),
+        ("braking", 8, "corners"),
+        ("braking", 5, "signed-zero-nan"),
     ],
 )
 def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeypatch):
@@ -159,12 +185,23 @@ def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeyp
         if seed == "noisy-low":
             _, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows, batch)
             assert (h > spec.base_dt).all() and (blend > 0).all() and (sigma > 0).all()
+        if seed == "corners":
+            assert (h == 32 * spec.base_dt).all()
+        if seed == "signed-zero-nan":
+            backend = sim._REGISTRY[sim_id]
+            model = dataclasses.replace(backend, initial_state=lambda e: SIGNED_ZERO_NAN_STATES)
+            monkeypatch.setitem(sim._REGISTRY, sim_id, model)
 
     samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
     monkeypatch.setattr(sim, "_integrate_to_grid", ref_integrate_to_grid)
     expected, ok_ref = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
 
-    assert ok.all() and ok_ref.all()
+    if seed == "signed-zero-nan":
+        assert ok.tolist() == ok_ref.tolist() == [True, False, True, False, True]
+    else:
+        assert ok.all() and ok_ref.all()
+    if seed == "corners":  # the coarse steps overshoot the stop: speeds change sign
+        assert (samples[:, 1:] < 0.0).any()
     assert samples.tobytes() == expected.tobytes()
 
 
@@ -181,11 +218,12 @@ def test_knob_arrays_match_the_per_row_mapping(sim_id):
     assert sigma.tobytes() == np.maximum(phys[:, 2], 0.0).tobytes()
 
 
-@pytest.mark.parametrize("sim_id", ["braking", "oscillator"])
-def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id):
+@pytest.mark.parametrize("sim_id, quad_rows", [("braking", 1), ("oscillator", 0)])
+def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id, quad_rows):
     spec = get_benchmark(sim_id)
     backend = sim._REGISTRY[sim_id]
-    calls = {"drive": 0, "rhs": 0}
+    assert backend.quad_rows == quad_rows
+    calls = {"drive": 0, "rhs": 0, "quad": 0}
 
     def drive(t, e, blend):
         calls["drive"] += 1
@@ -195,21 +233,74 @@ def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id):
         calls["rhs"] += 1
         backend.rhs(x, e, d, out)
 
+    def quad(x, out):
+        calls["quad"] += 1
+        backend.quad(x, out)
+
+    model = dataclasses.replace(backend, drive=drive, rhs=rhs, quad=quad)
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 3, 6)])
     h = spec.base_dt * np.array([1.0, 7.3, 32.0])
     h = np.minimum(h, spec.duration)
     x0 = backend.initial_state(e_rows)
     sim._integrate_to_grid(
-        drive, rhs, x0, e_rows, h, np.full(3, 0.5), spec.duration, spec.grid_times()
+        model, x0, e_rows, h, np.full(3, 0.5), spec.duration, spec.grid_times()
     )
     loop_steps = int(np.floor(spec.duration / h + 1e-9).max()) + 1  # the remainder step counts
     blocks = -(-loop_steps // sim._DRIVE_BLOCK)
-    assert calls == {"drive": 2 * blocks, "rhs": 4 * loop_steps}
+    quad_calls = blocks if quad_rows else 0
+    assert calls == {"drive": 2 * blocks, "rhs": 4 * loop_steps, "quad": quad_calls}
 
 
-def test_integrator_memory_is_history_and_output_plus_a_little():
-    spec = get_benchmark("oscillator")
-    backend = sim._REGISTRY["oscillator"]
+class CountedArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        CountedArray.calls += 1
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, CountedArray) else a
+
+        if out:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*(plain(a) for a in inputs), **kwargs)
+        if out:
+            return out[0] if len(out) == 1 else out
+        return result.view(CountedArray) if isinstance(result, np.ndarray) else result
+
+
+# NumPy ufunc calls per RK4 step. Each oscillator step also copies the
+# velocity into its derivative four times by assignment, which is not a
+# ufunc call: 42 NumPy calls in all.
+@pytest.mark.parametrize("sim_id, per_step", [("braking", 22), ("oscillator", 38)])
+def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
+    spec = get_benchmark(sim_id)
+    backend = sim._REGISTRY[sim_id]
+    # Every buffer the integrator allocates counts the ufunc calls made on it.
+    counting_np = types.SimpleNamespace(**vars(np))
+    counting_np.empty = lambda *args, **kwargs: np.empty(*args, **kwargs).view(CountedArray)
+    monkeypatch.setattr(sim, "np", counting_np)
+    e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 4, 9)])
+    x0 = backend.initial_state(e_rows)
+
+    def calls(loop_steps):
+        duration = (loop_steps - 1) * spec.base_dt
+        grid = spec.base_dt * np.arange(loop_steps)
+        h = np.full(4, spec.base_dt)
+        before = CountedArray.calls
+        sim._integrate_to_grid(backend, x0, e_rows, h, np.full(4, 0.5), duration, grid)
+        return CountedArray.calls - before
+
+    # Both runs take two blocks of steps, so only the step count differs.
+    assert -(-101 // sim._DRIVE_BLOCK) == -(-121 // sim._DRIVE_BLOCK)
+    assert calls(121) - calls(101) == 20 * per_step
+
+
+@pytest.mark.parametrize("sim_id", ["oscillator", "braking"])
+def test_integrator_memory_is_history_and_output_plus_a_little(sim_id):
+    spec = get_benchmark(sim_id)
+    backend = sim._REGISTRY[sim_id]
     batch = 64
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, 8)])
     h = np.full(batch, spec.base_dt)
@@ -219,7 +310,7 @@ def test_integrator_memory_is_history_and_output_plus_a_little():
     try:
         before, _ = tracemalloc.get_traced_memory()
         out, _ = sim._integrate_to_grid(
-            backend.drive, backend.rhs, x0, e_rows, h, np.zeros(batch), spec.duration, grid
+            backend, x0, e_rows, h, np.zeros(batch), spec.duration, grid
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -232,27 +323,33 @@ def test_integrator_memory_is_history_and_output_plus_a_little():
 
 def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
     # v_ego = -0.0 and NaN reach the ramp; np.clip keeps -0.0 and NaN as they are.
-    x = np.array([[1.0, -0.0, 0.05], [1.0, np.nan, 2.0], [1.0, -1.0, 0.1], [1.0, 0.0, 0.3]])
+    x = np.array([[1.0, -0.0, 0.05], [1.0, np.nan, 2.0], [1.0, -1.0, 0.1], [1.0, 0.0, -0.0]])
     e = np.tile([50.0, 20.0, 5.0], (4, 1))
     drive = sim._brk_drive(np.full((1, 4), 1.0), e.T.copy(), np.full(4, 0.3))[0]
     out = np.empty((3, 4))
-    sim._brk_rhs(x.T.copy(), e.T.copy(), drive, out)
+    speeds = x.T[1:].copy()
+    sim._brk_gap_rate(speeds, out[:1])
+    sim._brk_rhs(speeds, e.T.copy(), drive, out[1:])
     expected = ref_brk_rhs(np.full(4, 1.0), x, e, np.full(4, 0.3))
     assert out.T.tobytes() == expected.tobytes()
 
 
 def test_stage_sum_keeps_signed_zeros():
     # Four -0.0 stages sum to -0.0, so a state at -0.0 stays there; a reduce
-    # that starts from +0.0 would move it to +0.0.
+    # that starts from +0.0 would move it to +0.0. Row 0 is a quadrature row.
     def drive(t, e, blend):
         return [None] * len(t)
 
     def rhs(x, e, d, out):
         out.fill(-0.0)
 
-    x0 = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+    def quad(x, out):
+        out.fill(-0.0)
+
+    model = sim.OdeBenchmark(drive, rhs, initial_state=None, quad_rows=1, quad=quad)
+    x0 = np.array([[-0.0, -0.0, 1.0], [1.0, -0.0, -0.0]])
     grid = 0.1 * np.arange(11)
     out, _ = sim._integrate_to_grid(
-        drive, rhs, x0, np.zeros((2, 1)), np.full(2, 0.1), np.zeros(2), 1.0, grid
+        model, x0, np.zeros((2, 1)), np.full(2, 0.1), np.zeros(2), 1.0, grid
     )
     assert out.tobytes() == np.repeat(x0[:, :, None], len(grid), axis=2).tobytes()
