@@ -46,7 +46,7 @@ from .core import (
     split_seed,
 )
 from .falsify import FalsifyBudget, falsify, falsify_many
-from .loss import aggregate_loss, mse_loss
+from .loss import _mse_rows, aggregate_loss
 from .sim import SimulatorSpec, simulate_batch_multi_f
 from .stl import SafetySpec, robustness_batch
 
@@ -359,10 +359,6 @@ def estimate_lipschitz_fidelity(
     return run_plans(spec, [lipschitz_fidelity_plan(spec, phi, e, pairs, seed, repeats)])[0]
 
 
-def _sup_norm(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x)))
-
-
 def _smooth_offset(shape: tuple[int, int], times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random constant-plus-sinusoid perturbation per channel."""
     channels, _ = shape
@@ -398,27 +394,26 @@ def _loss_pair_plan(
         if not ok.all():
             raise InvalidArgumentError("simulation diverged while sampling trajectory pairs")
         highs, lows = samples[:pairs], samples[pairs:]
+        highs2, lows2 = highs.copy(), lows.copy()
         rng = rng_from_seed(split_seed(seed, "perturb"))
         times = spec.grid_times()
-        out = []
         for k in range(pairs):
-            high1 = spec.trajectory(highs[k])
-            low1 = spec.trajectory(lows[k])
             mode = k % 3  # perturb high, low, or both
-            dh = _smooth_offset(high1.samples.shape, times, rng) if mode != 1 else 0.0
-            dl = _smooth_offset(low1.samples.shape, times, rng) if mode != 0 else 0.0
-            high2 = spec.trajectory(high1.samples + dh)
-            low2 = spec.trajectory(low1.samples + dl)
-            denom = _sup_norm(high1.samples - high2.samples) + _sup_norm(
-                low1.samples - low2.samples
+            if mode != 1:
+                highs2[k] += _smooth_offset(highs[k].shape, times, rng)
+            if mode != 0:
+                lows2[k] += _smooth_offset(lows[k].shape, times, rng)
+        denoms = np.abs(highs - highs2).max(axis=(1, 2)) + np.abs(lows - lows2).max(axis=(1, 2))
+        changes = np.abs(_mse_rows(highs, lows, times) - _mse_rows(highs2, lows2, times))
+        return [
+            (
+                float(changes[k] / denoms[k]),
+                tuple(float(v) for v in e_rows[k]),
+                tuple(float(v) for v in f_rows[k]),
             )
-            if denom <= 1e-15:
-                continue
-            ratio = abs(mse_loss(high1, low1) - mse_loss(high2, low2)) / denom
-            out.append(
-                (ratio, tuple(float(v) for v in e_rows[k]), tuple(float(v) for v in f_rows[k]))
-            )
-        return out
+            for k in range(pairs)
+            if denoms[k] > 1e-15
+        ]
 
     return RowPlan(
         e_rows=np.vstack([e_rows, e_rows]),

@@ -392,8 +392,9 @@ def optimize_fidelity(
     """Tune fidelity settings to minimize the aggregate high/low discrepancy.
 
     ``extra_configs_provider`` is polled once per iteration for additional
-    environment configurations (the campaign feeds counterexamples through
-    it); pass None when there are none.
+    environment configurations scored as extras; pass None when there are
+    none. The joint campaign does not call this: ``run_joint`` runs its own
+    outer loop and scores its counterexamples there.
     """
     if not tasks:
         raise InvalidArgumentError("optimize_fidelity needs at least one task")

@@ -550,14 +550,14 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         schedule=config.beta_schedule,
     )
     counterexamples: list[CounterexampleRecord] = []
-    extras_high: dict[tuple[float, ...], Any] = {}
     raw_records: list[dict[str, Any]] = []
     sigma_ref = 0.0
     last_inner_trace: tuple[float, ...] = ()
 
     try:
         # Fidelity-independent ground-truth runs, shared by every outer
-        # iteration and seeded as aggregate_loss seeds each pair.
+        # iteration and seeded as aggregate_loss seeds each pair. The cache
+        # gains each counterexample's run in the first iteration scoring it.
         loss_seed = split_seed(config.master_seed, "loss")
         before = CALL_COUNTER.snapshot()
         keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
@@ -570,7 +570,9 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         )
         if not ok.all():
             raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
-        high_cache = {key: spec.trajectory(row) for key, row in zip(keys, samples)}
+        high_cache = {
+            (task_id, cfg.values): row for (task_id, _), cfg, row in zip(keys, cfgs, samples)
+        }
         totals["setup_high_calls"] = _counter_delta(before)["high_calls"]
 
         for t in range(1, config.outer_iterations + 1):
@@ -610,11 +612,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
             extra_configs = [
                 spec.environment_space.config(c.values) for c in counterexamples
             ]
-            iter_cache = dict(high_cache)
-            for k, cfg in enumerate(extra_configs):
-                if tuple(cfg.values) in extras_high:
-                    iter_cache[("extra", k)] = extras_high[tuple(cfg.values)]
-
             before = CALL_COUNTER.snapshot()
             try:
                 agg = aggregate_loss(
@@ -624,7 +621,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     extra_configs=extra_configs,
                     seed=loss_seed,
                     weights=config.task_weights,
-                    high_cache=iter_cache,
+                    high_cache=high_cache,
                 )
                 loss_total, loss_mean, pair_count = agg.total, agg.mean, agg.pair_count
             except LOSS_FAILURES as exc:
@@ -633,9 +630,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
             loss_delta = _counter_delta(before)
             totals["loss_high_calls"] += loss_delta["high_calls"]
             totals["loss_low_calls"] += loss_delta["low_calls"]
-            for k, cfg in enumerate(extra_configs):
-                if ("extra", k) in iter_cache:
-                    extras_high.setdefault(tuple(cfg.values), iter_cache[("extra", k)])
 
             optimizer.observe(f_vec, loss_total)
             if inner_result is not None:

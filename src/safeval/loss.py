@@ -9,11 +9,13 @@ integral discretized by the trapezoidal rule on the high-fidelity grid (the
 low trajectory is first linearly resampled onto that grid). The aggregate
 objective sums the pairwise discrepancy over every (task, parameter)
 simulation pair plus any extra environment configurations (e.g. inner-loop
-counterexamples) supplied by the caller. It simulates in two batched calls
-per evaluation, not two calls per pair: one high-fidelity call over the
-pairs whose ground truth is not cached yet and one low-fidelity call over
-every pair. Every row of a batch is integrated independently, so each
-pair's trajectories are the ones its own single-row calls would give.
+counterexamples) supplied by the caller, on (pairs, channels, steps) sample
+arrays. It simulates in two batched calls per evaluation, not two calls per
+pair: one high-fidelity call over the pairs whose ground truth is not
+cached yet, the cache keyed by (task id or ``"extra"``, config values), and
+one low-fidelity call over every pair. Every row of a batch is integrated
+independently, so each pair's trajectories are the ones its own single-row
+calls would give.
 """
 
 from __future__ import annotations
@@ -72,14 +74,14 @@ def mse_loss(high: Trajectory, low: Trajectory) -> LossValue:
     if len(grid) < 2:
         raise InvalidArgumentError("overlap contains fewer than 2 high-fidelity samples")
     low_times = low.times()
-    sq = np.zeros(len(grid))
-    for name in high.channels:
-        h = high.channel(name)[mask]
-        l = np.interp(grid, low_times, low.channel(name))
-        sq += (h - l) ** 2
-    duration = float(grid[-1] - grid[0])
-    value = float(np.trapezoid(sq, grid) / duration)
-    return value
+    lows = [np.interp(grid, low_times, low.channel(name)) for name in high.channels]
+    return float(_mse_rows(high.samples[None, :, mask], np.array(lows)[None], grid)[0])
+
+
+def _mse_rows(high: np.ndarray, low: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Discrepancy per pair of (pairs, channels, steps) sample arrays sampled at ``times``."""
+    sq = ((high - low) ** 2).sum(axis=1)
+    return np.trapezoid(sq, times, axis=-1) / (times[-1] - times[0])
 
 
 @dataclass(frozen=True)
@@ -113,24 +115,26 @@ def aggregate_loss(
     extra_configs: Sequence[EnvironmentConfig] = (),
     seed: Seed = 0,
     weights: Mapping[str, float] | None = None,
-    high_cache: dict[tuple[str, int], Trajectory] | None = None,
+    high_cache: dict[tuple[str, tuple[float, ...]], np.ndarray] | None = None,
 ) -> AggregateLossResult:
     """Summed high/low discrepancy over all task parameters plus extras.
 
     Each (task i, parameter j) pair contributes
-    ``w_i * mse_loss(high(p_ij), low(p_ij, f))``; ``extra_configs`` contribute
+    ``w_i * mse(high(p_ij), low(p_ij, f))``; ``extra_configs`` contribute
     the same summand with weight 1 under the pseudo-task id ``"extra"``;
     ``weights`` may name only ids in ``tasks``.
     Per-(i, j) seeds are derived from ``seed`` so results are reproducible,
-    and ``high_cache`` (keyed by (task id, j), with ("extra", k) for extras)
-    lets a driver reuse the fidelity-independent high-fidelity runs.
+    and ``high_cache`` lets a driver reuse the fidelity-independent
+    high-fidelity runs: it maps (task id or ``"extra"``, config values) to
+    that config's (channels, steps) sample array.
 
     All simulation is two batched calls: one high-fidelity call over the
     pairs missing from ``high_cache`` (skipped when none are missing), then
     one low-fidelity call at ``f`` over every pair. The cache gains the
-    missing pairs' high runs once both calls succeed. A diverged pair
-    raises :class:`SimulationDivergedError` naming the first such pair in
-    pair order (tasks, then extras).
+    missing pairs' high runs once both calls succeed, the first run of a
+    repeated key winning. A diverged pair raises
+    :class:`SimulationDivergedError` naming the first such pair in pair
+    order (tasks, then extras).
     """
     if not tasks and not extra_configs:
         raise InvalidArgumentError("aggregate_loss needs at least one task or extra config")
@@ -145,8 +149,9 @@ def aggregate_loss(
         _check_env(spec, cfg)
     e_rows = np.array([cfg.as_array() for _, _, cfg, _ in pairs])
     seeds = [split_seed(seed, task_id, j) for task_id, j, _, _ in pairs]
+    keys = [(task_id, cfg.values) for task_id, _, cfg, _ in pairs]
     cache = {} if high_cache is None else high_cache
-    highs = [cache.get((task_id, j)) for task_id, j, _, _ in pairs]
+    highs = [cache.get(key) for key in keys]
     missing = [i for i, high in enumerate(highs) if high is None]
 
     ok = np.ones(len(pairs), dtype=bool)
@@ -163,9 +168,10 @@ def aggregate_loss(
         )
 
     for k, i in enumerate(missing):
-        task_id, j, _, _ = pairs[i]
-        highs[i] = cache[(task_id, j)] = spec.trajectory(fresh[k])
-    losses = [w * mse_loss(highs[i], spec.trajectory(lows[i])) for i, (*_, w) in enumerate(pairs)]
+        highs[i] = fresh[k]
+        cache.setdefault(keys[i], fresh[k])
+    pair_weights = np.array([w for *_, w in pairs])
+    losses = pair_weights * _mse_rows(np.array(highs), lows, spec.grid_times())
 
     per_task: list[tuple[str, float]] = []
     start = 0

@@ -184,10 +184,6 @@ class SimulatorSpec:
     def grid_times(self) -> np.ndarray:
         return self.base_dt * np.arange(self.steps)
 
-    def trajectory(self, samples: np.ndarray) -> Trajectory:
-        """One row of simulator output, (channels, steps), as a trajectory."""
-        return Trajectory(0.0, self.base_dt, self.channels, samples)
-
 
 @dataclass
 class SimCallCounter:
@@ -589,8 +585,8 @@ def _env_rows(spec: SimulatorSpec, e_values: np.ndarray, seeds: Sequence[Seed]) 
         raise InvalidArgumentError("one seed per batch item required")
     lo = spec.environment_space.lower_array()
     hi = spec.environment_space.upper_array()
-    if np.any(e_values < lo - 1e-12) or np.any(e_values > hi + 1e-12):
-        raise InvalidArgumentError("batch contains out-of-bounds environment values")
+    if not np.all((e_values >= lo - 1e-12) & (e_values <= hi + 1e-12)):
+        raise InvalidArgumentError("batch contains out-of-bounds or NaN environment values")
     return e_values
 
 
@@ -706,7 +702,7 @@ def simulate_low(
     samples, ok = simulate_batch(spec, e.as_array()[None, :], f, [seed])
     if not ok[0]:
         raise _diverged(spec, e)
-    return spec.trajectory(samples[0])
+    return Trajectory(0.0, spec.base_dt, spec.channels, samples[0])
 
 
 def simulate_high(spec: SimulatorSpec, e: EnvironmentConfig, seed: Seed) -> Trajectory:

@@ -28,6 +28,7 @@ from safeval.core import (
     FidelitySpace,
     SimulationDivergedError,
     Task,
+    Trajectory,
     latin_hypercube_unit,
     sample_uniform,
     split_seed,
@@ -61,8 +62,8 @@ def reference_loss(spec, f, tasks, extras, seed, weights, cache):
         terms = []
         for j, cfg in enumerate(cfgs):
             pair_seed = split_seed(seed, task_id, j)
-            if (task_id, j) in cache:
-                high = cache[(task_id, j)]
+            if (task_id, cfg.values) in cache:
+                high = Trajectory(0.0, spec.base_dt, spec.channels, cache[(task_id, cfg.values)])
             else:
                 high = simulate_high(spec, cfg, pair_seed)
             terms.append(w * mse_loss(high, simulate_low(spec, cfg, f, pair_seed)))
@@ -96,10 +97,13 @@ class TestAggregateLoss:
         def config_of(task_id, j):
             return (extras if task_id == "extra" else tasks[int(task_id[-1])].sampled_params)[j]
 
+        def key_of(task_id, j):
+            return (task_id, config_of(task_id, j).values)
+
         def high_of(task_id, j):
             return simulate_high(spec, config_of(task_id, j), split_seed(seed, task_id, j))
 
-        cache = {key: high_of(*key) for key in [("task-0", 1), ("task-1", 0)]}
+        cache = {key_of(*pair): high_of(*pair).samples for pair in [("task-0", 1), ("task-1", 0)]}
         warm = set(cache)
         expected_total, expected_per_task = reference_loss(
             spec, f, tasks, extras, seed, weights, dict(cache)
@@ -115,9 +119,9 @@ class TestAggregateLoss:
         # One high call over the 5 uncached pairs, one low call over all 7.
         assert calls == [(None, 5), (f, 7)]
         missing = {("task-0", 0), ("task-1", 1), ("task-1", 2), ("extra", 0), ("extra", 1)}
-        assert set(cache) == warm | missing
-        for key in missing:
-            assert np.array_equal(cache[key].samples, high_of(*key).samples)
+        assert set(cache) == warm | {key_of(*pair) for pair in missing}
+        for pair in missing:
+            assert np.array_equal(cache[key_of(*pair)], high_of(*pair).samples)
 
     def test_warm_cache_skips_the_high_call(self, braking, monkeypatch):
         tasks = sample_tasks(braking, 1, 3, seed=4)
@@ -219,22 +223,24 @@ class TestEstimators:
         tasks = sample_tasks(braking, 2, 2, seed=3)
         seed, pairs = 23, 12
         seen = []
-        real_mse = analysis_module.mse_loss
+        real_mse_rows = analysis_module._mse_rows
 
-        def recording_mse(high, low):
-            seen.append((high, low))
-            return real_mse(high, low)
+        def recording_mse_rows(high, low, times):
+            seen.append((high.copy(), low.copy()))
+            return real_mse_rows(high, low, times)
 
-        monkeypatch.setattr(analysis_module, "mse_loss", recording_mse)
+        monkeypatch.setattr(analysis_module, "_mse_rows", recording_mse_rows)
         got = estimate_lipschitz_loss(braking, tasks, pairs, seed)
-        assert got.pairs_used == pairs and len(seen) == 2 * pairs
+        assert got.pairs_used == pairs and len(seen) == 2
+        highs, lows = seen[0]  # the base pairs; the perturbed copies follow
+        assert len(highs) == len(lows) == pairs
         configs = [cfg for t in tasks for cfg in t.sampled_params]
         f_rows = _force_noise_off(braking, latin_hypercube_unit(3, pairs, split_seed(seed, "fid")))
-        for k, (high, low) in enumerate(seen[0::2]):
+        for k in range(pairs):
             cfg, pair_seed = configs[k % len(configs)], split_seed(seed, "pair", k)
             f = braking.fidelity_space.setting(f_rows[k])
-            assert np.array_equal(high.samples, simulate_high(braking, cfg, pair_seed).samples)
-            assert np.array_equal(low.samples, simulate_low(braking, cfg, f, pair_seed).samples)
+            assert np.array_equal(highs[k], simulate_high(braking, cfg, pair_seed).samples)
+            assert np.array_equal(lows[k], simulate_low(braking, cfg, f, pair_seed).samples)
 
     def test_sensitivity_gradient_with_repeats(self, braking, braking_phi):
         f = braking.fidelity_space.max_fidelity()  # the stencil activates the noise knob

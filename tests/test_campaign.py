@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -348,3 +349,37 @@ class TestReport:
         result, _, _ = tiny_result
         with pytest.raises(InvalidArgumentError):
             report(result, "pdf")
+
+
+@pytest.mark.parametrize("master_seed", [2024, 7])
+def test_counterexample_high_runs_simulated_once_across_evictions(master_seed):
+    # A thin failure region and a small cap: counterexamples are evicted, so
+    # the survivors change places in the extras list between iterations.
+    config = CampaignConfig(
+        simulator="braking",
+        task_count=2,
+        params_per_task=3,
+        outer_iterations=20,
+        master_seed=master_seed,
+        safety_spec="G[0,6](gap > -20)",
+        counterexample_cap=3,
+        falsify_budget=FalsifyBudget(
+            max_evaluations=192, population=64, stop_tolerance=0.0, samples_per_eval=1
+        ),
+        budget_policy=AdaptiveBudgetPolicy(base_budget=192, scale=0.0),
+        analysis_pairs=10,
+    )
+    result = run_joint(config)
+    assert sum(r.counterexample_found for r in result.iterations) > config.counterexample_cap
+    kept: list[tuple[tuple[float, ...], float]] = []
+    scored: set[tuple[float, ...]] = set()
+    for rec in result.iterations:
+        if rec.counterexample_found:
+            kept.append((rec.e_star, rec.rho_star))
+            if len(kept) > config.counterexample_cap:
+                kept.pop(max(range(len(kept)), key=lambda i: kept[i][1]))
+        new = {values for values, _ in kept} - scored
+        assert rec.high_calls == len(new), f"t={rec.t}"
+        if math.isfinite(rec.loss):
+            scored |= new
+    assert [c.values for c in result.counterexamples] == [values for values, _ in kept]

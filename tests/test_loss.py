@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeval.core import InvalidArgumentError, Task, Trajectory
+from safeval.campaign import sample_tasks
+from safeval.core import InvalidArgumentError, Task, Trajectory, sample_uniform
 from safeval.loss import aggregate_loss, mse_loss
 from safeval.sim import simulate_high, simulate_low
 
@@ -151,6 +152,18 @@ class TestAggregateLoss:
         f = oscillator.fidelity_space.setting((0.5, 0.5, 1.0))
         cache: dict = {}
         first = aggregate_loss(oscillator, f, [task], seed=9, high_cache=cache)
-        assert ("task-0", 0) in cache
+        assert ("task-0", (1.0, 0.0, 0.1)) in cache
         again = aggregate_loss(oscillator, f, [task], seed=9, high_cache=cache)
         assert again.total == first.total
+
+    def test_high_cache_survives_a_changed_extras_list(self, braking):
+        # Dropping the first extra moves the second to index 0; its cached
+        # high run must still be its own.
+        tasks = sample_tasks(braking, 1, 2, seed=5)
+        a, b = sample_uniform(braking.environment_space, 2, seed=6)
+        f = braking.fidelity_space.setting((0.5, 0.5, 1.0))
+        cache: dict = {}
+        aggregate_loss(braking, f, tasks, extra_configs=[a, b], seed=5, high_cache=cache)
+        reused = aggregate_loss(braking, f, tasks, extra_configs=[b], seed=5, high_cache=cache)
+        fresh = aggregate_loss(braking, f, tasks, extra_configs=[b], seed=5)
+        assert reused.total == fresh.total

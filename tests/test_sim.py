@@ -152,6 +152,10 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match="out-of-bounds"):
             simulate_batch_multi_f(braking, np.array([[500.0, 20.0, 5.0]]), np.ones((1, 3)), [0])
 
+    def test_nan_environment_value_rejected(self, braking):
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            simulate_batch(braking, [[np.nan, 20.0, 5.0]], None, [0])
+
     def test_diverging_backend_raises(self, diverging_spec):
         e = diverging_spec.environment_space.config((0.5,))
         f = diverging_spec.fidelity_space.setting((0.5,))
