@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    EnvironmentConfig,
     FidelitySetting,
     FidelitySpace,
     InvalidArgumentError,
@@ -383,7 +382,6 @@ def gp_ucb_minimize(
 def optimize_fidelity(
     spec: SimulatorSpec,
     tasks: Sequence[Task],
-    extra_configs_provider: Callable[[], Sequence[EnvironmentConfig]] | None,
     T: int,
     seed: Seed,
     schedule: BetaSchedule | None = None,
@@ -391,10 +389,8 @@ def optimize_fidelity(
 ) -> FidelityOptResult:
     """Tune fidelity settings to minimize the aggregate high/low discrepancy.
 
-    ``extra_configs_provider`` is polled once per iteration for additional
-    environment configurations scored as extras; pass None when there are
-    none. The joint campaign does not call this: ``run_joint`` runs its own
-    outer loop and scores its counterexamples there.
+    The joint campaign does not call this: ``run_joint`` runs its own outer
+    loop and scores its counterexamples there as extras.
     """
     if not tasks:
         raise InvalidArgumentError("optimize_fidelity needs at least one task")
@@ -402,13 +398,11 @@ def optimize_fidelity(
 
     def objective(x: np.ndarray, t: int) -> float:
         f = spec.fidelity_space.setting(np.clip(x, 0.0, 1.0))
-        extras = tuple(extra_configs_provider()) if extra_configs_provider else ()
         try:
             result = aggregate_loss(
                 spec,
                 f,
                 tasks,
-                extra_configs=extras,
                 seed=split_seed(seed, "loss-eval"),
                 high_cache=high_cache,
             )

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -825,23 +825,30 @@ def _markdown_report(result: CampaignResult) -> str:
     return "\n".join(lines)
 
 
+def regret_csv(
+    dim: int, rows: Iterable[tuple[int, Sequence[float], float, float, float]]
+) -> str:
+    """``regret.csv``: a line per outer iteration of (t, fidelity, loss, r_t, R_T).
+
+    Written by ``safeval report --format csv`` and ``safeval tune-fidelity``.
+    """
+    lines = [",".join(["t"] + [f"f_{k}" for k in range(dim)] + ["loss", "r_t", "R_T"])]
+    for t, fidelity, loss, r_t, r_cum in rows:
+        lines.append(",".join([str(t), *map(repr, fidelity), repr(loss), repr(r_t), repr(r_cum)]))
+    return "\n".join(lines) + "\n"
+
+
 def _csv_report(result: CampaignResult) -> dict[str, str]:
-    dim = len(result.best_fidelity)
-    head = ["t"] + [f"f_{k}" for k in range(dim)] + ["loss", "r_t", "R_T"]
-    regret_rows = [",".join(head)]
-    for rec in result.iterations:
-        row = [str(rec.t)] + [repr(v) for v in rec.fidelity] + [
-            repr(rec.loss),
-            repr(rec.regret),
-            repr(rec.cumulative_regret),
-        ]
-        regret_rows.append(",".join(row))
+    regret_rows = (
+        (rec.t, rec.fidelity, rec.loss, rec.regret, rec.cumulative_regret)
+        for rec in result.iterations
+    )
     inner_rows = ["t,generation,best_robustness"]
     for rec in result.iterations:
         for g, value in enumerate(rec.inner_trace):
             inner_rows.append(f"{rec.t},{g},{value!r}")
     return {
-        "regret.csv": "\n".join(regret_rows) + "\n",
+        "regret.csv": regret_csv(len(result.best_fidelity), regret_rows),
         "inner_traces.csv": "\n".join(inner_rows) + "\n",
     }
 

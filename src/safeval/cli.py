@@ -30,6 +30,7 @@ from .campaign import (
     CampaignConfig,
     analysis_summary,
     load_result,
+    regret_csv,
     report,
     resolve_simulator,
     run_joint,
@@ -118,7 +119,7 @@ def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     spec = get_benchmark(args.sim)
     tasks = sample_tasks(spec, args.tasks, args.per_task, args.seed)
-    result = optimize_fidelity(spec, tasks, None, args.iters, args.seed)
+    result = optimize_fidelity(spec, tasks, args.iters, args.seed)
     payload = {
         "simulator": spec.id,
         "tasks": args.tasks,
@@ -132,19 +133,15 @@ def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
         "losses": list(result.regret.losses),
     }
     _dump(payload, out / "fidelity.json")
-    dim = len(result.best_fidelity.values)
-    rows = ["t," + ",".join(f"f_{k}" for k in range(dim)) + ",loss,r_t,R_T"]
-    for i, (fv, loss, r, rc) in enumerate(
-        zip(
-            result.regret.fidelities,
-            result.regret.losses,
-            result.regret.instantaneous,
-            result.regret.cumulative,
-        ),
-        start=1,
-    ):
-        rows.append(f"{i}," + ",".join(repr(v) for v in fv) + f",{loss!r},{r!r},{rc!r}")
-    (out / "regret.csv").write_text("\n".join(rows) + "\n")
+    trace = result.regret
+    rows = zip(
+        range(1, len(trace) + 1),
+        trace.fidelities,
+        trace.losses,
+        trace.instantaneous,
+        trace.cumulative,
+    )
+    (out / "regret.csv").write_text(regret_csv(len(result.best_fidelity.values), rows))
     print(f"best fidelity {list(result.best_fidelity.values)} with loss {result.best_loss:.6g}")
     return 0
 

@@ -26,11 +26,9 @@ search sends few, full batches:
 * All ``samples_per_eval`` repeats go into that call, the candidate rows
   tiled once per repeat seed. A candidate scores +inf once any repeat has
   diverged, and the repeats' robustness values are summed in seed order.
-* Each call is one ``simulate_batch_multi_f`` call whose rows carry their
-  search's fidelity setting; a backend without ``run_multi_f`` gets one
-  ``run`` call per distinct setting in it.
 * :func:`falsify_many` advances several searches sharing one budget in
-  lockstep, one call per step for all of them. A search leaves the step
+  lockstep, one ``simulate_batch_multi_f`` call per step for all of them,
+  each row carrying its search's fidelity setting. A search leaves the step
   loop when it stops early, exhausts the budget or fails. When searches
   diverge, the :class:`FalsificationFailedError` raised is that of the
   lowest-index failing search, the one a loop of :func:`falsify` calls

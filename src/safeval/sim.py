@@ -1,7 +1,7 @@
 """Multi-fidelity simulator abstraction and built-in benchmark systems.
 
-A simulator is identified by a :class:`SimulatorSpec` and executed through a
-registered backend. The high-fidelity path is deterministic and noise-free;
+A simulator is described by a :class:`SimulatorSpec`, which carries the
+backend that runs it. The high-fidelity path is deterministic and noise-free;
 the low-fidelity path degrades it along three orthogonal knobs (all stored
 normalized in [0, 1], where 1 always means highest fidelity):
 
@@ -27,14 +27,15 @@ Two benchmark systems ship with the package:
   "G[0,6](gap > 0)" and a crash region exists at small gap / high speed /
   strong lead braking.
 
-External simulators plug in through an executable adapter: the adapter
-program receives one JSON request ``{"e": [...], "f": [...]|null,
+External simulators plug in through an executable adapter: per row the
+adapter program receives one JSON request ``{"e": [...], "f": [...]|null,
 "seed": int, "duration": float, "dt": float}`` on stdin and must print a
 JSON trajectory ``{"start_time": float, "dt": float, "channels": [...],
 "samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid.
 
 Every simulation goes through one dispatch over rows of (environment,
-fidelity, seed, high flag): ``simulate_batch`` (one setting) and
+fidelity, seed, high flag), which hands all of them to the spec's backend
+in one ``run`` call: ``simulate_batch`` (one setting) and
 ``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
 
@@ -81,7 +82,8 @@ __all__ = [
     "SimCallCounter",
     "CALL_COUNTER",
     "AdapterProtocolError",
-    "register_backend",
+    "SimulatorBackend",
+    "OdeBenchmark",
     "simulate_high",
     "simulate_low",
     "simulate_batch",
@@ -154,9 +156,31 @@ def identity_mapping(dimension: int) -> FidelityMapping:
     )
 
 
+class SimulatorBackend(Protocol):
+    """What runs a simulator's rows; a :class:`SimulatorSpec` carries one."""
+
+    def run(
+        self,
+        spec: SimulatorSpec,
+        e_values: np.ndarray,
+        f_rows: np.ndarray,
+        seeds: Sequence[Seed],
+        high: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ((batch, channels, steps) samples, per-row integration steps).
+
+        Row i runs environment ``e_values[i]`` with seed ``seeds[i]`` at the
+        normalized fidelity row ``f_rows[i]``, or on the high-fidelity path
+        where ``high[i]`` is set, ignoring its fidelity row. Implementations
+        may emit non-finite samples for diverged rows; callers handle those
+        per row.
+        """
+        ...
+
+
 @dataclass(frozen=True)
 class SimulatorSpec:
-    """Identity and static description of one simulator pair (high/low)."""
+    """Identity, static description and backend of one simulator pair (high/low)."""
 
     id: str
     environment_space: EnvironmentSpace
@@ -165,7 +189,7 @@ class SimulatorSpec:
     base_dt: float
     duration: float
     fidelity_mapping: FidelityMapping
-    adapter: str | None = None
+    backend: SimulatorBackend
     safety_spec: str | None = None
 
     def __post_init__(self) -> None:
@@ -216,42 +240,6 @@ class SimCallCounter:
 
 
 CALL_COUNTER = SimCallCounter()
-
-
-class SimulatorBackend(Protocol):
-    """``run`` is required; ``run_multi_f`` (see :class:`OdeBenchmark`) optional."""
-
-    def run(
-        self,
-        spec: SimulatorSpec,
-        e_values: np.ndarray,
-        f_values: np.ndarray | None,
-        seeds: Sequence[Seed],
-    ) -> tuple[np.ndarray, int]:
-        """Return ((batch, channels, steps) samples, total integration steps).
-
-        ``f_values`` is a normalized fidelity vector or None for the
-        high-fidelity path. Implementations may emit non-finite samples for
-        diverged items; callers handle those per item.
-        """
-        ...
-
-
-_REGISTRY: dict[str, SimulatorBackend] = {}
-
-
-def register_backend(sim_id: str, backend: SimulatorBackend) -> None:
-    """Register (or replace) the backend executing simulator ``sim_id``."""
-    _REGISTRY[sim_id] = backend
-
-
-def _backend_for(spec: SimulatorSpec) -> SimulatorBackend:
-    if spec.adapter is not None:
-        return _AdapterBackend(spec.adapter)
-    try:
-        return _REGISTRY[spec.id]
-    except KeyError:
-        raise InvalidArgumentError(f"no backend registered for simulator {spec.id!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +441,11 @@ class OdeBenchmark:
         self,
         spec: SimulatorSpec,
         e_values: np.ndarray,
-        f_values: np.ndarray | None,
-        seeds: Sequence[Seed],
-    ) -> tuple[np.ndarray, int]:
-        """:meth:`run_multi_f` with one setting for every item (None: high fidelity)."""
-        batch = e_values.shape[0]
-        f_vec = np.ones(spec.fidelity_space.dimension) if f_values is None else f_values
-        f_rows = np.broadcast_to(f_vec, (batch, len(f_vec)))
-        high = np.full(batch, f_values is None)
-        samples, steps = self.run_multi_f(spec, e_values, f_rows, seeds, high)
-        return samples, int(steps.sum())
-
-    def run_multi_f(
-        self,
-        spec: SimulatorSpec,
-        e_values: np.ndarray,
         f_rows: np.ndarray,
         seeds: Sequence[Seed],
         high: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched run where every item carries its own fidelity setting.
-
-        Items flagged in ``high`` take the high-fidelity path instead of
-        their fidelity row. Returns the samples and per-item step counts.
-        """
+        """All rows in one integrator call; see :class:`SimulatorBackend`."""
         batch = e_values.shape[0]
         h, blend, sigma = self._knob_arrays(spec, f_rows, batch)
         h = np.where(high, spec.base_dt, h)
@@ -493,26 +462,29 @@ class OdeBenchmark:
         return samples, steps
 
 
+@dataclass(frozen=True)
 class _AdapterBackend:
-    """Runs an external simulator executable via the JSON stdin/stdout protocol."""
+    """Runs an external simulator executable via the JSON stdin/stdout protocol.
 
-    def __init__(self, command: str):
-        self.command = command
+    One process per row, in row order; a row flagged high sends ``"f": null``.
+    """
+
+    command: str
 
     def run(
         self,
         spec: SimulatorSpec,
         e_values: np.ndarray,
-        f_values: np.ndarray | None,
+        f_rows: np.ndarray,
         seeds: Sequence[Seed],
-    ) -> tuple[np.ndarray, int]:
+        high: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         batch = e_values.shape[0]
         out = np.empty((batch, len(spec.channels), spec.steps))
-        steps = 0
         for i in range(batch):
             request = {
                 "e": [float(v) for v in e_values[i]],
-                "f": None if f_values is None else [float(v) for v in f_values],
+                "f": None if high[i] else [float(v) for v in f_rows[i]],
                 "seed": int(seeds[i]),
                 "duration": spec.duration,
                 "dt": spec.base_dt,
@@ -558,8 +530,7 @@ class _AdapterBackend:
                     f"{(len(spec.channels), spec.steps)}"
                 )
             out[i] = arr
-            steps += spec.steps
-        return out, steps
+        return out, np.full(batch, spec.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +570,9 @@ def _simulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one simulator dispatch: check the rows, run them, book them.
 
-    Rows flagged in ``high`` take the high-fidelity path and are booked as
-    high-fidelity calls; their fidelity rows are ignored. A backend with
-    ``run_multi_f`` gets all rows in one call, any other one ``run`` call
-    per distinct setting (each fidelity row, and the high-fidelity path),
-    in order of first appearance.
+    All rows go to ``spec.backend.run`` in one call. Rows flagged in
+    ``high`` take the high-fidelity path and are booked as high-fidelity
+    calls; their fidelity rows are ignored.
     """
     e_values = _env_rows(spec, e_values, seeds)
     f_rows = np.asarray(f_rows, dtype=float)
@@ -614,34 +583,15 @@ def _simulate(
         raise InvalidArgumentError(
             f"f_rows must have shape (batch, {spec.fidelity_space.dimension})"
         )
-    if np.any(f_rows < -1e-12) or np.any(f_rows > 1.0 + 1e-12):
-        raise InvalidArgumentError("fidelity rows must lie in [0, 1]")
+    if not np.all((f_rows >= -1e-12) & (f_rows <= 1.0 + 1e-12)):
+        raise InvalidArgumentError("fidelity rows must lie in [0, 1] and not be NaN")
     high = np.asarray(high, dtype=bool)
     if high.shape != (batch,):
         raise InvalidArgumentError("high must hold one flag per batch item")
-    backend = _backend_for(spec)
-    if hasattr(backend, "run_multi_f"):
-        samples, steps = backend.run_multi_f(spec, e_values, f_rows, list(seeds), high)
-        high_steps, low_steps = int(steps[high].sum()), int(steps[~high].sum())
-    else:
-        groups: dict[tuple[float, ...] | None, list[int]] = {}
-        for i in range(batch):
-            groups.setdefault(None if high[i] else tuple(f_rows[i]), []).append(i)
-        samples = None
-        high_steps = low_steps = 0
-        for key, rows in groups.items():
-            f_vec = None if key is None else f_rows[rows[0]]
-            part, steps = backend.run(spec, e_values[rows], f_vec, [seeds[i] for i in rows])
-            if samples is None:
-                samples = np.empty((batch,) + part.shape[1:])
-            samples[rows] = part
-            if key is None:
-                high_steps += steps
-            else:
-                low_steps += steps
+    samples, steps = spec.backend.run(spec, e_values, f_rows, list(seeds), high)
     ok = np.isfinite(samples).all(axis=(1, 2))
-    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=high_steps)
-    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=low_steps)
+    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=int(steps[high].sum()))
+    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=int(steps[~high].sum()))
     return samples, ok
 
 
@@ -804,6 +754,7 @@ OSCILLATOR = SimulatorSpec(
     base_dt=1e-3,
     duration=6.0,
     fidelity_mapping=_benchmark_mapping(),
+    backend=OdeBenchmark(drive=_osc_drive, rhs=_osc_rhs, initial_state=_osc_init),
     safety_spec="G[0,6](x > -1.9)",
 )
 
@@ -819,21 +770,14 @@ BRAKING = SimulatorSpec(
     base_dt=0.01,
     duration=6.0,
     fidelity_mapping=_benchmark_mapping(),
-    safety_spec="G[0,6](gap > 0)",
-)
-
-register_backend(
-    "oscillator", OdeBenchmark(drive=_osc_drive, rhs=_osc_rhs, initial_state=_osc_init)
-)
-register_backend(
-    "braking",
-    OdeBenchmark(
+    backend=OdeBenchmark(
         drive=_brk_drive,
         rhs=_brk_rhs,
         initial_state=_brk_init,
         quad_rows=1,
         quad=_brk_gap_rate,
     ),
+    safety_spec="G[0,6](gap > 0)",
 )
 
 
@@ -871,6 +815,6 @@ def external_simulator_spec(
         base_dt=base_dt,
         duration=duration,
         fidelity_mapping=identity_mapping(fidelity_dimension),
-        adapter=adapter,
+        backend=_AdapterBackend(adapter),
         safety_spec=safety_spec,
     )

@@ -7,30 +7,36 @@ which gives the optimizer and estimator tests closed-form oracles.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from safeval import sim
 from safeval.core import EnvironmentSpace, FidelitySpace
-from safeval.sim import SimulatorSpec, identity_mapping, register_backend
+from safeval.sim import SimulatorSpec, identity_mapping
 from safeval.stl import parse_spec
 
 
 class ConstantChannelBackend:
-    """Backend whose trajectory is the constant fn(e, f) on the base grid."""
+    """Backend whose trajectory is the constant fn(e, f) on the base grid.
+
+    ``f`` is the row's fidelity row, or None for a row on the high-fidelity path.
+    """
 
     def __init__(self, fn):
         self.fn = fn
 
-    def run(self, spec, e_values, f_values, seeds):
+    def run(self, spec, e_values, f_rows, seeds, high):
         batch = e_values.shape[0]
         out = np.empty((batch, 1, spec.steps))
         for i in range(batch):
-            out[i, 0, :] = float(self.fn(e_values[i], f_values))
-        return out, batch * spec.steps
+            out[i, 0, :] = float(self.fn(e_values[i], None if high[i] else f_rows[i]))
+        return out, np.full(batch, spec.steps)
 
 
 def make_synthetic(sim_id, fn, lower, upper, fidelity_dim=1):
-    spec = SimulatorSpec(
+    return SimulatorSpec(
         id=sim_id,
         environment_space=EnvironmentSpace(lower=lower, upper=upper),
         fidelity_space=FidelitySpace(dimension=fidelity_dim),
@@ -38,10 +44,19 @@ def make_synthetic(sim_id, fn, lower, upper, fidelity_dim=1):
         base_dt=0.1,
         duration=1.0,
         fidelity_mapping=identity_mapping(fidelity_dim),
+        backend=ConstantChannelBackend(fn),
         safety_spec="G[0,1](y > 0)",
     )
-    register_backend(sim_id, ConstantChannelBackend(fn))
-    return spec
+
+
+def replace_braking_backend(monkeypatch, wrapper):
+    """Run the built-in braking simulator on ``wrapper(its backend)``, also where it
+    is resolved by name, for the rest of the test; returns the wrapped spec."""
+    braking = sim.BRAKING
+    monkeypatch.setattr(
+        sim, "BRAKING", dataclasses.replace(braking, backend=wrapper(braking.backend))
+    )
+    return sim.BRAKING
 
 
 SYNTH_PHI = parse_spec("G[0,1](y > 0)")

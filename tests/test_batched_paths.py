@@ -39,11 +39,11 @@ from safeval.sim import (
     SimulatorSpec,
     get_benchmark,
     identity_mapping,
-    register_backend,
     simulate_high,
     simulate_low,
 )
 from safeval.stl import robustness
+from tests.conftest import replace_braking_backend
 
 sim_module = importlib.import_module("safeval.sim")
 loss_module = importlib.import_module("safeval.loss")
@@ -138,12 +138,11 @@ def diverge_at(e_low, e_high):
     """Backend emitting y = e, but NaN on the low path at ``e_low`` and on the high path at ``e_high``."""
 
     class Backend:
-        def run(self, spec, e_values, f_values, seeds):
-            bad = e_high if f_values is None else e_low
-            out = np.empty((len(e_values), 1, spec.steps))
-            for i, e in enumerate(e_values):
-                out[i] = np.nan if e[0] == bad else e[0]
-            return out, len(e_values) * spec.steps
+        def run(self, spec, e_values, f_rows, seeds, high):
+            bad = np.where(high, e_high, e_low)
+            out = np.repeat(e_values[:, :1, None], spec.steps, axis=2)
+            out[e_values[:, 0] == bad] = np.nan
+            return out, np.full(len(e_values), spec.steps)
 
     return Backend()
 
@@ -167,8 +166,8 @@ def test_divergence_names_first_failing_pair(e_low, e_high, named):
         base_dt=0.1,
         duration=1.0,
         fidelity_mapping=identity_mapping(1),
+        backend=diverge_at(e_low, e_high),
     )
-    register_backend(sim_id, diverge_at(e_low, e_high))
 
     def task(task_id, values):
         return Task(task_id, space, tuple(space.config((v,)) for v in values))
@@ -331,22 +330,22 @@ def test_campaign_totals_match_per_trajectory_calls(tmp_path, monkeypatch):
 
 
 class LossPathTypeError:
-    """Braking, except that low-fidelity batches smaller than a falsifier
-    population raise TypeError: a programming error inside the loss path."""
+    """Braking, except that batches with low-fidelity rows smaller than a
+    falsifier population raise TypeError: a programming error inside the
+    loss path."""
 
     def __init__(self, inner, population):
         self.inner, self.population = inner, population
 
-    def run(self, spec, e_values, f_values, seeds):
-        if f_values is not None and len(e_values) < self.population:
+    def run(self, spec, e_values, f_rows, seeds, high):
+        if not high.all() and len(e_values) < self.population:
             raise TypeError("synthetic programming error")
-        return self.inner.run(spec, e_values, f_values, seeds)
+        return self.inner.run(spec, e_values, f_rows, seeds, high)
 
 
 @pytest.fixture()
 def loss_path_bug(monkeypatch):
-    real = sim_module._REGISTRY["braking"]
-    monkeypatch.setitem(sim_module._REGISTRY, "braking", LossPathTypeError(real, 32))
+    return replace_braking_backend(monkeypatch, lambda real: LossPathTypeError(real, 32))
 
 
 def test_run_joint_propagates_programming_errors(loss_path_bug):
@@ -363,10 +362,10 @@ def test_run_joint_propagates_programming_errors(loss_path_bug):
         run_joint(config)
 
 
-def test_optimize_fidelity_propagates_programming_errors(loss_path_bug, braking):
-    tasks = sample_tasks(braking, 1, 2, seed=5)
+def test_optimize_fidelity_propagates_programming_errors(loss_path_bug):
+    tasks = sample_tasks(loss_path_bug, 1, 2, seed=5)
     with pytest.raises(TypeError, match="synthetic programming error"):
-        optimize_fidelity(braking, tasks, None, T=2, seed=5)
+        optimize_fidelity(loss_path_bug, tasks, T=2, seed=5)
 
 
 class SeedOffsetHigh:
@@ -376,17 +375,15 @@ class SeedOffsetHigh:
     def __init__(self, inner):
         self.inner = inner
 
-    def run(self, spec, e_values, f_values, seeds):
-        samples, steps = self.inner.run(spec, e_values, f_values, seeds)
-        if f_values is None:
-            samples = samples + np.array([(s % 1000) * 1e-3 for s in seeds])[:, None, None]
+    def run(self, spec, e_values, f_rows, seeds, high):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+        offsets = np.array([(s % 1000) * 1e-3 for s in seeds])
+        samples[high] += offsets[high][:, None, None]
         return samples, steps
 
 
-def test_cached_high_runs_share_the_loss_seed_scheme(monkeypatch, braking):
-    monkeypatch.setitem(
-        sim_module._REGISTRY, "braking", SeedOffsetHigh(sim_module._REGISTRY["braking"])
-    )
+def test_cached_high_runs_share_the_loss_seed_scheme(monkeypatch):
+    braking = replace_braking_backend(monkeypatch, SeedOffsetHigh)
     config = CampaignConfig(
         simulator="braking",
         task_count=2,

@@ -235,29 +235,13 @@ class TestOptimizeFidelity:
             parameter_space=oscillator.environment_space,
             sampled_params=(oscillator.environment_space.config((1.0, 0.0, 0.2)),),
         )
-        res = optimize_fidelity(oscillator, [task], None, T=6, seed=3)
+        res = optimize_fidelity(oscillator, [task], T=6, seed=3)
         assert res.iterations == 6
         assert res.best_loss == min(l for l in res.regret.losses if math.isfinite(l))
         assert res.regret.reference_is_proxy
-        again = optimize_fidelity(oscillator, [task], None, T=6, seed=3)
+        again = optimize_fidelity(oscillator, [task], T=6, seed=3)
         assert res.regret.losses == again.regret.losses
 
     def test_requires_tasks(self, oscillator):
         with pytest.raises(InvalidArgumentError):
-            optimize_fidelity(oscillator, [], None, T=3, seed=0)
-
-    def test_extras_provider_polled(self, oscillator):
-        calls = []
-        extra = oscillator.environment_space.config((0.5, 0.5, 0.5))
-
-        def provider():
-            calls.append(1)
-            return [extra]
-
-        task = Task(
-            id="task-0",
-            parameter_space=oscillator.environment_space,
-            sampled_params=(oscillator.environment_space.config((1.0, 0.0, 0.2)),),
-        )
-        optimize_fidelity(oscillator, [task], provider, T=3, seed=1)
-        assert len(calls) == 3
+            optimize_fidelity(oscillator, [], T=3, seed=0)

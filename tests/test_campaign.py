@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 
@@ -19,8 +18,7 @@ from safeval.campaign import (
 )
 from safeval.core import InvalidArgumentError, SchemaVersionError, latin_hypercube_unit, split_seed
 from safeval.falsify import FalsificationFailedError, FalsifyBudget
-
-sim_module = importlib.import_module("safeval.sim")
+from tests.conftest import replace_braking_backend
 
 
 class LowRowsDivergeAt:
@@ -29,10 +27,9 @@ class LowRowsDivergeAt:
     def __init__(self, inner, points):
         self.inner, self.points = inner, {tuple(p) for p in points}
 
-    def run(self, spec, e_values, f_values, seeds):
-        samples, steps = self.inner.run(spec, e_values, f_values, seeds)
-        if f_values is not None:
-            samples[[tuple(e) in self.points for e in e_values]] = np.nan
+    def run(self, spec, e_values, f_rows, seeds, high):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+        samples[~high & [tuple(e) in self.points for e in e_values]] = np.nan
         return samples, steps
 
 
@@ -227,8 +224,7 @@ class TestRunJoint:
         lo, hi = space.lower_array(), space.upper_array()
         seed = split_seed(config.master_seed, "falsify", 1)
         points = lo + latin_hypercube_unit(3, 32, split_seed(seed, "lhs", 4)) * (hi - lo)
-        real = sim_module._REGISTRY["braking"]
-        monkeypatch.setitem(sim_module._REGISTRY, "braking", LowRowsDivergeAt(real, points))
+        replace_braking_backend(monkeypatch, lambda real: LowRowsDivergeAt(real, points))
         (record,) = run_joint(config).iterations
         assert record.falsification_failed
         assert record.inner_sim_calls == 6 * 32
@@ -240,14 +236,12 @@ class TestRunJoint:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run(self, spec, e_values, f_values, seeds):
-                samples, steps = self.inner.run(spec, e_values, f_values, seeds)
-                if f_values is not None:
-                    samples[:] = np.nan
+            def run(self, spec, e_values, f_rows, seeds, high):
+                samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+                samples[~high] = np.nan
                 return samples, steps
 
-        real = sim_module._REGISTRY["braking"]
-        monkeypatch.setitem(sim_module._REGISTRY, "braking", LowRowsDiverge(real))
+        replace_braking_backend(monkeypatch, LowRowsDiverge)
         with pytest.raises(FalsificationFailedError, match="^every outer loss evaluation failed$"):
             run_joint(tiny_config(outer_iterations=2), output_dir=tmp_path)
         events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -12,7 +13,7 @@ from safeval.core import (
     split_seed,
 )
 from safeval.falsify import FalsifyBudget, _evaluate, _Search, falsify, falsify_many
-from safeval.sim import CALL_COUNTER, get_benchmark, register_backend, simulate_batch, simulate_low
+from safeval.sim import CALL_COUNTER, get_benchmark, simulate_batch, simulate_low
 from safeval.stl import parse_spec, robustness, robustness_batch
 from tests.conftest import QUAD_CENTER, SYNTH_PHI, make_synthetic
 
@@ -95,15 +96,16 @@ class TestFailureModes:
         repeat_seeds = [split_seed(13, "rep", k) for k in range(2)]
 
         class SeedOffsetBackend:
-            def run(self, spec, e_values, f_values, seeds):
+            def run(self, spec, e_values, f_rows, seeds, high):
                 out = np.empty((len(e_values), 1, spec.steps))
                 for i, (e, seed) in enumerate(zip(e_values, seeds)):
                     bad = e[0] > 0.65 if seed == repeat_seeds[1] else e[0] == 0.0
                     out[i, 0, :] = np.nan if bad else e[0] + (seed % 997) / 997.0
-                return out, len(e_values) * spec.steps
+                return out, np.full(len(e_values), spec.steps)
 
-        spec = make_synthetic("synth-seed-offset", lambda e, f: 0.0, (0.0,), (1.0,))
-        register_backend(spec.id, SeedOffsetBackend())
+        spec = dataclasses.replace(
+            make_synthetic("synth-seed-offset", None, (0.0,), (1.0,)), backend=SeedOffsetBackend()
+        )
         f = spec.fidelity_space.setting((0.5,))
         points = np.linspace(0.0, 1.0, 11)[:, None]
         scores = _evaluate(spec, synth_phi, [_Search(f, 13, repeat_seeds)], [points])[0]
@@ -267,16 +269,16 @@ class DivergeAt:
     def __init__(self, points):
         self.points = {tuple(p) for p in points}
 
-    def run(self, spec, e_values, f_values, seeds):
+    def run(self, spec, e_values, f_rows, seeds, high):
         out = np.empty((len(e_values), 1, spec.steps))
-        for i, e in enumerate(e_values):
-            if tuple(e) in self.points or f_values[0] == 0.0:
+        for i, (e, f) in enumerate(zip(e_values, f_rows[:, 0])):
+            if tuple(e) in self.points or f == 0.0:
                 out[i] = np.nan
-            elif f_values[0] >= 0.5:
+            elif f >= 0.5:
                 out[i] = float(np.sum((e - QUAD_CENTER) ** 2)) - 0.01
             else:  # a hash of e: the elites scatter, so the search never stops early
                 out[i] = math.modf(math.sin(12.9898 * e[0] + 78.233 * e[-1]) * 43758.5453)[0]
-        return out, len(e_values) * spec.steps
+        return out, np.full(len(e_values), spec.steps)
 
 
 BRAKING_PHI = parse_spec("G[0,6](gap > 0)")
@@ -322,8 +324,8 @@ class TestGenerationSchedule:
         # Every row of exploration generation 4 (the fifth) diverges. The
         # paired call has also simulated the 64 rows of CEM generation 5,
         # which the per-generation loop never reached.
-        spec = make_synthetic("synth-lhs-diverge", lambda e, f: 0.0, (0.0, 0.0), (1.0, 1.0))
-        register_backend(spec.id, DivergeAt(lhs_points(spec, 11, 4)))
+        spec = make_synthetic("synth-lhs-diverge", None, (0.0, 0.0), (1.0, 1.0))
+        spec = dataclasses.replace(spec, backend=DivergeAt(lhs_points(spec, 11, 4)))
         f = spec.fidelity_space.setting((1.0,))
         budget = FalsifyBudget(max_evaluations=640)
         got, got_calls = counted(falsify, spec, SYNTH_PHI, f, budget, 11)
@@ -358,9 +360,8 @@ class TestLockstep:
     @pytest.fixture()
     def landscape(self):
         """``DivergeAt`` seed 7's generation-4 points."""
-        spec = make_synthetic("synth-lockstep", lambda e, f: 0.0, (0.0, 0.0), (1.0, 1.0))
-        register_backend(spec.id, DivergeAt(lhs_points(spec, 7, 4)))
-        return spec
+        spec = make_synthetic("synth-lockstep", None, (0.0, 0.0), (1.0, 1.0))
+        return dataclasses.replace(spec, backend=DivergeAt(lhs_points(spec, 7, 4)))
 
     def sequential(self, spec, jobs, budget):
         """What a loop of ``falsify`` calls returns, or the first error it raises."""
@@ -409,29 +410,6 @@ class TestLockstep:
         assert falsify_many(spec, BRAKING_PHI, jobs, budget) == want
         # Generations 0-3 alone, then 4 (64 rows) with 5 (10 rows): 3 searches x 2 repeats.
         assert calls == [3 * 2 * 64] * 4 + [3 * 2 * 74]
-
-    def test_run_only_backend_one_call_per_setting_per_step(self):
-        # DivergeAt has no run_multi_f: each step gives it one run call per
-        # distinct fidelity setting, the two f = 1 searches sharing theirs.
-        spec = make_synthetic("synth-lockstep-run", lambda e, f: 0.0, (0.0, 0.0), (1.0, 1.0))
-        settings = []
-
-        class Counting(DivergeAt):
-            def run(self, spec, e_values, f_values, seeds):
-                settings.append((tuple(f_values), len(seeds)))
-                return super().run(spec, e_values, f_values, seeds)
-
-        register_backend(spec.id, Counting([]))
-        setting = spec.fidelity_space.setting
-        jobs = [(setting((1.0,)), 1), (setting((0.2,)), 2), (setting((0.7,)), 3), (setting((1.0,)), 4)]
-        budget = FalsifyBudget(max_evaluations=640)
-        want = [falsify(spec, SYNTH_PHI, f, budget, seed) for f, seed in jobs]
-        settings.clear()
-        assert falsify_many(spec, SYNTH_PHI, jobs, budget) == want
-        rows = [64, 64, 64, 64, 128, 64, 64, 128]
-        assert settings == [
-            (f, k * n) for n in rows for f, k in [((1.0,), 2), ((0.2,), 1), ((0.7,), 1)]
-        ]
 
     def test_degenerate_box(self, synth_phi):
         spec = make_synthetic("synth-point", lambda e, f: e[0] - f[0], (0.5,), (0.5 + 1e-13,))

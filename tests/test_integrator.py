@@ -168,14 +168,12 @@ def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeyp
     spec = get_benchmark(sim_id)
     if isinstance(seed, int):
         e_rows, f_rows, seeds, high = random_batch(spec, batch, seed)
-        h, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(
-            spec, f_rows[~high], int((~high).sum())
-        )
+        h, blend, sigma = spec.backend._knob_arrays(spec, f_rows[~high], int((~high).sum()))
         assert len(set(np.floor(spec.duration / h + 1e-9).tolist())) >= 3  # rows end apart
         assert (spec.duration % h > 1e-9).any() and (blend > 0).any() and (sigma > 0).any()
     else:
         e_rows, f_rows, seeds, high = shaped_batch(spec, batch, seed)
-        h, _, _ = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows, batch)
+        h, _, _ = spec.backend._knob_arrays(spec, f_rows, batch)
         last_step = np.floor(spec.duration / np.where(high, spec.base_dt, h) + 1e-9)
         if seed == "full-resolution":  # spec.steps loop steps: the last block is partial
             assert (last_step == spec.steps - 1).all()
@@ -183,14 +181,15 @@ def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeyp
         if seed == "blocks":
             assert len(set((last_step // sim._DRIVE_BLOCK).tolist())) == batch
         if seed == "noisy-low":
-            _, blend, sigma = sim._REGISTRY[sim_id]._knob_arrays(spec, f_rows, batch)
+            _, blend, sigma = spec.backend._knob_arrays(spec, f_rows, batch)
             assert (h > spec.base_dt).all() and (blend > 0).all() and (sigma > 0).all()
         if seed == "corners":
             assert (h == 32 * spec.base_dt).all()
         if seed == "signed-zero-nan":
-            backend = sim._REGISTRY[sim_id]
-            model = dataclasses.replace(backend, initial_state=lambda e: SIGNED_ZERO_NAN_STATES)
-            monkeypatch.setitem(sim._REGISTRY, sim_id, model)
+            model = dataclasses.replace(
+                spec.backend, initial_state=lambda e: SIGNED_ZERO_NAN_STATES
+            )
+            spec = dataclasses.replace(spec, backend=model)
 
     samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
     monkeypatch.setattr(sim, "_integrate_to_grid", ref_integrate_to_grid)
@@ -209,7 +208,7 @@ def test_samples_match_the_textbook_rk4_bit_for_bit(sim_id, batch, seed, monkeyp
 def test_knob_arrays_match_the_per_row_mapping(sim_id):
     spec = get_benchmark(sim_id)
     _, f_rows, _, _ = random_batch(spec, 16, 5)
-    backend = sim._REGISTRY[sim_id]
+    backend = spec.backend
     h, blend, sigma = backend._knob_arrays(spec, f_rows, len(f_rows))
     phys = np.stack([spec.fidelity_mapping.to_physical(row) for row in f_rows])
     expected_h = np.minimum(spec.base_dt * np.maximum(phys[:, 0], 1.0), spec.duration)
@@ -221,7 +220,7 @@ def test_knob_arrays_match_the_per_row_mapping(sim_id):
 @pytest.mark.parametrize("sim_id, quad_rows", [("braking", 1), ("oscillator", 0)])
 def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id, quad_rows):
     spec = get_benchmark(sim_id)
-    backend = sim._REGISTRY[sim_id]
+    backend = spec.backend
     assert backend.quad_rows == quad_rows
     calls = {"drive": 0, "rhs": 0, "quad": 0}
 
@@ -276,7 +275,7 @@ class CountedArray(np.ndarray):
 @pytest.mark.parametrize("sim_id, per_step", [("braking", 22), ("oscillator", 38)])
 def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
     spec = get_benchmark(sim_id)
-    backend = sim._REGISTRY[sim_id]
+    backend = spec.backend
     # Every buffer the integrator allocates counts the ufunc calls made on it.
     counting_np = types.SimpleNamespace(**vars(np))
     counting_np.empty = lambda *args, **kwargs: np.empty(*args, **kwargs).view(CountedArray)
@@ -300,7 +299,7 @@ def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
 @pytest.mark.parametrize("sim_id", ["oscillator", "braking"])
 def test_integrator_memory_is_history_and_output_plus_a_little(sim_id):
     spec = get_benchmark(sim_id)
-    backend = sim._REGISTRY[sim_id]
+    backend = spec.backend
     batch = 64
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, batch, 8)])
     h = np.full(batch, spec.base_dt)

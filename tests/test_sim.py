@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import json
 import stat
 import subprocess
 import textwrap
@@ -15,7 +17,6 @@ from safeval.sim import (
     builtin_benchmarks,
     external_simulator_spec,
     get_benchmark,
-    register_backend,
     simulate_batch,
     simulate_batch_multi_f,
     simulate_high,
@@ -156,6 +157,11 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match="NaN"):
             simulate_batch(braking, [[np.nan, 20.0, 5.0]], None, [0])
 
+    @pytest.mark.parametrize("f_row", [[np.nan, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, np.nan]])
+    def test_nan_fidelity_value_rejected(self, braking, f_row):
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            simulate_batch_multi_f(braking, [[50.0, 20.0, 5.0]], [f_row], [0])
+
     def test_diverging_backend_raises(self, diverging_spec):
         e = diverging_spec.environment_space.config((0.5,))
         f = diverging_spec.fidelity_space.setting((0.5,))
@@ -193,7 +199,7 @@ class TestBatchConsistency:
     def test_multi_f_high_rows_match_separate_calls(self, sim_id, quad_loss_spec):
         # One mixed call equals a high-fidelity simulate_batch over the
         # flagged rows plus a multi-f call over the rest, bytes and booking.
-        # synth-quad-loss has no run_multi_f, so it covers the run-only fallback.
+        # synth-quad-loss covers a backend that runs row by row.
         spec = quad_loss_spec if sim_id == "synth-quad-loss" else get_benchmark(sim_id)
         values = np.array([c.values for c in rand_configs(spec, 4, seed=5)])
         values = np.vstack([values, values])
@@ -218,25 +224,24 @@ class TestBatchConsistency:
         assert mixed == separate
         assert mixed["high_calls"] == mixed["low_calls"] == 4
 
-    def test_run_only_backend_gets_one_call_per_setting(self):
-        # Rows of one setting share a run call, in order of first appearance;
-        # every row lands where a per-row call would have put it.
+    def test_mixed_batch_reaches_the_backend_in_one_run_call(self):
+        # High and low rows of several settings go to the backend together,
+        # each with its own fidelity row, seed and high flag, and are booked
+        # by their flags with the per-row steps the backend reports.
         class Recording:
             def __init__(self):
                 self.calls = []
-                self.e_values = []
 
-            def run(self, spec, e_values, f_values, seeds):
-                self.calls.append((None if f_values is None else tuple(f_values), list(seeds)))
-                self.e_values.append(e_values.copy())
-                f0 = -1.0 if f_values is None else f_values[0]
+            def run(self, spec, e_values, f_rows, seeds, high):
+                self.calls.append((e_values.copy(), f_rows.copy(), list(seeds), high.copy()))
+                f0 = np.where(high, -1.0, f_rows[:, 0])
                 values = e_values[:, 0] + 10.0 * f0 + 100.0 * np.asarray(seeds)
                 out = np.repeat(values[:, None, None], spec.steps, axis=2)
-                return out, 3 * len(seeds)
+                return out, np.arange(1, len(seeds) + 1)
 
-        spec = make_synthetic("synth-run-only", lambda e, f: 0.0, (0.0,), (1.0,), fidelity_dim=2)
         backend = Recording()
-        register_backend(spec.id, backend)
+        spec = make_synthetic("synth-recording", None, (0.0,), (1.0,), fidelity_dim=2)
+        spec = dataclasses.replace(spec, backend=backend)
         e_values = np.linspace(0.1, 0.7, 7)[:, None]
         f_rows = np.array([[0.2, 0.5], [0.9, 0.5], [0.2, 0.5], [0.0, 0.0],
                            [0.9, 0.5], [0.2, 0.5], [0.9, 0.5]])
@@ -246,30 +251,32 @@ class TestBatchConsistency:
         before = CALL_COUNTER.snapshot()
         samples, ok = simulate_batch_multi_f(spec, e_values, f_rows, seeds, high=high)
         delta = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
-        assert backend.calls == [((0.2, 0.5), [1, 3, 6]), ((0.9, 0.5), [2, 5]), (None, [4, 7])]
+        ((got_e, got_f, got_seeds, got_high),) = backend.calls
+        assert np.array_equal(got_e, e_values) and np.array_equal(got_f, f_rows)
+        assert got_seeds == seeds and got_high.tolist() == high.tolist()
         f0 = np.where(high, -1.0, f_rows[:, 0])
-        want = e_values[:, 0] + 10.0 * f0 + 100.0 * np.array(seeds)
         assert ok.all()
-        assert np.array_equal(samples[:, 0, 0], want)
-        assert delta == {"high_calls": 2, "low_calls": 5, "high_steps": 6, "low_steps": 15}
+        assert np.array_equal(samples[:, 0, 0], e_values[:, 0] + 10.0 * f0 + 100.0 * np.array(seeds))
+        assert delta == {"high_calls": 2, "low_calls": 5, "high_steps": 4 + 7, "low_steps": 17}
 
-        # simulate_batch is the one-setting case: a single run call with the
-        # rows in order, the setting as given (None for high) and the seeds.
+        # simulate_batch is the one-setting case: one run call whose rows
+        # all carry the setting (all-ones and flagged high for f=None).
         f = spec.fidelity_space.setting((0.2, 0.5))
-        high_run = {"high_calls": 7, "low_calls": 0, "high_steps": 21, "low_steps": 0}
-        low_run = {"high_calls": 0, "low_calls": 7, "high_steps": 0, "low_steps": 21}
-        for setting, key, booked in ((None, None, high_run), (f, (0.2, 0.5), low_run)):
+        for setting, row, flag in ((None, (1.0, 1.0), True), (f, (0.2, 0.5), False)):
             backend.calls.clear()
-            backend.e_values.clear()
-            before = CALL_COUNTER.snapshot()
-            samples, ok = simulate_batch(spec, e_values, setting, seeds)
-            delta = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
-            assert backend.calls == [(key, seeds)]
-            assert np.array_equal(backend.e_values[0], e_values)
-            assert ok.all()
-            f0 = -1.0 if setting is None else 0.2
-            assert np.array_equal(samples[:, 0, 0], e_values[:, 0] + 10.0 * f0 + 100.0 * np.array(seeds))
-            assert delta == booked
+            simulate_batch(spec, e_values, setting, seeds)
+            ((got_e, got_f, got_seeds, got_high),) = backend.calls
+            assert np.array_equal(got_e, e_values) and got_seeds == seeds
+            assert (got_f == row).all() and (got_high == flag).all()
+
+    def test_each_spec_runs_on_its_own_backend(self):
+        # Two specs with one id: the backend goes with the spec, not the id.
+        one = make_synthetic("synth-same-id", lambda e, f: 1.0, (0.0,), (1.0,))
+        two = make_synthetic("synth-same-id", lambda e, f: 2.0, (0.0,), (1.0,))
+        e = one.environment_space.config((0.5,))
+        assert simulate_high(one, e, seed=0).samples[0, 0] == 1.0
+        assert simulate_high(two, e, seed=0).samples[0, 0] == 2.0
+        assert simulate_high(one, e, seed=0).samples[0, 0] == 1.0
 
     def test_multi_f_high_mask_shape_checked(self, braking):
         values = np.array([c.values for c in rand_configs(braking, 2, seed=1)])
@@ -282,9 +289,12 @@ ADAPTER_SOURCE = textwrap.dedent(
     #!/usr/bin/env python3
     import json
     import math
+    import os
     import sys
 
     request = json.load(sys.stdin)
+    with open(os.path.join(os.path.dirname(__file__), "requests.jsonl"), "a") as log:
+        log.write(json.dumps(request) + "\\n")
     e = request["e"]
     f = request["f"]
     dt = request["dt"]
@@ -326,6 +336,25 @@ class TestExternalAdapter:
         lo = simulate_low(adapter_spec, e, adapter_spec.fidelity_space.setting((0.5,)), seed=0)
         assert lo.channel("y")[0] == pytest.approx(0.75)
         assert hi.steps == adapter_spec.steps
+
+    def test_one_request_per_row_in_row_order(self, adapter_spec, tmp_path):
+        e_values = np.array([[0.2], [0.4], [0.6], [0.8], [1.0]])
+        f_rows = np.array([[0.5], [0.9], [0.25], [0.5], [0.3]])
+        high = np.array([False, True, False, False, True])
+        samples, ok = simulate_batch_multi_f(
+            adapter_spec, e_values, f_rows, [1, 2, 3, 4, 5], high=high
+        )
+        lines = (tmp_path / "requests.jsonl").read_text().splitlines()
+        requests = [json.loads(line) for line in lines]
+        assert [(r["e"], r["f"], r["seed"]) for r in requests] == [
+            ([0.2], [0.5], 1),
+            ([0.4], None, 2),
+            ([0.6], [0.25], 3),
+            ([0.8], [0.5], 4),
+            ([1.0], None, 5),
+        ]
+        assert ok.all()
+        assert samples[:, 0, 0].tolist() == pytest.approx([0.1, 0.4, 0.15, 0.4, 1.0])
 
     def test_protocol_violation_reported(self, tmp_path, adapter_spec):
         bad = tmp_path / "bad.py"
