@@ -63,6 +63,7 @@ __all__ = [
     "estimate_lipschitz_env",
     "estimate_lipschitz_fidelity",
     "estimate_lipschitz_loss",
+    "sensitivity_plan",
     "sensitivity",
     "outer_loss_gradient",
     "hoeffding_n",
@@ -488,6 +489,57 @@ def _stencil(f: np.ndarray, h: float) -> tuple[list[tuple[int, np.ndarray, np.nd
     return entries, any_clipped
 
 
+def _stencil_rows(entries: list[tuple[int, np.ndarray, np.ndarray, bool]]) -> np.ndarray:
+    """The stencil's fidelity rows: each dimension's plus row, then its minus row."""
+    return np.array([row for _, plus, minus, _ in entries for row in (plus, minus)])
+
+
+def sensitivity_plan(
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    f: FidelitySetting,
+    h: float,
+    falsify_budget: FalsifyBudget,
+    seed: Seed,
+    repeats: int | None = None,
+) -> RowPlan:
+    """Falsify at ``f`` now; plan the stencil rows that :func:`sensitivity` probes.
+
+    The plan reduces to the :class:`SensitivityReport` without a total
+    derivative, so its stencil can share a simulator call with other plans.
+    """
+    if h <= 0.0:
+        raise InvalidArgumentError("step h must be > 0")
+    inner = falsify(spec, phi, f, falsify_budget, split_seed(seed, "falsify"))
+    e_star = inner.best_config
+    f0 = f.as_array()
+    entries, _ = _stencil(f0, h)
+    f_rows = _stencil_rows(entries)
+    e_rows = np.tile(e_star.as_array(), (len(f_rows), 1))
+    if _noise_active(spec, f_rows) and repeats is None:
+        raise InvalidArgumentError(
+            "sensitivity stencil activates the noise knob; supply a repeats count"
+        )
+
+    def report(rho: np.ndarray) -> SensitivityReport:
+        gradient = [
+            (rho[2 * i] - rho[2 * i + 1]) / float(plus[k] - minus[k])
+            for i, (k, plus, minus, _) in enumerate(entries)
+        ]
+        return SensitivityReport(
+            fidelity=tuple(float(v) for v in f0),
+            gradient=tuple(float(g) for g in gradient),
+            step=float(h),
+            method="central",
+            boundary_clipped=tuple(clipped for _, _, _, clipped in entries),
+            base_config=tuple(e_star.values),
+            base_robustness=float(inner.best_robustness),
+        )
+
+    plan = _rho_plan(spec, phi, e_rows, f_rows, split_seed(seed, "stencil"), repeats)
+    return plan.then(report)
+
+
 def sensitivity(
     spec: SimulatorSpec,
     phi: SafetySpec,
@@ -505,55 +557,24 @@ def sensitivity(
     ``refalsify=True`` the stencil points are falsified as well and the
     resulting total-derivative estimate is reported alongside.
     """
-    if h <= 0.0:
-        raise InvalidArgumentError("step h must be > 0")
-    inner = falsify(spec, phi, f, falsify_budget, split_seed(seed, "falsify"))
-    e_star = inner.best_config
-    f0 = f.as_array()
-    entries, _ = _stencil(f0, h)
-    rows = []
-    for _, plus, minus, _ in entries:
-        rows.append(plus)
-        rows.append(minus)
-    f_rows = np.array(rows)
-    e_rows = np.tile(e_star.as_array(), (len(f_rows), 1))
-    if _noise_active(spec, f_rows) and repeats is None:
-        raise InvalidArgumentError(
-            "sensitivity stencil activates the noise knob; supply a repeats count"
-        )
-    rho = _rho_rows(spec, phi, e_rows, f_rows, split_seed(seed, "stencil"), repeats)
-    gradient = []
-    clipped_flags = []
-    for i, (k, plus, minus, clipped) in enumerate(entries):
-        dplus, dminus = rho[2 * i], rho[2 * i + 1]
-        gradient.append((dplus - dminus) / float(plus[k] - minus[k]))
-        clipped_flags.append(clipped)
-
-    total = None
-    if refalsify:
-        fseed = split_seed(seed, "falsify")
-        found = falsify_many(
-            spec,
-            phi,
-            [(spec.fidelity_space.setting(row), fseed) for row in f_rows],
-            falsify_budget,
-        )
-        total = tuple(
-            (found[2 * i].best_robustness - found[2 * i + 1].best_robustness)
-            / float(plus[k] - minus[k])
-            for i, (k, plus, minus, _) in enumerate(entries)
-        )
-
-    return SensitivityReport(
-        fidelity=tuple(float(v) for v in f0),
-        gradient=tuple(float(g) for g in gradient),
-        step=float(h),
-        method="central",
-        boundary_clipped=tuple(clipped_flags),
-        base_config=tuple(e_star.values),
-        base_robustness=float(inner.best_robustness),
-        total_derivative=total,
+    plan = sensitivity_plan(spec, phi, f, h, falsify_budget, seed, repeats)
+    report = run_plans(spec, [plan])[0]
+    if not refalsify:
+        return report
+    entries, _ = _stencil(f.as_array(), h)
+    fseed = split_seed(seed, "falsify")
+    found = falsify_many(
+        spec,
+        phi,
+        [(spec.fidelity_space.setting(row), fseed) for row in _stencil_rows(entries)],
+        falsify_budget,
     )
+    total = tuple(
+        (found[2 * i].best_robustness - found[2 * i + 1].best_robustness)
+        / float(plus[k] - minus[k])
+        for i, (k, plus, minus, _) in enumerate(entries)
+    )
+    return dataclasses.replace(report, total_derivative=total)
 
 
 def outer_loss_gradient(

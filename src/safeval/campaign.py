@@ -23,6 +23,7 @@ from typing import IO, Any, Iterable, Sequence
 import numpy as np
 
 from .analysis import (
+    RowPlan,
     convergence_report,
     lipschitz_env_plan,
     lipschitz_fidelity_plan,
@@ -473,13 +474,16 @@ def analysis_summary(
     f_probe: FidelitySetting,
     e_probe: EnvironmentConfig,
     K1: int,
+    sensitivity: RowPlan | None = None,
 ) -> dict[str, Any]:
     """The three Lipschitz estimates and the sample plan, as JSON-ready dicts.
 
     The environment estimate runs at ``f_probe``, the fidelity estimate at
     ``e_probe`` and the loss estimate over ``tasks``, all three in one
     simulator call; the plan takes ``K1`` inner evaluations per outer
-    iteration.
+    iteration. A ``sensitivity`` plan (see :func:`analysis.sensitivity_plan`)
+    rides last in the same call, and its report is added as "sensitivity",
+    so a divergence in its stencil is reported after the estimates' own.
     """
     pairs, seed = config.analysis_pairs, config.master_seed
     plans = {
@@ -489,19 +493,20 @@ def analysis_summary(
         ),
         "lipschitz_loss": lipschitz_loss_plan(spec, tasks, pairs, split_seed(seed, "lip-loss")),
     }
-    estimates = dict(zip(plans, run_plans(spec, list(plans.values()))))
+    if sensitivity is not None:
+        plans["sensitivity"] = sensitivity
+    results = dict(zip(plans, run_plans(spec, list(plans.values()))))
     plan = sample_complexity_plan(
         epsilon=config.analysis_epsilon,
         delta=config.analysis_delta,
-        lipschitz=estimates["lipschitz_env"].constant,
+        lipschitz=results["lipschitz_env"].constant,
         K1=K1,
         K2=config.outer_iterations,
-        lipschitz_alt=estimates["lipschitz_loss"].constant,
+        lipschitz_alt=results["lipschitz_loss"].constant,
     )
-    summary: dict[str, Any] = {}
-    for key, est in estimates.items():
-        summary[key] = dataclasses.asdict(est)
-        summary[key]["max_pair"] = [list(p) for p in est.max_pair]
+    summary: dict[str, Any] = {key: dataclasses.asdict(r) for key, r in results.items()}
+    for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss"):
+        summary[key]["max_pair"] = [list(p) for p in results[key].max_pair]
     summary["sample_plan"] = dataclasses.asdict(plan)
     return summary
 

@@ -19,12 +19,11 @@ for byte (wall-clock timestamps appear only in the campaign event log).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .analysis import sensitivity
+from .analysis import sensitivity_plan
 from .bo import optimize_fidelity
 from .campaign import (
     CampaignConfig,
@@ -171,19 +170,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lo = spec.environment_space.lower_array()
     hi = spec.environment_space.upper_array()
     center = spec.environment_space.config((lo + hi) / 2.0)
-    summary = analysis_summary(
-        spec, phi, tasks, config, f_max, center, K1=config.falsify_budget.max_evaluations
-    )
-    sens = sensitivity(
+    # The sensitivity search runs first; its stencil then shares the one
+    # simulator call of the Lipschitz estimates.
+    sens = sensitivity_plan(
         spec, phi, f_max, 1e-3, config.falsify_budget, split_seed(seed, "sens"), repeats=3
     )
-    payload = {
-        "simulator": spec.id,
-        "safety_spec": spec_text,
-        "master_seed": seed,
-        "sensitivity": dataclasses.asdict(sens),
-        **summary,
-    }
+    summary = analysis_summary(
+        spec, phi, tasks, config, f_max, center, K1=config.falsify_budget.max_evaluations,
+        sensitivity=sens,
+    )
+    payload = {"simulator": spec.id, "safety_spec": spec_text, "master_seed": seed, **summary}
     _dump(payload, out / "analysis.json")
     print(
         f"Lipschitz estimates: env {summary['lipschitz_env']['constant']:.4g}, "

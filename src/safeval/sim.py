@@ -9,7 +9,9 @@ normalized in [0, 1], where 1 always means highest fidelity):
   linearly resampled onto the base grid,
 * ``model_blend``   -- blend from the full dynamics model toward a
   simplified one,
-* ``noise_scale``   -- seeded additive Gaussian observation noise.
+* ``noise_scale``   -- seeded additive Gaussian observation noise. A row's
+  noise is its scale times a draw keyed by its seed alone, so the rows of a
+  call that share a seed share one draw.
 
 At the all-ones fidelity setting the low-fidelity path runs the exact same
 integrator configuration as the high-fidelity path, so the two agree
@@ -50,7 +52,8 @@ advances only the other, dynamic rows and keeps their stage states, and
 after each block of steps the quadrature rows are integrated from those in
 a few block-wide calls, each step's increment added onto the previous value
 in step order, so every row gets the bits of a step-by-step RK4. A braking
-step makes 22 NumPy calls, an oscillator step 42.
+step makes 22 NumPy calls, an oscillator step 42; they go straight to the
+ufuncs (the braking ramp's ``clip`` included), not through array methods.
 """
 
 from __future__ import annotations
@@ -291,6 +294,21 @@ _ONE = np.float64(1.0)
 _TWO = np.float64(2.0)
 
 
+class _UfuncProbe(np.ndarray):
+    """An array whose every ufunc call returns the ufunc instead of running it."""
+
+    def __array_ufunc__(self, ufunc: np.ufunc, method: str, *inputs: Any, **kwargs: Any) -> Any:
+        return ufunc
+
+
+# The ufunc that ``ndarray.clip`` dispatches to when given both bounds
+# (``numpy._core.umath.clip`` on NumPy 2, ``numpy.core.umath.clip`` before),
+# captured through the public override protocol. Calling it directly skips
+# the method's Python wrapper and gives the same bits, -0.0 and NaN
+# included, which ``np.minimum``/``np.maximum`` would not.
+_clip = np.zeros(1).view(_UfuncProbe).clip(_ZERO, _ONE)
+
+
 def _integrate_to_grid(
     model: OdeBenchmark,
     x0: np.ndarray,
@@ -352,6 +370,9 @@ def _integrate_to_grid(
             hk = remainder if k == max_full else np.where(k < full_steps, h, 0.0)
             size = tuple(np.tile(v, (dyn, 1)) for v in (hk, 0.5 * hk, hk / 6.0))
         sizes.append(size)
+    # Per-step calls go to locally bound ufuncs and pass ``out`` positionally,
+    # which skips a global lookup and keyword parsing on each of them.
+    multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
     t = np.zeros(batch)
     for first in range(0, max_full + 1, _DRIVE_BLOCK):
         block = sizes[first : first + _DRIVE_BLOCK]
@@ -364,22 +385,22 @@ def _integrate_to_grid(
         steps = zip(block, stage_views, d_ends, d_mids, d_ends[1:], hist_dyn[first + 1 :])
         for (hk, half_h, sixth_h), (x2, x3, x4), d_start, d_mid, d_end, x_next in steps:
             rhs(x, e, d_start, k1)
-            np.multiply(half_h, k1, out=x2)
+            multiply(half_h, k1, x2)
             x2 += x
             rhs(x2, e, d_mid, k2)
-            np.multiply(half_h, k2, out=x3)
+            multiply(half_h, k2, x3)
             x3 += x
             rhs(x3, e, d_mid, k3)
-            np.multiply(hk, k3, out=x4)
+            multiply(hk, k3, x4)
             x4 += x
             rhs(x4, e, d_end, k4)
             # x + h/6 * (k1 + 2 k2 + 2 k3 + k4). The reduce over the stage
             # axis adds the stages left to right onto -0.0, which leaves
             # every value, a signed zero included, as k1 + k2 + k3 + k4 would.
             k2_k3 *= _TWO
-            np.add.reduce(ks, axis=0, out=xs, initial=-0.0)
+            add_reduce(ks, axis=0, out=xs, initial=-0.0)
             xs *= sixth_h
-            x = np.add(x, xs, out=x_next)
+            x = add(x, xs, x_next)
         if n_quad:
             # The same combine for the quadrature rows, at all of the block's
             # stage states at once; the accumulate then adds each step's
@@ -455,10 +476,16 @@ class OdeBenchmark:
         samples, steps = _integrate_to_grid(
             self, x0, e_values, h, blend, spec.duration, spec.grid_times()
         )
-        for i in range(batch):
-            if sigma[i] > 0.0:
-                rng = rng_from_seed(split_seed(seeds[i], "obs-noise", spec.id))
-                samples[i] += sigma[i] * rng.standard_normal(samples[i].shape)
+        # A row's noise is drawn from its seed alone, so rows that share a
+        # seed (the falsifier's common random numbers) share one draw.
+        noisy_rows: dict[Seed, list[int]] = {}
+        for i in np.flatnonzero(sigma > 0.0):
+            noisy_rows.setdefault(seeds[i], []).append(i)
+        for seed, rows in noisy_rows.items():
+            rng = rng_from_seed(split_seed(seed, "obs-noise", spec.id))
+            z = rng.standard_normal(samples.shape[1:])
+            for i in rows:
+                samples[i] += sigma[i] * z
         return samples, steps
 
 
@@ -512,25 +539,44 @@ class _AdapterBackend:
                 reply = json.loads(proc.stdout.decode())
             except (ValueError, UnicodeDecodeError) as exc:
                 raise AdapterProtocolError(f"adapter produced invalid JSON: {exc}")
-            for key in ("dt", "channels", "samples"):
-                if key not in reply:
-                    raise AdapterProtocolError(f"adapter reply missing field {key!r}")
-            if tuple(reply["channels"]) != spec.channels:
-                raise AdapterProtocolError(
-                    f"adapter channels {reply['channels']} != spec channels {list(spec.channels)}"
-                )
-            if abs(float(reply["dt"]) - spec.base_dt) > 1e-12:
-                raise AdapterProtocolError(
-                    f"adapter dt {reply['dt']} != requested dt {spec.base_dt}"
-                )
-            arr = np.asarray(reply["samples"], dtype=float)
-            if arr.shape != (len(spec.channels), spec.steps):
-                raise AdapterProtocolError(
-                    f"adapter samples shape {arr.shape} != expected "
-                    f"{(len(spec.channels), spec.steps)}"
-                )
-            out[i] = arr
+            out[i] = _reply_samples(spec, reply)
         return out, np.full(batch, spec.steps)
+
+
+# What float() and np.asarray(..., dtype=float) raise on a value that is not
+# a number, or not a rectangular array of numbers.
+_NOT_NUMERIC = (TypeError, ValueError, OverflowError)
+
+
+def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
+    """The (channels, steps) samples of one parsed adapter reply, checked against ``spec``.
+
+    Every way the reply can break the protocol raises :class:`AdapterProtocolError`.
+    """
+    if not isinstance(reply, dict):
+        raise AdapterProtocolError(f"adapter reply is a JSON {type(reply).__name__}, not an object")
+    for key in ("dt", "channels", "samples"):
+        if key not in reply:
+            raise AdapterProtocolError(f"adapter reply missing field {key!r}")
+    if not isinstance(reply["channels"], list) or tuple(reply["channels"]) != spec.channels:
+        raise AdapterProtocolError(
+            f"adapter channels {reply['channels']!r} != spec channels {list(spec.channels)}"
+        )
+    try:
+        dt = float(reply["dt"])
+    except _NOT_NUMERIC as exc:
+        raise AdapterProtocolError(f"adapter dt {reply['dt']!r} is not a number") from exc
+    if not abs(dt - spec.base_dt) <= 1e-12:
+        raise AdapterProtocolError(f"adapter dt {reply['dt']} != requested dt {spec.base_dt}")
+    try:
+        arr = np.asarray(reply["samples"], dtype=float)
+    except _NOT_NUMERIC as exc:
+        raise AdapterProtocolError(f"adapter samples are not an array of numbers: {exc}") from exc
+    if arr.shape != (len(spec.channels), spec.steps):
+        raise AdapterProtocolError(
+            f"adapter samples shape {arr.shape} != expected {(len(spec.channels), spec.steps)}"
+        )
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +730,12 @@ def _osc_drive(
 def _osc_rhs(
     x: np.ndarray, e: np.ndarray, drive: tuple[np.ndarray, np.ndarray], out: np.ndarray
 ) -> None:
-    pos, vel = x
+    vel = x[1]
     cubic_w, linear_w = drive
     drag = e[2] * (cubic_w * vel**3 + linear_w * vel)
     out[0] = vel
     acc = out[1]
-    np.multiply(_OSC_NEG_OMEGA_SQ, pos, out=acc)
+    np.multiply(_OSC_NEG_OMEGA_SQ, x[0], acc)
     acc -= drag
 
 
@@ -714,8 +760,8 @@ def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
 def _brk_rhs(x: np.ndarray, e: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
     # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by
     # their factors from ``_brk_drive``.
-    np.divide(x, _BRK_SPEED_RAMP, out=out)
-    out.clip(_ZERO, _ONE, out=out)
+    np.divide(x, _BRK_SPEED_RAMP, out)
+    _clip(out, _ZERO, _ONE, out)
     out *= drive
 
 

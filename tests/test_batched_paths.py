@@ -304,6 +304,40 @@ def one_row_multi_f(spec, e_values, f_rows, seeds, high=None):
     return per_row(spec, e_values, settings, seeds)
 
 
+def test_noise_drawn_once_per_seed_matches_per_row_draws(braking, monkeypatch):
+    # Shared and distinct seeds, rows with noise off (noise knob 1) and high
+    # rows, whose noise knob is ignored. Rows 0 and 3 share a seed at
+    # different noise scales; seeds 12 and 13 appear only on noise-free rows.
+    seeds = [7, 8, 7, 7, 9, 8, 12, 13, 7, 10]
+    noise_knob = [0.2, 0.5, 0.2, 0.7, 0.0, 1.0, 1.0, 0.3, 1.0, 0.9]
+    high = [False, False, False, False, False, False, False, True, True, False]
+    e_values = np.array([c.as_array() for c in sample_uniform(braking.environment_space, 10, 3)])
+    f_rows = np.column_stack([np.linspace(0.2, 1.0, 10), np.full(10, 0.6), noise_knob])
+
+    expected = []
+    for i, (seed, is_high) in enumerate(zip(seeds, high)):
+        quiet = None if is_high else braking.fidelity_space.setting((*f_rows[i, :2], 1.0))
+        samples, _ = sim_module.simulate_batch(braking, e_values[i : i + 1], quiet, [seed])
+        sigma = braking.fidelity_mapping.noise_scale(f_rows[i])
+        if not is_high and sigma > 0.0:
+            rng = sim_module.rng_from_seed(split_seed(seed, "obs-noise", braking.id))
+            samples[0] += sigma * rng.standard_normal(samples[0].shape)
+        expected.append(samples[0])
+
+    keys = []
+    real_rng = sim_module.rng_from_seed
+
+    def counting_rng(seed):
+        keys.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(sim_module, "rng_from_seed", counting_rng)
+    samples, ok = sim_module.simulate_batch_multi_f(braking, e_values, f_rows, seeds, high)
+    assert ok.all()
+    assert samples.tobytes() == np.array(expected).tobytes()
+    assert keys == [split_seed(s, "obs-noise", braking.id) for s in (7, 8, 9, 10)]
+
+
 def test_campaign_totals_match_per_trajectory_calls(tmp_path, monkeypatch):
     config = CampaignConfig(
         simulator="braking",

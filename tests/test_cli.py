@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from safeval import sim
+from safeval.analysis import sensitivity
+from safeval.campaign import CampaignConfig, analysis_summary, sample_tasks
 from safeval.cli import main
+from safeval.core import split_seed
 from safeval.sim import CALL_COUNTER
+from safeval.stl import parse_spec
+from tests.conftest import replace_braking_backend
 
 
 def read_stripped_events(path):
@@ -273,6 +281,97 @@ class TestAnalyzeCommand:
             assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append((out / "analysis.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+ACCEPTANCE_09 = dict(
+    simulator="braking",
+    task_count=2,
+    params_per_task=3,
+    outer_iterations=20,
+    master_seed=2024,
+    falsify_budget=dict(max_evaluations=192, population=64, stop_tolerance=0.0, samples_per_eval=1),
+    budget_policy=dict(base_budget=192, scale=0.0),
+    analysis_pairs=24,
+)
+
+
+class DivergeLowRows:
+    """Braking, with the samples of every low-fidelity row whose ``diverges`` flag is set made NaN."""
+
+    def __init__(self, inner, diverges):
+        self.inner, self.diverges = inner, diverges
+
+    def run(self, spec, e_values, f_rows, seeds, high):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+        samples[~high & self.diverges(f_rows)] = np.nan
+        return samples, steps
+
+
+class TestAnalyzeCalls:
+    def test_stencil_rides_in_the_estimates_call(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_09))
+        calls = []
+        real = sim._simulate
+
+        def counting(spec, e_values, f_rows, seeds, high):
+            calls.append(len(seeds))
+            return real(spec, e_values, f_rows, seeds, high)
+
+        monkeypatch.setattr(sim, "_simulate", counting)
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 0
+        # Three generations of the sensitivity search, then one call: 144
+        # Lipschitz rows (48 each) and the 6 stencil rows 3 times over.
+        assert calls == [64, 64, 64, 3 * 48 + 6 * 3]
+        monkeypatch.undo()
+
+        # The same bytes as the estimates and the sensitivity run apart.
+        config = CampaignConfig.from_dict(ACCEPTANCE_09)
+        spec = sim.get_benchmark("braking")
+        phi = parse_spec(spec.safety_spec)
+        tasks = sample_tasks(spec, 2, 3, 2024)
+        f_max = spec.fidelity_space.max_fidelity()
+        lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
+        center = spec.environment_space.config((lo + hi) / 2.0)
+        sens = sensitivity(
+            spec, phi, f_max, 1e-3, config.falsify_budget, split_seed(2024, "sens"), repeats=3
+        )
+        expected = {
+            "simulator": "braking",
+            "safety_spec": spec.safety_spec,
+            "master_seed": 2024,
+            "sensitivity": dataclasses.asdict(sens),
+            **analysis_summary(spec, phi, tasks, config, f_max, center, K1=192),
+        }
+        text = (tmp_path / "ana" / "analysis.json").read_text()
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_sensitivity_search_fails_before_the_estimates(self, tmp_path, monkeypatch, capsys):
+        # Every low-fidelity row diverges, so the search and the estimates
+        # would both fail; the search runs first and its error is reported.
+        replace_braking_backend(
+            monkeypatch, lambda real: DivergeLowRows(real, lambda f: np.ones(len(f), bool))
+        )
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_09))
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 2
+        assert "runtime failure: FalsificationFailedError" in capsys.readouterr().err
+        assert not (tmp_path / "ana" / "analysis.json").exists()
+
+    def test_estimate_errors_come_before_the_stencil_error(self, tmp_path, monkeypatch, capsys):
+        # Rows below full fidelity diverge: the search at full fidelity
+        # succeeds, then the fidelity estimate's rows and the stencil's both
+        # diverge in the one call. The estimates reduce first, so the error
+        # names the estimate's probe point, not the counterexample.
+        replace_braking_backend(
+            monkeypatch, lambda real: DivergeLowRows(real, lambda f: (f < 1.0).any(axis=1))
+        )
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_09))
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation diverged during estimation at e=[52.5, 22.5, 5.0]\n"
+        )
 
 
 class TestReportCommand:

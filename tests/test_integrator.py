@@ -333,6 +333,37 @@ def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
     assert out.T.tobytes() == expected.tobytes()
 
 
+class UfuncLog(np.ndarray):
+    """An array that logs the ufuncs it takes part in and runs them on plain arrays."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        UfuncLog.log.append(ufunc)
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, UfuncLog) else a
+
+        if out:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        getattr(ufunc, method)(*(plain(a) for a in inputs), **kwargs)
+        return out[0] if out else None
+
+
+def test_stop_ramp_calls_the_ufunc_that_ndarray_clip_dispatches():
+    UfuncLog.log = []
+    np.zeros(3).view(UfuncLog).clip(0.0, 1.0, out=np.empty(3).view(UfuncLog))
+    (dispatched,) = UfuncLog.log
+    assert isinstance(dispatched, np.ufunc) and dispatched is sim._clip
+
+    UfuncLog.log = []
+    e = np.tile([50.0, 20.0, 5.0], (4, 1)).T.copy()
+    drive = sim._brk_drive(np.full((1, 4), 1.0), e, np.full(4, 0.3))[0]
+    speeds = np.array([[0.05, -0.0, np.nan, 2.0], [0.1, 1.0, 0.0, -0.0]])
+    sim._brk_rhs(speeds, e, drive, np.empty((2, 4)).view(UfuncLog))
+    assert UfuncLog.log == [np.divide, dispatched, np.multiply]
+
+
 def test_stage_sum_keeps_signed_zeros():
     # Four -0.0 stages sum to -0.0, so a state at -0.0 stays there; a reduce
     # that starts from +0.0 would move it to +0.0. Row 0 is a quadrature row.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from safeval.core import InvalidArgumentError, SimulationDivergedError
-from safeval.loss import mse_loss
+from safeval.loss import LOSS_FAILURES, mse_loss
 from safeval.sim import (
     CALL_COUNTER,
     AdapterProtocolError,
@@ -371,6 +371,45 @@ class TestExternalAdapter:
         )
         with pytest.raises(AdapterProtocolError):
             simulate_high(spec, spec.environment_space.config((1.0,)), seed=0)
+
+    # Replies that parse as JSON but break the protocol; each must raise
+    # AdapterProtocolError, which a loss evaluation scores as +inf.
+    GOOD_REPLY = {"start_time": 0.0, "dt": 0.1, "channels": ["y"], "samples": [[0.0] * 21]}
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            5,
+            [GOOD_REPLY],
+            "null",
+            {**GOOD_REPLY, "channels": "y"},
+            {**GOOD_REPLY, "channels": 5},
+            {**GOOD_REPLY, "dt": "fast"},
+            {**GOOD_REPLY, "dt": [0.1]},
+            {**GOOD_REPLY, "dt": None},
+            {**GOOD_REPLY, "dt": 10**400},
+            {**GOOD_REPLY, "dt": float("nan")},
+            {**GOOD_REPLY, "samples": [["x"] * 21]},
+            {**GOOD_REPLY, "samples": [[0.0] * 21, [0.0]]},
+            {**GOOD_REPLY, "samples": {"y": [0.0] * 21}},
+            {**GOOD_REPLY, "samples": [[10**400] * 21]},
+        ],
+        ids=[
+            "number", "list", "string", "channels-string", "channels-number",
+            "dt-string", "dt-list", "dt-null", "dt-huge-int", "dt-nan",
+            "samples-strings", "samples-ragged", "samples-object", "samples-huge-int",
+        ],
+    )
+    def test_malformed_reply_is_protocol_error(self, adapter_spec, monkeypatch, reply):
+        sim_module = importlib.import_module("safeval.sim")
+
+        def reply_with(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(reply).encode(), b"")
+
+        monkeypatch.setattr(sim_module.subprocess, "run", reply_with)
+        assert AdapterProtocolError in LOSS_FAILURES
+        with pytest.raises(AdapterProtocolError):
+            simulate_high(adapter_spec, adapter_spec.environment_space.config((1.0,)), seed=0)
 
     def test_missing_executable(self, adapter_spec):
         spec = external_simulator_spec(
