@@ -40,6 +40,7 @@ from .core import (
     FidelitySetting,
     InvalidArgumentError,
     Seed,
+    SimulationDivergedError,
     Task,
     latin_hypercube_unit,
     rng_from_seed,
@@ -221,7 +222,7 @@ def _rho_plan(
             block = slice(r * n, (r + 1) * n)
             if not ok[block].all():
                 bad = int(np.flatnonzero(~ok[block])[0])
-                raise InvalidArgumentError(
+                raise SimulationDivergedError(
                     f"simulation diverged during estimation at e={e_values[bad].tolist()}"
                 )
             total += robustness_batch(phi, samples[block], spec.channels, spec.base_dt)
@@ -393,7 +394,7 @@ def _loss_pair_plan(
         samples: np.ndarray, ok: np.ndarray
     ) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
         if not ok.all():
-            raise InvalidArgumentError("simulation diverged while sampling trajectory pairs")
+            raise SimulationDivergedError("simulation diverged while sampling trajectory pairs")
         highs, lows = samples[:pairs], samples[pairs:]
         highs2, lows2 = highs.copy(), lows.copy()
         rng = rng_from_seed(split_seed(seed, "perturb"))

@@ -51,9 +51,12 @@ derivative reads (the braking gap) are quadrature rows: the step loop
 advances only the other, dynamic rows and keeps their stage states, and
 after each block of steps the quadrature rows are integrated from those in
 a few block-wide calls, each step's increment added onto the previous value
-in step order, so every row gets the bits of a step-by-step RK4. A braking
-step makes 22 NumPy calls, an oscillator step 42; they go straight to the
-ufuncs (the braking ramp's ``clip`` included), not through array methods.
+in step order, so every row gets the bits of a step-by-step RK4. Steps whose
+derivatives do not read the state (braking speeds above the stop ramp) are
+integrated the same way; the loop runs only from the first step that reads
+it, with a right-hand side bound once per call to operands shaped like the
+state. A braking step makes 22 NumPy calls, an oscillator step 42; they go
+straight to the ufuncs (the braking ramp's ``clip`` included).
 """
 
 from __future__ import annotations
@@ -263,24 +266,35 @@ CALL_COUNTER = SimCallCounter()
 # * ``drive(t, e, blend)`` with t (n, B), e (d_e, B) and blend (B,) returns
 #   the terms that depend only on time, the environment and the model blend,
 #   at n time points at once: a sequence whose entry j (an array or a tuple
-#   of arrays) holds the terms at times t[j] and is handed to ``rhs`` as it
+#   of arrays) holds the terms at times t[j] and is handed to the step as it
 #   is. The integrator calls it twice per block of steps, on the steps' start
 #   and end times and on their midpoints. A drive that does not depend on
 #   time may return one shared entry n times.
-# * ``rhs(x, e, drive, out)`` with x (D, B) the dynamic rows and e (d_e, B)
+# * ``rhs(e)`` with e (d_e, B) binds the right-hand side to one call's batch
+#   and returns ``step(x, drive, out)``. The binder shapes the step's
+#   operands once, like the state, so that no per-step call broadcasts a
+#   scalar or allocates a temporary. ``step`` with x (D, B) the dynamic rows
 #   writes their dx/dt into ``out`` (D, B) and returns nothing. ``out`` is an
-#   integrator buffer that the next call overwrites: the RHS must write every
-#   element of it, must not keep it or a view of it, and must not modify x,
-#   e or drive.
+#   integrator buffer that the next call overwrites: the step must write
+#   every element of it, must not keep it or a view of it, and must not
+#   modify x, e or drive.
 # * ``quad(x, out)`` with x (..., D, B), dynamic-row states at any number of
 #   points, writes the quadrature rows' derivatives at those points into
 #   ``out`` (..., quad_rows, B). They may depend on nothing else. The
 #   integrator calls it once per block of steps, on all of the block's stage
 #   states at once.
+# * ``drive_only(x)``, optional, with x (..., D, B) returns a bool array of
+#   x's shape, True where ``step`` writes the drive's term unchanged, bit for
+#   bit: there the derivative does not read the state (braking's speeds at
+#   or above the stop ramp). A model with it has a drive that returns one
+#   (n, D, B) array. Until a block holds a stage state that is not
+#   drive-only, the integrator takes its steps as quadrature too (see
+#   ``_integrate_to_grid``) and makes no step call.
 #
-# All three must be elementwise per batch item.
+# All of them must be elementwise per batch item.
 DriveFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[Any]]
-RhsFn = Callable[[np.ndarray, np.ndarray, Any, np.ndarray], None]
+StepFn = Callable[[np.ndarray, Any, np.ndarray], None]
+RhsFn = Callable[[np.ndarray], StepFn]
 QuadFn = Callable[[np.ndarray, np.ndarray], None]
 
 # Loop steps per drive evaluation: large enough to spread the drive's
@@ -320,9 +334,9 @@ def _integrate_to_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate each batch item with its own step size and resample onto ``grid``.
 
-    ``model`` supplies ``drive``, ``rhs``, ``quad_rows`` and ``quad`` as in
-    the contract above. ``x0`` is (B, S) and ``e`` is (B, d_e); the model's
-    functions see both variable-major.
+    ``model`` supplies ``drive``, ``rhs``, ``quad_rows``, ``quad`` and
+    ``drive_only`` as in the contract above. ``x0`` is (B, S) and ``e`` is
+    (B, d_e); the model's functions see both variable-major.
     Returns the resampled (B, S, len(grid)) samples and each item's
     integration step count. Items whose step equals the grid spacing are
     taken verbatim (no resampling), which makes the maximum-fidelity path
@@ -342,8 +356,9 @@ def _integrate_to_grid(
     remainder = np.where(remainder > 1e-12 * max(duration, 1.0), remainder, 0.0)
     max_full = int(full_steps.max())
 
-    drive, rhs = model.drive, model.rhs
+    drive, drive_only = model.drive, model.drive_only
     e = np.ascontiguousarray(e.T)
+    rhs = model.rhs(e)
     hist = np.empty((max_full + 2, state_dim, batch))
     hist[0] = x0.T
     hist_quad = hist[:, :n_quad]
@@ -352,6 +367,7 @@ def _integrate_to_grid(
     ks = np.empty((4, dyn, batch))
     k1, k2, k3, k4 = ks
     k2_k3 = ks[1:3]
+    two = np.full((2, dyn, batch), _TWO)
     xs = np.empty((dyn, batch))
     # The four stage states of every step of a block; the loop writes the
     # last three, the quadrature pass copies in the first.
@@ -359,47 +375,75 @@ def _integrate_to_grid(
     stage_views = [tuple(step[1:]) for step in stages]
     quad_ks = np.empty((_DRIVE_BLOCK, 4, n_quad, batch)) if n_quad else None
     # (h, h/2, h/6) of every loop step, each shaped (D, B) like the state so
-    # that no per-step call broadcasts; row 0 serves the block-wise calls.
-    # The step sizes change only at the first step, where some item's full
-    # steps end, and at the final remainder step (k == max_full); the steps
-    # in between share one tuple.
-    changes = {0, *full_steps.tolist()}
-    sizes = []
-    for k in range(max_full + 1):
-        if k in changes:
-            hk = remainder if k == max_full else np.where(k < full_steps, h, 0.0)
-            size = tuple(np.tile(v, (dyn, 1)) for v in (hk, 0.5 * hk, hk / 6.0))
-        sizes.append(size)
+    # that no per-step call broadcasts. The step sizes change only at the
+    # first step, where some item's full steps end, and at the final
+    # remainder step (k == max_full); ``size_of`` gives each step's row.
+    changes = sorted({0, *full_steps.tolist()})
+    step_sizes = np.empty((len(changes), 3, dyn, batch))
+    for row, k in zip(step_sizes, changes):
+        hk = remainder if k == max_full else np.where(k < full_steps, h, 0.0)
+        row[0], row[1], row[2] = hk, 0.5 * hk, hk / 6.0
+    size_of = np.searchsorted(changes, np.arange(max_full + 1), side="right") - 1
+    size_views = [tuple(row) for row in step_sizes]
+    sizes = [size_views[row] for row in size_of.tolist()]
     # Per-step calls go to locally bound ufuncs and pass ``out`` positionally,
     # which skips a global lookup and keyword parsing on each of them.
     multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
+    saturated = drive_only is not None
     t = np.zeros(batch)
     for first in range(0, max_full + 1, _DRIVE_BLOCK):
         block = sizes[first : first + _DRIVE_BLOCK]
         n = len(block)
+        # (h, h/2, h/6) of the block's steps, (n, 3, 1, B), for block-wide calls.
+        block_h = step_sizes[size_of[first : first + n], :, :1]
         # Start and end times of the block's steps, summed left to right as
         # a step-by-step t + h would sum them.
-        times = np.add.accumulate([t, *(hk[0] for hk, _, _ in block)])
+        times = np.add.accumulate(np.concatenate(([t], block_h[:, 0, 0])))
         d_ends = drive(times, e, blend)
-        d_mids = drive(times[:-1] + np.array([half_h[0] for _, half_h, _ in block]), e, blend)
-        steps = zip(block, stage_views, d_ends, d_mids, d_ends[1:], hist_dyn[first + 1 :])
+        d_mids = drive(times[:-1] + block_h[:, 1, 0], e, blend)
+        taken = 0
+        if saturated:
+            # Every step as if its four stage states were drive-only (k1 =
+            # d_start, k2 = k3 = d_mid, k4 = d_end): the loop's combine of
+            # those stages, accumulated onto the block's start state in step
+            # order, and the stage states formed as the loop forms them. The
+            # steps before the first one with a stage state that is not
+            # drive-only have the loop's bits; the loop steps from there, and
+            # a block that keeps fewer than all its steps ends the shortcut.
+            sk = stages[:n]
+            sk[:, 0], sk[:, 3] = d_ends[:-1], d_ends[1:]
+            sk[:, 1] = sk[:, 2] = multiply(d_mids, _TWO)
+            rows = hist_dyn[first : first + n + 1]
+            add_reduce(sk, axis=1, out=rows[1:], initial=-0.0)
+            rows[1:] *= block_h[:, 2]
+            np.add.accumulate(rows, axis=0, out=rows)
+            for stage, size, k in ((1, 1, d_ends[:-1]), (2, 1, d_mids), (3, 0, d_mids)):
+                multiply(block_h[:, size], k, sk[:, stage])
+                sk[:, stage] += rows[:-1]
+            sk[:, 0] = rows[:-1]
+            kept = drive_only(sk).all(axis=(1, 2, 3))
+            taken = n if kept.all() else int(kept.argmin())
+            saturated = taken == n
+            x = rows[taken]
+        rest = (block, stage_views, d_ends, d_mids, d_ends[1:], hist_dyn[first + 1 :])
+        steps = zip(*(seq[taken:] for seq in rest))
         for (hk, half_h, sixth_h), (x2, x3, x4), d_start, d_mid, d_end, x_next in steps:
-            rhs(x, e, d_start, k1)
+            rhs(x, d_start, k1)
             multiply(half_h, k1, x2)
-            x2 += x
-            rhs(x2, e, d_mid, k2)
+            add(x2, x, x2)
+            rhs(x2, d_mid, k2)
             multiply(half_h, k2, x3)
-            x3 += x
-            rhs(x3, e, d_mid, k3)
+            add(x3, x, x3)
+            rhs(x3, d_mid, k3)
             multiply(hk, k3, x4)
-            x4 += x
-            rhs(x4, e, d_end, k4)
+            add(x4, x, x4)
+            rhs(x4, d_end, k4)
             # x + h/6 * (k1 + 2 k2 + 2 k3 + k4). The reduce over the stage
             # axis adds the stages left to right onto -0.0, which leaves
             # every value, a signed zero included, as k1 + k2 + k3 + k4 would.
-            k2_k3 *= _TWO
+            multiply(k2_k3, two, k2_k3)
             add_reduce(ks, axis=0, out=xs, initial=-0.0)
-            xs *= sixth_h
+            multiply(xs, sixth_h, xs)
             x = add(x, xs, x_next)
         if n_quad:
             # The same combine for the quadrature rows, at all of the block's
@@ -412,7 +456,7 @@ def _integrate_to_grid(
             qk[:, 1:3] *= _TWO
             rows = hist_quad[first : first + n + 1]
             np.add.reduce(qk, axis=1, out=rows[1:], initial=-0.0)
-            rows[1:] *= np.array([sixth_h[:1] for _, _, sixth_h in block])
+            rows[1:] *= block_h[:, 2]
             np.add.accumulate(rows, axis=0, out=rows)
         t = times[-1]
 
@@ -421,13 +465,19 @@ def _integrate_to_grid(
     verbatim = (h == base_dt) & (full_steps == n_grid - 1)
     if verbatim.any():  # then hist holds at least n_grid steps
         np.copyto(out.transpose(2, 1, 0), hist[:n_grid], where=verbatim)
+    # Knot times depend on h alone. A row whose full steps end last has its
+    # knots in consecutive history rows; the others skip their h = 0 steps.
+    knot_times: dict[float, np.ndarray] = {}
     for i in np.flatnonzero(~verbatim):
         fi = int(full_steps[i])
-        knots_t = h[i] * np.arange(fi + 1)
-        knots_x = hist[: fi + 1, :, i]
-        if remainder[i] > 0.0:
-            knots_t = np.append(knots_t, duration)
-            knots_x = np.vstack([knots_x, hist[max_full + 1, :, i][None, :]])
+        n_knots = fi + 1 + int(remainder[i] > 0.0)
+        knots_t = knot_times.get(h[i])
+        if knots_t is None:
+            knots_t = knot_times[h[i]] = h[i] * np.arange(n_knots)
+            knots_t[fi + 1 :] = duration
+        knots_x = hist[:n_knots, :, i]
+        if fi < max_full and n_knots > fi + 1:
+            knots_x = np.vstack([hist[: fi + 1, :, i], hist[max_full + 1, :, i]])
         for s in range(state_dim):
             out[i, s] = np.interp(grid, knots_t, knots_x[:, s])
     return out, full_steps + (remainder > 0.0)
@@ -439,7 +489,8 @@ class OdeBenchmark:
 
     Fidelity knobs are interpreted positionally as (dt multiplier, model
     blend, noise scale); trailing knobs may be absent. The leading
-    ``quad_rows`` state rows are quadrature rows with derivatives ``quad``
+    ``quad_rows`` state rows are quadrature rows with derivatives ``quad``;
+    ``drive_only`` marks the states whose derivative is the drive's term
     (see the right-hand side contract above).
     """
 
@@ -448,6 +499,7 @@ class OdeBenchmark:
     initial_state: Callable[[np.ndarray], np.ndarray]
     quad_rows: int = 0
     quad: QuadFn | None = None
+    drive_only: Callable[[np.ndarray], np.ndarray] | None = None
 
     def _knob_arrays(
         self, spec: SimulatorSpec, f_rows: np.ndarray, batch: int
@@ -727,16 +779,28 @@ def _osc_drive(
     return [(1.0 - blend, blend)] * len(t)
 
 
-def _osc_rhs(
-    x: np.ndarray, e: np.ndarray, drive: tuple[np.ndarray, np.ndarray], out: np.ndarray
-) -> None:
-    vel = x[1]
-    cubic_w, linear_w = drive
-    drag = e[2] * (cubic_w * vel**3 + linear_w * vel)
-    out[0] = vel
-    acc = out[1]
-    np.multiply(_OSC_NEG_OMEGA_SQ, x[0], acc)
-    acc -= drag
+def _osc_rhs(e: np.ndarray) -> StepFn:
+    # -w^2 x - c (cubic_w v^3 + linear_w v), the drag built in scratch rows.
+    batch = e.shape[1]
+    neg_omega_sq, three = np.full(batch, _OSC_NEG_OMEGA_SQ), np.full(batch, 3.0)
+    drag_c = e[2]
+    cubic, linear = np.empty((2, batch))
+    power, multiply, add, subtract = np.power, np.multiply, np.add, np.subtract
+
+    def step(x: np.ndarray, drive: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> None:
+        vel = x[1]
+        cubic_w, linear_w = drive
+        power(vel, three, cubic)
+        multiply(cubic_w, cubic, cubic)
+        multiply(linear_w, vel, linear)
+        add(cubic, linear, cubic)
+        multiply(drag_c, cubic, cubic)
+        out[0] = vel
+        acc = out[1]
+        multiply(neg_omega_sq, x[0], acc)
+        subtract(acc, cubic, acc)
+
+    return step
 
 
 def _osc_init(e: np.ndarray) -> np.ndarray:
@@ -757,12 +821,25 @@ def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _brk_rhs(x: np.ndarray, e: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
-    # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by
-    # their factors from ``_brk_drive``.
-    np.divide(x, _BRK_SPEED_RAMP, out)
-    _clip(out, _ZERO, _ONE, out)
-    out *= drive
+def _brk_rhs(e: np.ndarray) -> StepFn:
+    # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by their
+    # factors from ``_brk_drive``. The clip bounds stay NumPy scalars: array
+    # bounds take another clip loop, which turns a -0.0 ramp into +0.0.
+    ramp = np.full((2, e.shape[1]), _BRK_SPEED_RAMP)
+    divide, clip, multiply, lo, hi = np.divide, _clip, np.multiply, _ZERO, _ONE
+
+    def step(x: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
+        divide(x, ramp, out)
+        clip(out, lo, hi, out)
+        multiply(out, drive, out)
+
+    return step
+
+
+def _brk_drive_only(x: np.ndarray) -> np.ndarray:
+    # Where x / 0.1 >= 1.0 the ramp's clip is 1.0 and the step writes 1.0 * drive;
+    # division is monotone, and the double below 0.1 divides to under 1.0.
+    return x >= _BRK_SPEED_RAMP
 
 
 def _brk_gap_rate(x: np.ndarray, out: np.ndarray) -> None:
@@ -822,6 +899,7 @@ BRAKING = SimulatorSpec(
         initial_state=_brk_init,
         quad_rows=1,
         quad=_brk_gap_rate,
+        drive_only=_brk_drive_only,
     ),
     safety_spec="G[0,6](gap > 0)",
 )

@@ -14,7 +14,7 @@ from safeval.analysis import (
     sensitivity,
     total_samples,
 )
-from safeval.core import InvalidArgumentError, Task, Trajectory
+from safeval.core import InvalidArgumentError, SimulationDivergedError, Task, Trajectory
 from safeval.falsify import FalsifyBudget
 from safeval.loss import mse_loss
 
@@ -223,7 +223,7 @@ class TestRowPlans:
             ("env", lambda: estimate_lipschitz_env(diverging_spec, synth_phi, f, 10, 1)),
             ("loss", lambda: estimate_lipschitz_loss(diverging_spec, [task], 10, 2)),
         ):
-            with pytest.raises(InvalidArgumentError) as info:
+            with pytest.raises(SimulationDivergedError) as info:
                 call()
             messages[name] = str(info.value)
         assert messages["env"] != messages["loss"]
@@ -236,7 +236,7 @@ class TestRowPlans:
 
         for first, second in (("env", "loss"), ("loss", "env")):
             built = plans()
-            with pytest.raises(InvalidArgumentError) as info:
+            with pytest.raises(SimulationDivergedError) as info:
                 run_plans(diverging_spec, [built[first], built[second]])
             assert str(info.value) == messages[first]
 

@@ -368,9 +368,10 @@ class TestAnalyzeCalls:
         )
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(ACCEPTANCE_09))
-        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 2
         assert capsys.readouterr().err == (
-            "error: simulation diverged during estimation at e=[52.5, 22.5, 5.0]\n"
+            "runtime failure: SimulationDivergedError: "
+            "simulation diverged during estimation at e=[52.5, 22.5, 5.0]\n"
         )
 
 

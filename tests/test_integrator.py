@@ -2,12 +2,13 @@
 
 ``_integrate_to_grid`` reuses buffers, evaluates the terms that do not
 depend on the state once per block of steps, sums the stages with one
-reduce and integrates the quadrature rows (the braking gap) after each block
-of steps. The reference below is the direct formulation it replaced: one
-``_rk4_step`` per step that calls a right-hand side returning a fresh
-``np.stack`` of all the derivatives, the gap's included, four times, with
-the time and environment terms computed inside it. Both must give the same
-bits.
+reduce, integrates the quadrature rows (the braking gap) after each block
+of steps, and takes the braking steps whose stage speeds are all above the
+stop ramp as block quadrature too. The reference below is the direct
+formulation it replaced: one ``_rk4_step`` per step that calls a right-hand
+side returning a fresh ``np.stack`` of all the derivatives, the gap's
+included, four times, with the time and environment terms computed inside
+it. Both must give the same bits.
 """
 
 import dataclasses
@@ -16,6 +17,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeval import sim
 from safeval.core import sample_uniform
@@ -47,16 +50,22 @@ def ref_brk_rhs(t, x, e, blend):
 REFERENCE_RHS = {sim._osc_rhs: ref_osc_rhs, sim._brk_rhs: ref_brk_rhs}
 
 
-def ref_rk4_step(rhs, t, x, h, e, blend):
+def ref_rk4_step(rhs, t, x, h, e, blend, stage_states):
     hc = h[:, None]
     k1 = rhs(t, x, e, blend)
-    k2 = rhs(t + 0.5 * h, x + 0.5 * hc * k1, e, blend)
-    k3 = rhs(t + 0.5 * h, x + 0.5 * hc * k2, e, blend)
-    k4 = rhs(t + h, x + hc * k3, e, blend)
+    x2 = x + 0.5 * hc * k1
+    k2 = rhs(t + 0.5 * h, x2, e, blend)
+    x3 = x + 0.5 * hc * k2
+    k3 = rhs(t + 0.5 * h, x3, e, blend)
+    x4 = x + hc * k3
+    k4 = rhs(t + h, x4, e, blend)
+    if stage_states is not None:
+        stage_states.append(np.stack([x, x2, x3, x4]))
     return x + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid):
+def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid, stage_states=None):
+    """The textbook integration; each step's four (B, S) stage states go to ``stage_states``."""
     rhs = REFERENCE_RHS[model.rhs]
     batch, state_dim = x0.shape
     base_dt = float(grid[1] - grid[0])
@@ -71,10 +80,10 @@ def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid):
     t = np.zeros(batch)
     for k in range(max_full):
         hk = np.where(k < full_steps, h, 0.0)
-        x = ref_rk4_step(rhs, t, x, hk, e, blend)
+        x = ref_rk4_step(rhs, t, x, hk, e, blend, stage_states)
         t = t + hk
         hist[k + 1] = x
-    hist[max_full + 1] = ref_rk4_step(rhs, t, x, remainder, e, blend)
+    hist[max_full + 1] = ref_rk4_step(rhs, t, x, remainder, e, blend, stage_states)
 
     n_grid = len(grid)
     out = np.empty((batch, state_dim, n_grid))
@@ -217,37 +226,193 @@ def test_knob_arrays_match_the_per_row_mapping(sim_id):
     assert sigma.tobytes() == np.maximum(phys[:, 2], 0.0).tobytes()
 
 
-@pytest.mark.parametrize("sim_id, quad_rows", [("braking", 1), ("oscillator", 0)])
-def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id, quad_rows):
-    spec = get_benchmark(sim_id)
-    backend = spec.backend
-    assert backend.quad_rows == quad_rows
-    calls = {"drive": 0, "rhs": 0, "quad": 0}
+def counting_model(backend, calls):
+    """``backend`` with its drive, step, quadrature and drive-only calls counted in ``calls``."""
 
     def drive(t, e, blend):
         calls["drive"] += 1
         return backend.drive(t, e, blend)
 
-    def rhs(x, e, d, out):
-        calls["rhs"] += 1
-        backend.rhs(x, e, d, out)
+    def rhs(e):
+        step = backend.rhs(e)
+
+        def counted_step(x, d, out):
+            calls["rhs"] += 1
+            step(x, d, out)
+
+        return counted_step
 
     def quad(x, out):
         calls["quad"] += 1
         backend.quad(x, out)
 
-    model = dataclasses.replace(backend, drive=drive, rhs=rhs, quad=quad)
+    def drive_only(x):
+        calls["drive_only"] += 1
+        return backend.drive_only(x)
+
+    return dataclasses.replace(
+        backend,
+        drive=drive,
+        rhs=rhs,
+        quad=quad,
+        drive_only=drive_only if backend.drive_only else None,
+    )
+
+
+@pytest.mark.parametrize("sim_id, quad_rows", [("braking", 1), ("oscillator", 0)])
+def test_two_drive_calls_per_block_and_four_rhs_calls_per_step(sim_id, quad_rows):
+    spec = get_benchmark(sim_id)
+    backend = spec.backend
+    assert backend.quad_rows == quad_rows
+    calls = dict.fromkeys(["drive", "rhs", "quad", "drive_only"], 0)
+    model = counting_model(backend, calls)
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 3, 6)])
     h = spec.base_dt * np.array([1.0, 7.3, 32.0])
     h = np.minimum(h, spec.duration)
     x0 = backend.initial_state(e_rows)
+    if backend.drive_only:  # the speeds start inside the stop ramp: every step reads them
+        x0[:, 1:] = 0.05
     sim._integrate_to_grid(
         model, x0, e_rows, h, np.full(3, 0.5), spec.duration, spec.grid_times()
     )
     loop_steps = int(np.floor(spec.duration / h + 1e-9).max()) + 1  # the remainder step counts
     blocks = -(-loop_steps // sim._DRIVE_BLOCK)
     quad_calls = blocks if quad_rows else 0
-    assert calls == {"drive": 2 * blocks, "rhs": 4 * loop_steps, "quad": quad_calls}
+    drive_only_calls = 1 if backend.drive_only else 0  # the first block keeps no step
+    assert calls == {
+        "drive": 2 * blocks,
+        "rhs": 4 * loop_steps,
+        "quad": quad_calls,
+        "drive_only": drive_only_calls,
+    }
+
+
+BRAKING = get_benchmark("braking")
+
+
+def braking_rows(lead_speeds, multipliers, lead_decel=9.0, blend=0.0):
+    """(x0, e, h, blend) of braking rows started directly at the given lead speeds.
+
+    The ego starts at 50 m/s, still above its stop ramp after 6 s of full
+    braking, so the lead's speed decides where the stop ramp is first read.
+    """
+    lead = np.asarray(lead_speeds, dtype=float)
+    batch = len(lead)
+    x0 = np.stack([np.full(batch, 50.0), np.full(batch, 50.0), lead], axis=1)
+    e = np.stack([x0[:, 0], np.full(batch, 30.0), np.full(batch, lead_decel)], axis=1)
+    h = BRAKING.base_dt * np.asarray(multipliers, dtype=float)
+    return x0, e, h, np.full(batch, blend)
+
+
+def first_step_reading_the_state(stage_states):
+    """The first loop step with a stage speed below the stop ramp, from the reference's stages."""
+    for k, stages in enumerate(stage_states):
+        if not (stages[..., 1:] / sim._BRK_SPEED_RAMP >= 1.0).all():
+            return k
+    return None
+
+
+# The lead, braking at 9 m/s^2 from v0 at h = 0.01 s, has its lowest stage
+# speed of step j, v0 - 0.09 (j + 1), below the 0.1 m/s ramp first at
+# j = (v0 - 0.1) / 0.09 - 0.5. At 1 m/s^2 and h = 0.07 s the 85 full steps
+# end 0.05 s short of 6 s, and a lead at 6.075 m/s reaches the ramp only in
+# the remainder step. In "mixed-tails" the rows at 7.3 and 32 times the base
+# step have finished their full steps, and take steps of size 0, before the
+# 1 m/s^2 lead at 1.255 m/s reaches the ramp at step 115.
+BLOCK_PATH_CASES = {
+    "step-0": (braking_rows([0.05, 30.0], [1, 1]), 0),
+    "mid-block": (braking_rows([9.145], [1]), 100),
+    "block-64": (braking_rows([5.905, 20.0, 30.0], [1, 1, 1]), 64),
+    "block-128": (braking_rows([11.665, 20.0], [1, 1]), 128),
+    "remainder": (braking_rows([6.075], [7], lead_decel=1.0), 85),
+    "never": (braking_rows([50.0, 12.0], [1, 1], lead_decel=1.0), None),
+    "mixed-tails": (
+        braking_rows([1.255, 50.0, 50.0, 50.0], [1, 2.5, 7.3, 32], lead_decel=1.0, blend=0.4),
+        115,
+    ),
+    "corners": (
+        (
+            BRAKING.backend.initial_state(
+                np.array([[5.0, 10.0, 1.0], [5.0, 35.0, 9.0], [100.0, 35.0, 1.0]])
+            ),
+            np.array([[5.0, 10.0, 1.0], [5.0, 35.0, 9.0], [100.0, 35.0, 1.0]]),
+            np.full(3, 32 * BRAKING.base_dt),
+            np.full(3, 0.7),
+        ),
+        7,
+    ),
+    "signed-zero-nan": (
+        (
+            np.vstack([SIGNED_ZERO_NAN_STATES, [[50.0, 40.0, 40.0]]]),
+            np.tile([50.0, 30.0, 5.0], (6, 1)),
+            np.full(6, BRAKING.base_dt),
+            np.full(6, 0.2),
+        ),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_PATH_CASES)
+def test_block_quadrature_matches_the_textbook_rk4_bit_for_bit(case):
+    (x0, e, h, blend), entry = BLOCK_PATH_CASES[case]
+    grid = BRAKING.grid_times()
+    stage_states = []
+    expected, expected_steps = ref_integrate_to_grid(
+        BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid, stage_states
+    )
+    assert first_step_reading_the_state(stage_states) == entry
+    if case == "corners":  # the coarse steps overshoot the stop: speeds change sign
+        assert (expected[:, 1:] < 0.0).any()
+    if case == "mixed-tails":  # the rows' full steps end apart
+        assert len(set(expected_steps.tolist())) == len(h)
+    out, steps = sim._integrate_to_grid(BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid)
+    assert out.tobytes() == expected.tobytes()
+    assert steps.tolist() == expected_steps.tolist()
+
+
+@pytest.mark.parametrize("case", ["never", "mid-block", "block-64", "block-128", "remainder"])
+def test_saturated_steps_make_no_rhs_calls(case):
+    # The steps before the first one that reads the state are block
+    # quadrature; the block that holds it is the last that asks drive_only.
+    (x0, e, h, blend), entry = BLOCK_PATH_CASES[case]
+    calls = dict.fromkeys(["drive", "rhs", "quad", "drive_only"], 0)
+    model = counting_model(BRAKING.backend, calls)
+    sim._integrate_to_grid(model, x0, e, h, blend, BRAKING.duration, BRAKING.grid_times())
+    loop_steps = int(np.floor(BRAKING.duration / h + 1e-9).max()) + 1
+    blocks = -(-loop_steps // sim._DRIVE_BLOCK)
+    if entry is None:
+        assert calls["rhs"] == 0 and calls["drive_only"] == blocks
+    else:
+        assert calls["rhs"] == 4 * (loop_steps - entry)
+        assert calls["drive_only"] == entry // sim._DRIVE_BLOCK + 1
+    if case == "block-128":  # block 2 keeps no step; blocks 3 to 9 step directly
+        assert calls["drive_only"] == 3 and blocks == 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.1, 0.05, -0.0])),
+            st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.1, 0.05, -0.0])),
+            st.floats(1.0, 9.0),
+            st.floats(1.0, 32.0),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=70,
+    )
+)
+def test_block_quadrature_matches_the_textbook_rk4_on_random_rows(rows):
+    ego, lead, decel, multiplier, blend = (np.array(column) for column in zip(*rows))
+    x0 = np.stack([np.full(len(rows), 40.0), ego, lead], axis=1)
+    e = np.stack([x0[:, 0], np.full(len(rows), 30.0), decel], axis=1)
+    h = BRAKING.base_dt * multiplier
+    grid = BRAKING.grid_times()
+    expected, _ = ref_integrate_to_grid(BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid)
+    out, _ = sim._integrate_to_grid(BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid)
+    assert out.tobytes() == expected.tobytes()
 
 
 class CountedArray(np.ndarray):
@@ -282,6 +447,8 @@ def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
     monkeypatch.setattr(sim, "np", counting_np)
     e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 4, 9)])
     x0 = backend.initial_state(e_rows)
+    if backend.drive_only:  # the speeds start inside the stop ramp: every step reads them
+        x0[:, 1:] = 0.05
 
     def calls(loop_steps):
         duration = (loop_steps - 1) * spec.base_dt
@@ -328,9 +495,25 @@ def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
     out = np.empty((3, 4))
     speeds = x.T[1:].copy()
     sim._brk_gap_rate(speeds, out[:1])
-    sim._brk_rhs(speeds, e.T.copy(), drive, out[1:])
+    sim._brk_rhs(e.T.copy())(speeds, drive, out[1:])
     expected = ref_brk_rhs(np.full(4, 1.0), x, e, np.full(4, 0.3))
     assert out.T.tobytes() == expected.tobytes()
+
+
+def test_drive_only_is_where_the_step_writes_the_drive_unchanged():
+    ramp = sim._BRK_SPEED_RAMP
+    near = ramp + np.arange(-2000, 2001) * np.spacing(ramp)
+    rng = np.random.default_rng(3)
+    special = [np.nan, -0.0, 0.0, np.inf, -np.inf, -ramp, 2 * ramp]
+    speeds = np.concatenate([near, rng.random(4000) * 0.3, rng.random(4000) * 40, special])
+    speeds = speeds[: len(speeds) // 2 * 2].reshape(2, -1)
+    drive_only = sim._brk_drive_only(speeds)
+    assert drive_only.tolist() == (speeds / ramp >= 1.0).tolist()
+    drive = np.random.default_rng(4).standard_normal(speeds.shape)
+    out = np.empty_like(speeds)
+    sim._brk_rhs(np.zeros((3, speeds.shape[1])))(speeds, drive, out)
+    assert out[drive_only].tobytes() == drive[drive_only].tobytes()
+    assert (out[~drive_only] != drive[~drive_only]).any()
 
 
 class UfuncLog(np.ndarray):
@@ -360,23 +543,28 @@ def test_stop_ramp_calls_the_ufunc_that_ndarray_clip_dispatches():
     e = np.tile([50.0, 20.0, 5.0], (4, 1)).T.copy()
     drive = sim._brk_drive(np.full((1, 4), 1.0), e, np.full(4, 0.3))[0]
     speeds = np.array([[0.05, -0.0, np.nan, 2.0], [0.1, 1.0, 0.0, -0.0]])
-    sim._brk_rhs(speeds, e, drive, np.empty((2, 4)).view(UfuncLog))
+    sim._brk_rhs(e)(speeds, drive, np.empty((2, 4)).view(UfuncLog))
     assert UfuncLog.log == [np.divide, dispatched, np.multiply]
 
 
-def test_stage_sum_keeps_signed_zeros():
+@pytest.mark.parametrize("drive_only", [None, lambda x: np.ones(x.shape, bool)])
+def test_stage_sum_keeps_signed_zeros(drive_only):
     # Four -0.0 stages sum to -0.0, so a state at -0.0 stays there; a reduce
     # that starts from +0.0 would move it to +0.0. Row 0 is a quadrature row.
+    # With a drive_only that holds everywhere, every step is block quadrature
+    # of the -0.0 drive terms.
     def drive(t, e, blend):
-        return [None] * len(t)
+        return np.full((len(t), 2, t.shape[1]), -0.0)
 
-    def rhs(x, e, d, out):
-        out.fill(-0.0)
+    def rhs(e):
+        return lambda x, d, out: out.fill(-0.0)
 
     def quad(x, out):
         out.fill(-0.0)
 
-    model = sim.OdeBenchmark(drive, rhs, initial_state=None, quad_rows=1, quad=quad)
+    model = sim.OdeBenchmark(
+        drive, rhs, initial_state=None, quad_rows=1, quad=quad, drive_only=drive_only
+    )
     x0 = np.array([[-0.0, -0.0, 1.0], [1.0, -0.0, -0.0]])
     grid = 0.1 * np.arange(11)
     out, _ = sim._integrate_to_grid(
