@@ -54,8 +54,10 @@ a few block-wide calls, each step's increment added onto the previous value
 in step order, so every row gets the bits of a step-by-step RK4. Steps whose
 derivatives do not read the state (braking speeds above the stop ramp) are
 integrated the same way; the loop runs only from the first step that reads
-it, with a right-hand side bound once per call to operands shaped like the
-state. A braking step makes 22 NumPy calls, an oscillator step 42; they go
+it. The right-hand side is bound once per call, to operands shaped like
+the state and to the call's blend: a call whose rows are all at blend 0
+binds the full model without the blend arithmetic. A braking step makes 22
+NumPy calls, an oscillator step 30 at blend 0 and 42 otherwise; they go
 straight to the ufuncs (the braking ramp's ``clip`` included).
 """
 
@@ -265,19 +267,20 @@ CALL_COUNTER = SimCallCounter()
 #
 # * ``drive(t, e, blend)`` with t (n, B), e (d_e, B) and blend (B,) returns
 #   the terms that depend only on time, the environment and the model blend,
-#   at n time points at once: a sequence whose entry j (an array or a tuple
-#   of arrays) holds the terms at times t[j] and is handed to the step as it
-#   is. The integrator calls it twice per block of steps, on the steps' start
-#   and end times and on their midpoints. A drive that does not depend on
-#   time may return one shared entry n times.
-# * ``rhs(e)`` with e (d_e, B) binds the right-hand side to one call's batch
-#   and returns ``step(x, drive, out)``. The binder shapes the step's
-#   operands once, like the state, so that no per-step call broadcasts a
-#   scalar or allocates a temporary. ``step`` with x (D, B) the dynamic rows
-#   writes their dx/dt into ``out`` (D, B) and returns nothing. ``out`` is an
-#   integrator buffer that the next call overwrites: the step must write
-#   every element of it, must not keep it or a view of it, and must not
-#   modify x, e or drive.
+#   at n time points at once: a sequence whose entry j holds the terms at
+#   times t[j] and is handed to the step as it is. An entry is an array, a
+#   tuple of arrays, or None for a step that carries no such terms. The
+#   integrator calls it twice per block of steps, on the steps' start and end
+#   times and on their midpoints.
+# * ``rhs(e, blend)`` with e (d_e, B) and blend (B,) binds the right-hand
+#   side to one call's batch and returns ``step(x, drive, out)``. The binder
+#   shapes the step's operands once, like the state, so that no per-step
+#   call broadcasts a scalar or allocates a temporary, and a call whose rows
+#   are all at blend 0 may bind the full model without the blend arithmetic.
+#   ``step`` with x (D, B) the dynamic rows writes their dx/dt into ``out``
+#   (D, B) and returns nothing. ``out`` is an integrator buffer that the
+#   next call overwrites: the step must write every element of it, must not
+#   keep it or a view of it, and must not modify x, e or drive.
 # * ``quad(x, out)`` with x (..., D, B), dynamic-row states at any number of
 #   points, writes the quadrature rows' derivatives at those points into
 #   ``out`` (..., quad_rows, B). They may depend on nothing else. The
@@ -294,7 +297,7 @@ CALL_COUNTER = SimCallCounter()
 # All of them must be elementwise per batch item.
 DriveFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[Any]]
 StepFn = Callable[[np.ndarray, Any, np.ndarray], None]
-RhsFn = Callable[[np.ndarray], StepFn]
+RhsFn = Callable[[np.ndarray, np.ndarray], StepFn]
 QuadFn = Callable[[np.ndarray, np.ndarray], None]
 
 # Loop steps per drive evaluation: large enough to spread the drive's
@@ -358,7 +361,7 @@ def _integrate_to_grid(
 
     drive, drive_only = model.drive, model.drive_only
     e = np.ascontiguousarray(e.T)
-    rhs = model.rhs(e)
+    rhs = model.rhs(e, blend)
     hist = np.empty((max_full + 2, state_dim, batch))
     hist[0] = x0.T
     hist_quad = hist[:, :n_quad]
@@ -771,29 +774,33 @@ _BRK_BRAKE_LAG = 0.8  # s first-order actuation lag of the simplified model
 _BRK_SPEED_RAMP = np.float64(0.1)  # m/s width of the smooth stop ramp
 
 
-def _osc_drive(
-    t: np.ndarray, e: np.ndarray, blend: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Weights of the cubic and the linear drag; they do not depend on time,
-    # so every time point shares one tuple.
-    return [(1.0 - blend, blend)] * len(t)
+def _osc_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> list[None]:
+    # The oscillator's step reads no time: its drive carries no terms.
+    return [None] * len(t)
 
 
-def _osc_rhs(e: np.ndarray) -> StepFn:
+def _osc_rhs(e: np.ndarray, blend: np.ndarray) -> StepFn:
     # -w^2 x - c (cubic_w v^3 + linear_w v), the drag built in scratch rows.
+    # A call whose rows are all at blend 0 takes -w^2 x - c v^3: for every
+    # finite v, 1.0 * v^3 + 0.0 * v is v^3 bit for bit, a signed zero, a
+    # subnormal and an overflowed cube included, since 0.0 * v carries v's
+    # sign, and a NaN keeps its payload. The two differ only at v = +-inf,
+    # NaN against +-inf, on a row that is non-finite either way.
     batch = e.shape[1]
     neg_omega_sq, three = np.full(batch, _OSC_NEG_OMEGA_SQ), np.full(batch, 3.0)
     drag_c = e[2]
+    blended = bool(blend.any())
+    cubic_w, linear_w = 1.0 - blend, blend
     cubic, linear = np.empty((2, batch))
     power, multiply, add, subtract = np.power, np.multiply, np.add, np.subtract
 
-    def step(x: np.ndarray, drive: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> None:
+    def step(x: np.ndarray, drive: None, out: np.ndarray) -> None:
         vel = x[1]
-        cubic_w, linear_w = drive
         power(vel, three, cubic)
-        multiply(cubic_w, cubic, cubic)
-        multiply(linear_w, vel, linear)
-        add(cubic, linear, cubic)
+        if blended:
+            multiply(cubic_w, cubic, cubic)
+            multiply(linear_w, vel, linear)
+            add(cubic, linear, cubic)
         multiply(drag_c, cubic, cubic)
         out[0] = vel
         acc = out[1]
@@ -811,17 +818,20 @@ def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
     # Row j of the (n, 2, B) result holds the factors of the two speed ramps
     # at times t[j]. The ego's is its deceleration command: -0.0 until the
     # reaction time, then full braking, lagged by the simplified model's
-    # actuation. The lead's is its constant deceleration -e[2].
+    # actuation. The lead's is its constant deceleration -e[2]. With every
+    # row at blend 0 the actuation 1 - 0 * exp(.) is exactly 1.0, so the
+    # command is -8 * braking_on as it stands, -0.0 before the reaction time.
     factors = np.empty((len(t), 2, t.shape[1]))
-    after_reaction = np.maximum(t - _BRK_REACTION_TIME, 0.0)
     braking_on = (t >= _BRK_REACTION_TIME).astype(float)
-    actuation = 1.0 - blend * np.exp(-after_reaction / _BRK_BRAKE_LAG)
-    np.multiply(-_BRK_EGO_DECEL * braking_on, actuation, out=factors[:, 0])
+    ego = np.multiply(-_BRK_EGO_DECEL, braking_on, out=factors[:, 0])
+    if blend.any():
+        after_reaction = np.maximum(t - _BRK_REACTION_TIME, 0.0)
+        ego *= 1.0 - blend * np.exp(-after_reaction / _BRK_BRAKE_LAG)
     factors[:, 1] = -e[2]
     return factors
 
 
-def _brk_rhs(e: np.ndarray) -> StepFn:
+def _brk_rhs(e: np.ndarray, blend: np.ndarray) -> StepFn:
     # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by their
     # factors from ``_brk_drive``. The clip bounds stay NumPy scalars: array
     # bounds take another clip loop, which turns a -0.0 ramp into +0.0.

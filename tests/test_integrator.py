@@ -233,8 +233,8 @@ def counting_model(backend, calls):
         calls["drive"] += 1
         return backend.drive(t, e, blend)
 
-    def rhs(e):
-        step = backend.rhs(e)
+    def rhs(e, blend):
+        step = backend.rhs(e, blend)
 
         def counted_step(x, d, out):
             calls["rhs"] += 1
@@ -415,6 +415,52 @@ def test_block_quadrature_matches_the_textbook_rk4_on_random_rows(rows):
     assert out.tobytes() == expected.tobytes()
 
 
+OSCILLATOR = get_benchmark("oscillator")
+
+# Oscillator velocities whose cube is a signed zero, underflows (5e-324 and
+# 1e-110) or overflows (1e103), and a NaN.
+SPECIAL_VELOCITIES = [0.0, -0.0, 5e-324, -5e-324, 1e-110, -1e-110, 1e103, -1e103, np.nan]
+
+
+@pytest.mark.parametrize("blends", ["all-zero", "mixed"])
+@pytest.mark.parametrize("position", [0.0, 0.5])
+def test_oscillator_at_blend_zero_matches_the_textbook_rk4_bit_for_bit(blends, position):
+    # A call whose rows are all at blend 0 binds the full model, c v^3; a
+    # call with a blended row takes the blended step for every row.
+    vel = np.array(SPECIAL_VELOCITIES * 2)
+    batch = len(vel)
+    x0 = np.stack([np.full(batch, position), vel], axis=1)
+    drag = np.repeat([0.7, 0.0], len(SPECIAL_VELOCITIES))
+    e = np.stack([x0[:, 0], np.zeros(batch), drag], axis=1)  # the step reads only the drag
+    h = np.full(batch, OSCILLATOR.base_dt)
+    blend = np.zeros(batch)
+    if blends == "mixed":
+        blend[1::2] = 0.5
+    grid = OSCILLATOR.base_dt * np.arange(101)
+    with np.errstate(all="ignore"):
+        expected, _ = ref_integrate_to_grid(OSCILLATOR.backend, x0, e, h, blend, 0.1, grid)
+        out, _ = sim._integrate_to_grid(OSCILLATOR.backend, x0, e, h, blend, 0.1, grid)
+    finite = np.isfinite(expected).all(axis=(1, 2))
+    assert finite.tolist() == [abs(v) < 1e100 for v in vel]
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_braking_drive_at_blend_zero_is_the_blended_formula_at_blend_zero():
+    # Steps straddle the reaction time, one exactly at 0.6 s; the ego's factor
+    # before it is -0.0. Speeds above the stop ramp make the reference's
+    # derivatives the drive's factors.
+    times = np.array([0.0, 0.3, np.nextafter(0.6, 0.0), 0.6, np.nextafter(0.6, 1.0), 5.99])
+    batch = 3
+    t = np.repeat(times[:, None], batch, axis=1)
+    e = np.tile([50.0, 20.0, 5.0], (batch, 1))
+    factors = sim._brk_drive(t, e.T.copy(), np.zeros(batch))
+    x = np.tile([50.0, 20.0, 20.0], (batch, 1))
+    expected = np.stack([ref_brk_rhs(tj, x, e, np.zeros(batch))[:, 1:].T for tj in t])
+    assert factors.tobytes() == expected.tobytes()
+    assert np.signbit(factors[:3, 0]).all() and (factors[:3, 0] == 0.0).all()
+    assert (factors[3:, 0] == -sim._BRK_EGO_DECEL).all()
+
+
 class CountedArray(np.ndarray):
     """An array that counts the ufunc calls it takes part in."""
 
@@ -436,9 +482,13 @@ class CountedArray(np.ndarray):
 
 # NumPy ufunc calls per RK4 step. Each oscillator step also copies the
 # velocity into its derivative four times by assignment, which is not a
-# ufunc call: 42 NumPy calls in all.
-@pytest.mark.parametrize("sim_id, per_step", [("braking", 22), ("oscillator", 38)])
-def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
+# ufunc call: 42 NumPy calls in all, 30 with every row at blend 0.
+@pytest.mark.parametrize(
+    "sim_id, per_step, blend",
+    [("braking", 22, 0.5), ("oscillator", 38, 0.5), ("oscillator", 26, 0.0)],
+    ids=["braking-22", "oscillator-38", "oscillator-26-blend-0"],
+)
+def test_numpy_calls_per_rk4_step(sim_id, per_step, blend, monkeypatch):
     spec = get_benchmark(sim_id)
     backend = spec.backend
     # Every buffer the integrator allocates counts the ufunc calls made on it.
@@ -455,7 +505,7 @@ def test_numpy_calls_per_rk4_step(sim_id, per_step, monkeypatch):
         grid = spec.base_dt * np.arange(loop_steps)
         h = np.full(4, spec.base_dt)
         before = CountedArray.calls
-        sim._integrate_to_grid(backend, x0, e_rows, h, np.full(4, 0.5), duration, grid)
+        sim._integrate_to_grid(backend, x0, e_rows, h, np.full(4, blend), duration, grid)
         return CountedArray.calls - before
 
     # Both runs take two blocks of steps, so only the step count differs.
@@ -495,7 +545,7 @@ def test_stop_ramp_matches_clip_at_signed_zero_and_nan():
     out = np.empty((3, 4))
     speeds = x.T[1:].copy()
     sim._brk_gap_rate(speeds, out[:1])
-    sim._brk_rhs(e.T.copy())(speeds, drive, out[1:])
+    sim._brk_rhs(e.T.copy(), np.full(4, 0.3))(speeds, drive, out[1:])
     expected = ref_brk_rhs(np.full(4, 1.0), x, e, np.full(4, 0.3))
     assert out.T.tobytes() == expected.tobytes()
 
@@ -511,7 +561,7 @@ def test_drive_only_is_where_the_step_writes_the_drive_unchanged():
     assert drive_only.tolist() == (speeds / ramp >= 1.0).tolist()
     drive = np.random.default_rng(4).standard_normal(speeds.shape)
     out = np.empty_like(speeds)
-    sim._brk_rhs(np.zeros((3, speeds.shape[1])))(speeds, drive, out)
+    sim._brk_rhs(np.zeros((3, speeds.shape[1])), np.zeros(speeds.shape[1]))(speeds, drive, out)
     assert out[drive_only].tobytes() == drive[drive_only].tobytes()
     assert (out[~drive_only] != drive[~drive_only]).any()
 
@@ -543,7 +593,7 @@ def test_stop_ramp_calls_the_ufunc_that_ndarray_clip_dispatches():
     e = np.tile([50.0, 20.0, 5.0], (4, 1)).T.copy()
     drive = sim._brk_drive(np.full((1, 4), 1.0), e, np.full(4, 0.3))[0]
     speeds = np.array([[0.05, -0.0, np.nan, 2.0], [0.1, 1.0, 0.0, -0.0]])
-    sim._brk_rhs(e)(speeds, drive, np.empty((2, 4)).view(UfuncLog))
+    sim._brk_rhs(e, np.full(4, 0.3))(speeds, drive, np.empty((2, 4)).view(UfuncLog))
     assert UfuncLog.log == [np.divide, dispatched, np.multiply]
 
 
@@ -556,7 +606,7 @@ def test_stage_sum_keeps_signed_zeros(drive_only):
     def drive(t, e, blend):
         return np.full((len(t), 2, t.shape[1]), -0.0)
 
-    def rhs(e):
+    def rhs(e, blend):
         return lambda x, d, out: out.fill(-0.0)
 
     def quad(x, out):
