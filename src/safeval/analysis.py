@@ -237,18 +237,6 @@ def _rho_plan(
     )
 
 
-def _rho_rows(
-    spec: SimulatorSpec,
-    phi: SafetySpec,
-    e_values: np.ndarray,
-    f_rows: np.ndarray,
-    seed: Seed,
-    repeats: int | None,
-) -> np.ndarray:
-    """Mean robustness for each (e, f) row, all repeats in one batched call."""
-    return run_plans(spec, [_rho_plan(spec, phi, e_values, f_rows, seed, repeats)])[0]
-
-
 def _paired_points(
     lower: np.ndarray, upper: np.ndarray, pairs: int, seed: Seed
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -426,13 +414,6 @@ def _loss_pair_plan(
     )
 
 
-def _loss_pair_ratios(
-    spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
-) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
-    """(ratio, config, fidelity) per sampled pair, high and low runs in one call."""
-    return run_plans(spec, [_loss_pair_plan(spec, tasks, pairs, seed)])[0]
-
-
 def _max_ratio(
     ratios: list[tuple[float, tuple[float, ...], tuple[float, ...]]],
 ) -> LipschitzEstimate:
@@ -468,10 +449,9 @@ def estimate_lipschitz_loss(
 # ---------------------------------------------------------------------------
 
 
-def _stencil(f: np.ndarray, h: float) -> tuple[list[tuple[int, np.ndarray, np.ndarray, bool]], bool]:
+def _stencil(f: np.ndarray, h: float) -> list[tuple[int, np.ndarray, np.ndarray, bool]]:
     """Per-dimension (dim, plus, minus, clipped) stencil clipped to [0, 1]."""
     entries = []
-    any_clipped = False
     for k in range(len(f)):
         plus = f.copy()
         minus = f.copy()
@@ -485,9 +465,8 @@ def _stencil(f: np.ndarray, h: float) -> tuple[list[tuple[int, np.ndarray, np.nd
         else:
             plus[k] += h  # forward one-sided at the lower boundary
             clipped = True
-        any_clipped = any_clipped or clipped
         entries.append((k, plus, minus, clipped))
-    return entries, any_clipped
+    return entries
 
 
 def _stencil_rows(entries: list[tuple[int, np.ndarray, np.ndarray, bool]]) -> np.ndarray:
@@ -514,7 +493,7 @@ def sensitivity_plan(
     inner = falsify(spec, phi, f, falsify_budget, split_seed(seed, "falsify"))
     e_star = inner.best_config
     f0 = f.as_array()
-    entries, _ = _stencil(f0, h)
+    entries = _stencil(f0, h)
     f_rows = _stencil_rows(entries)
     e_rows = np.tile(e_star.as_array(), (len(f_rows), 1))
     if _noise_active(spec, f_rows) and repeats is None:
@@ -562,7 +541,7 @@ def sensitivity(
     report = run_plans(spec, [plan])[0]
     if not refalsify:
         return report
-    entries, _ = _stencil(f.as_array(), h)
+    entries = _stencil(f.as_array(), h)
     fseed = split_seed(seed, "falsify")
     found = falsify_many(
         spec,
@@ -601,7 +580,7 @@ def outer_loss_gradient(
         raise InvalidArgumentError(
             "outer_loss_gradient requires the noise knob off at f"
         )
-    entries, _ = _stencil(f0, h)
+    entries = _stencil(f0, h)
     cache: dict = {}
     eval_seed = split_seed(seed, "grad")
 

@@ -59,6 +59,11 @@ log = logging.getLogger(__name__)
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
 
+# The minimizer's kernel: one length-scale for every dimension of the unit
+# box, and the observation-noise variance.
+_LENGTHSCALE = 0.2
+_NOISE_VARIANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class GpKernel:
@@ -257,16 +262,11 @@ class UcbMinimizer:
         dimension: int,
         seed: Seed,
         schedule: BetaSchedule | None = None,
-        lengthscale: float = 0.2,
-        noise_variance: float = 1e-6,
-        grid_size: int = 512,
     ):
         if dimension < 1:
             raise InvalidArgumentError("dimension must be >= 1")
         self.dimension = dimension
-        self.schedule = schedule or BetaSchedule(grid_size=grid_size)
-        self.lengthscale = float(lengthscale)
-        self.noise_variance = float(noise_variance)
+        self.schedule = schedule or BetaSchedule()
         self.grid = latin_hypercube_unit(dimension, self.schedule.grid_size, split_seed(seed, "grid"))
         self.warm = latin_hypercube_unit(dimension, dimension + 1, split_seed(seed, "warm"))
         self._x: list[np.ndarray] = []
@@ -282,9 +282,9 @@ class UcbMinimizer:
     def gp(self) -> GpState:
         if self._gp_cache is None:
             kernel = GpKernel(
-                lengthscales=(self.lengthscale,) * self.dimension,
+                lengthscales=(_LENGTHSCALE,) * self.dimension,
                 amplitude=self._amplitude(),
-                noise_variance=self.noise_variance,
+                noise_variance=_NOISE_VARIANCE,
             )
             xs = [x for x, y in zip(self._x, self._y) if math.isfinite(y)]
             ys = [y for y in self._y if math.isfinite(y)]
@@ -351,8 +351,6 @@ def gp_ucb_minimize(
     schedule: BetaSchedule | None = None,
     reference_optimum: float | None = None,
     fidelity_space: FidelitySpace | None = None,
-    lengthscale: float = 0.2,
-    noise_variance: float = 1e-6,
 ) -> FidelityOptResult:
     """Minimize a black-box objective on [0,1]^d with the GP-LCB loop.
 
@@ -362,9 +360,7 @@ def gp_ucb_minimize(
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     space = fidelity_space or FidelitySpace(dimension=dimension)
-    opt = UcbMinimizer(
-        dimension, seed, schedule=schedule, lengthscale=lengthscale, noise_variance=noise_variance
-    )
+    opt = UcbMinimizer(dimension, seed, schedule=schedule)
     for t in range(1, iterations + 1):
         x = opt.suggest(t)
         y = objective(x, t)

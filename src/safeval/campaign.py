@@ -48,12 +48,12 @@ from .core import (
 from .falsify import FalsificationFailedError, FalsifyBudget, falsify
 from .loss import LOSS_FAILURES, aggregate_loss, check_task_weights
 from .sim import (
-    CALL_COUNTER,
     SimulatorSpec,
     _diverged,
     external_simulator_spec,
     get_benchmark,
     simulate_batch,
+    tally,
 )
 from .stl import SafetySpec, parse_spec
 
@@ -66,6 +66,7 @@ __all__ = [
     "CampaignResult",
     "resolve_simulator",
     "sample_tasks",
+    "campaign_inputs",
     "analysis_summary",
     "run_joint",
     "save_result",
@@ -306,16 +307,6 @@ class IterationRecord:
     cumulative_regret: float
 
 
-def _iteration_json(rec: dict[str, Any]) -> dict[str, Any]:
-    """JSON form of an iteration record's fields: its tuples become lists."""
-    return {
-        **rec,
-        "fidelity": list(rec["fidelity"]),
-        "inner_trace": list(rec["inner_trace"]),
-        "e_star": None if rec["e_star"] is None else list(rec["e_star"]),
-    }
-
-
 @dataclass(frozen=True)
 class CounterexampleRecord:
     values: tuple[float, ...]
@@ -338,21 +329,8 @@ class CampaignResult:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config.to_dict(),
-            "best_fidelity": list(self.best_fidelity),
-            "best_loss": self.best_loss,
-            "iterations": [_iteration_json(dataclasses.asdict(rec)) for rec in self.iterations],
-            "counterexamples": [
-                {**dataclasses.asdict(c), "values": list(c.values)} for c in self.counterexamples
-            ],
-            "regret_reference": self.regret_reference,
-            "regret_reference_is_proxy": self.regret_reference_is_proxy,
-            "totals": dict(self.totals),
-            "analysis": self.analysis,
-            "convergence": self.convergence,
-        }
+        # Tuples stay tuples: ``json.dumps`` writes them as arrays.
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignResult":
@@ -511,22 +489,13 @@ def analysis_summary(
     return summary
 
 
-def _counter_delta(before: dict[str, int]) -> dict[str, int]:
-    after = CALL_COUNTER.snapshot()
-    return {k: after[k] - before[k] for k in after}
+def campaign_inputs(config: CampaignConfig) -> tuple[SimulatorSpec, str, SafetySpec, list[Task]]:
+    """The simulator, safety-spec text, parsed spec and sampled tasks of ``config``.
 
-
-def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> CampaignResult:
-    """Run the full nested campaign described by ``config``.
-
-    Persists ``events.jsonl`` (streaming, crash-tolerant) and
-    ``result.json`` under the output directory when one is given either
-    here or in the config. Rerunning with the same config and master seed
-    reproduces ``result.json`` byte for byte.
+    The spec text is the config's own, else the simulator's spec of record;
+    a usage error when there is neither, or when the task weights name a
+    task that was not sampled.
     """
-    out = Path(output_dir) if output_dir is not None else (
-        Path(config.output_dir) if config.output_dir else None
-    )
     spec = resolve_simulator(config.simulator)
     spec_text = config.safety_spec or spec.safety_spec
     if not spec_text:
@@ -536,10 +505,26 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     phi = parse_spec(spec_text)
     tasks = sample_tasks(spec, config.task_count, config.params_per_task, config.master_seed)
     check_task_weights(config.task_weights, tasks)
+    return spec, spec_text, phi, tasks
+
+
+def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> CampaignResult:
+    """Run the full nested campaign described by ``config``.
+
+    Persists ``events.jsonl`` (streaming, crash-tolerant) and
+    ``result.json`` under the output directory when one is given either
+    here or in the config. Rerunning with the same config and master seed
+    reproduces ``result.json`` byte for byte. The simulations are counted
+    by tallies open in the calling context only, so campaigns run in other
+    threads do not disturb the totals.
+    """
+    out = Path(output_dir) if output_dir is not None else (
+        Path(config.output_dir) if config.output_dir else None
+    )
+    spec, _, phi, tasks = campaign_inputs(config)
     events = _EventLog(out / "events.jsonl" if out else None)
     events.emit("start", simulator=spec.id, outer_iterations=config.outer_iterations)
 
-    start_counts = CALL_COUNTER.snapshot()
     totals = {
         "setup_high_calls": 0,
         "inner_low_calls": 0,
@@ -559,160 +544,160 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     sigma_ref = 0.0
     last_inner_trace: tuple[float, ...] = ()
 
-    try:
-        # Fidelity-independent ground-truth runs, shared by every outer
-        # iteration and seeded as aggregate_loss seeds each pair. The cache
-        # gains each counterexample's run in the first iteration scoring it.
-        loss_seed = split_seed(config.master_seed, "loss")
-        before = CALL_COUNTER.snapshot()
-        keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
-        cfgs = [cfg for task in tasks for cfg in task.sampled_params]
-        samples, ok = simulate_batch(
-            spec,
-            np.array([cfg.as_array() for cfg in cfgs]),
-            None,
-            [split_seed(loss_seed, task_id, j) for task_id, j in keys],
-        )
-        if not ok.all():
-            raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
-        high_cache = {
-            (task_id, cfg.values): row for (task_id, _), cfg, row in zip(keys, cfgs, samples)
-        }
-        totals["setup_high_calls"] = _counter_delta(before)["high_calls"]
-
-        for t in range(1, config.outer_iterations + 1):
-            f_vec = optimizer.suggest(t)
-            f = spec.fidelity_space.setting(np.clip(f_vec, 0.0, 1.0))
-            _, sigma = optimizer.posterior(f_vec)
-            sigma_ref = max(sigma_ref, sigma)
-            inner_budget = config.budget_policy.budget_at(
-                sigma, sigma_ref, minimum=config.falsify_budget.population
-            )
-            budget = dataclasses.replace(config.falsify_budget, max_evaluations=inner_budget)
-
-            before = CALL_COUNTER.snapshot()
-            falsification_failed = False
-            inner_result = None
-            try:
-                inner_result = falsify(
-                    spec, phi, f, budget, split_seed(config.master_seed, "falsify", t)
-                )
-            except FalsificationFailedError:
-                falsification_failed = True
-            inner_delta = _counter_delta(before)
-            totals["inner_low_calls"] += inner_delta["low_calls"]
-
-            if inner_result is not None and inner_result.counterexample_found:
-                counterexamples.append(
-                    CounterexampleRecord(
-                        values=tuple(inner_result.best_config.values),
-                        robustness=float(inner_result.best_robustness),
-                        found_at=t,
-                    )
-                )
-                if len(counterexamples) > config.counterexample_cap:
-                    worst = max(range(len(counterexamples)), key=lambda i: counterexamples[i].robustness)
-                    counterexamples.pop(worst)
-
-            extra_configs = [
-                spec.environment_space.config(c.values) for c in counterexamples
-            ]
-            before = CALL_COUNTER.snapshot()
-            try:
-                agg = aggregate_loss(
+    with tally() as grand:
+        try:
+            # Fidelity-independent ground-truth runs, shared by every outer
+            # iteration and seeded as aggregate_loss seeds each pair. The cache
+            # gains each counterexample's run in the first iteration scoring it.
+            loss_seed = split_seed(config.master_seed, "loss")
+            keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
+            cfgs = [cfg for task in tasks for cfg in task.sampled_params]
+            with tally() as setup:
+                samples, ok = simulate_batch(
                     spec,
-                    f,
-                    tasks,
-                    extra_configs=extra_configs,
-                    seed=loss_seed,
-                    weights=config.task_weights,
-                    high_cache=high_cache,
+                    np.array([cfg.as_array() for cfg in cfgs]),
+                    None,
+                    [split_seed(loss_seed, task_id, j) for task_id, j in keys],
                 )
-                loss_total, loss_mean, pair_count = agg.total, agg.mean, agg.pair_count
-            except LOSS_FAILURES as exc:
-                loss_total, loss_mean, pair_count = math.inf, math.inf, 0
-                events.emit("loss_failure", t=t, message=str(exc))
-            loss_delta = _counter_delta(before)
-            totals["loss_high_calls"] += loss_delta["high_calls"]
-            totals["loss_low_calls"] += loss_delta["low_calls"]
-
-            optimizer.observe(f_vec, loss_total)
-            if inner_result is not None:
-                last_inner_trace = inner_result.trace
-
-            raw = {
-                "t": t,
-                "fidelity": tuple(float(v) for v in f.values),
-                "sigma": float(sigma),
-                "inner_budget": int(inner_budget),
-                "inner_evaluations": 0 if inner_result is None else inner_result.evaluations_used,
-                "inner_iterations": 0 if inner_result is None else inner_result.iterations,
-                "inner_sim_calls": int(inner_delta["low_calls"]),
-                "inner_trace": () if inner_result is None else inner_result.trace,
-                "e_star": None if inner_result is None else tuple(inner_result.best_config.values),
-                "rho_star": None if inner_result is None else float(inner_result.best_robustness),
-                "counterexample_found": bool(
-                    inner_result is not None and inner_result.counterexample_found
-                ),
-                "falsification_failed": falsification_failed,
-                "loss": float(loss_total),
-                "loss_mean": float(loss_mean),
-                "pair_count": int(pair_count),
-                "high_calls": int(inner_delta["high_calls"] + loss_delta["high_calls"]),
-                "low_calls": int(inner_delta["low_calls"] + loss_delta["low_calls"]),
+            if not ok.all():
+                raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
+            high_cache = {
+                (task_id, cfg.values): row for (task_id, _), cfg, row in zip(keys, cfgs, samples)
             }
-            raw_records.append(raw)
-            events.emit("iteration", **_iteration_json(raw))
-    except Exception as exc:
-        events.emit("error", message=f"{type(exc).__name__}: {exc}")
-        if out is not None:
-            partial = {
-                "schema_version": SCHEMA_VERSION,
-                "completed": False,
-                "config": config.to_dict(),
-                "iterations": [_iteration_json(r) for r in raw_records],
-            }
-            (out / "result.partial.json").write_text(_dump_json(partial))
-        events.close()
-        raise
+            totals["setup_high_calls"] = setup["high_calls"]
 
-    # Regret against the best observed loss (proxy; the true optimum is unknown).
-    try:
-        regret, best_f, best_loss = optimizer.trace(None, spec.fidelity_space)
-    except NumericalFailureError:
-        events.emit("error", message="every outer evaluation failed")
-        events.close()
-        raise FalsificationFailedError("every outer loss evaluation failed") from None
-    records = [
-        IterationRecord(**raw, regret=r_t, cumulative_regret=r_cum)
-        for raw, r_t, r_cum in zip(raw_records, regret.instantaneous, regret.cumulative)
-    ]
+            for t in range(1, config.outer_iterations + 1):
+                f_vec = optimizer.suggest(t)
+                f = spec.fidelity_space.setting(np.clip(f_vec, 0.0, 1.0))
+                _, sigma = optimizer.posterior(f_vec)
+                sigma_ref = max(sigma_ref, sigma)
+                inner_budget = config.budget_policy.budget_at(
+                    sigma, sigma_ref, minimum=config.falsify_budget.population
+                )
+                budget = dataclasses.replace(config.falsify_budget, max_evaluations=inner_budget)
 
-    # Analysis summary at desk scale; estimates run on the noise-free face
-    # of the fidelity box so they are deterministic.
-    before = CALL_COUNTER.snapshot()
-    probe_f_values = best_f.as_array()
-    if spec.fidelity_mapping.noise_knob is not None:
-        probe_f_values[spec.fidelity_mapping.noise_knob] = 1.0
-    if counterexamples:
-        probe_values = min(counterexamples, key=lambda c: c.robustness).values
-    else:
-        lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
-        probe_values = tuple((lo + hi) / 2.0)
-    mean_evals = sum(r.inner_evaluations for r in records) / len(records)
-    analysis = analysis_summary(
-        spec,
-        phi,
-        tasks,
-        config,
-        spec.fidelity_space.setting(probe_f_values),
-        spec.environment_space.config(probe_values),
-        K1=max(1, round(mean_evals)),
-    )
-    analysis["probe_config"] = list(probe_values)
-    analysis_delta = _counter_delta(before)
-    totals["analysis_high_calls"] = analysis_delta["high_calls"]
-    totals["analysis_low_calls"] = analysis_delta["low_calls"]
+                falsification_failed = False
+                inner_result = None
+                with tally() as inner:
+                    try:
+                        inner_result = falsify(
+                            spec, phi, f, budget, split_seed(config.master_seed, "falsify", t)
+                        )
+                    except FalsificationFailedError:
+                        falsification_failed = True
+                totals["inner_low_calls"] += inner["low_calls"]
+
+                if inner_result is not None and inner_result.counterexample_found:
+                    counterexamples.append(
+                        CounterexampleRecord(
+                            values=tuple(inner_result.best_config.values),
+                            robustness=float(inner_result.best_robustness),
+                            found_at=t,
+                        )
+                    )
+                    if len(counterexamples) > config.counterexample_cap:
+                        worst = max(
+                            range(len(counterexamples)), key=lambda i: counterexamples[i].robustness
+                        )
+                        counterexamples.pop(worst)
+
+                extra_configs = [
+                    spec.environment_space.config(c.values) for c in counterexamples
+                ]
+                with tally() as loss:
+                    try:
+                        agg = aggregate_loss(
+                            spec,
+                            f,
+                            tasks,
+                            extra_configs=extra_configs,
+                            seed=loss_seed,
+                            weights=config.task_weights,
+                            high_cache=high_cache,
+                        )
+                        loss_total, loss_mean, pair_count = agg.total, agg.mean, agg.pair_count
+                    except LOSS_FAILURES as exc:
+                        loss_total, loss_mean, pair_count = math.inf, math.inf, 0
+                        events.emit("loss_failure", t=t, message=str(exc))
+                totals["loss_high_calls"] += loss["high_calls"]
+                totals["loss_low_calls"] += loss["low_calls"]
+
+                optimizer.observe(f_vec, loss_total)
+                if inner_result is not None:
+                    last_inner_trace = inner_result.trace
+
+                raw = {
+                    "t": t,
+                    "fidelity": tuple(float(v) for v in f.values),
+                    "sigma": float(sigma),
+                    "inner_budget": int(inner_budget),
+                    "inner_evaluations": 0 if inner_result is None else inner_result.evaluations_used,
+                    "inner_iterations": 0 if inner_result is None else inner_result.iterations,
+                    "inner_sim_calls": inner["low_calls"],
+                    "inner_trace": () if inner_result is None else inner_result.trace,
+                    "e_star": None if inner_result is None else tuple(inner_result.best_config.values),
+                    "rho_star": None if inner_result is None else float(inner_result.best_robustness),
+                    "counterexample_found": bool(
+                        inner_result is not None and inner_result.counterexample_found
+                    ),
+                    "falsification_failed": falsification_failed,
+                    "loss": float(loss_total),
+                    "loss_mean": float(loss_mean),
+                    "pair_count": int(pair_count),
+                    "high_calls": inner["high_calls"] + loss["high_calls"],
+                    "low_calls": inner["low_calls"] + loss["low_calls"],
+                }
+                raw_records.append(raw)
+                events.emit("iteration", **raw)
+        except Exception as exc:
+            events.emit("error", message=f"{type(exc).__name__}: {exc}")
+            if out is not None:
+                partial = {
+                    "schema_version": SCHEMA_VERSION,
+                    "completed": False,
+                    "config": config.to_dict(),
+                    "iterations": raw_records,
+                }
+                (out / "result.partial.json").write_text(_dump_json(partial))
+            events.close()
+            raise
+
+        # Regret against the best observed loss (proxy; the true optimum is unknown).
+        try:
+            regret, best_f, best_loss = optimizer.trace(None, spec.fidelity_space)
+        except NumericalFailureError:
+            events.emit("error", message="every outer evaluation failed")
+            events.close()
+            raise FalsificationFailedError("every outer loss evaluation failed") from None
+        records = [
+            IterationRecord(**raw, regret=r_t, cumulative_regret=r_cum)
+            for raw, r_t, r_cum in zip(raw_records, regret.instantaneous, regret.cumulative)
+        ]
+
+        # Analysis summary at desk scale; estimates run on the noise-free face
+        # of the fidelity box so they are deterministic.
+        probe_f_values = best_f.as_array()
+        if spec.fidelity_mapping.noise_knob is not None:
+            probe_f_values[spec.fidelity_mapping.noise_knob] = 1.0
+        if counterexamples:
+            probe_values = min(counterexamples, key=lambda c: c.robustness).values
+        else:
+            lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
+            probe_values = tuple((lo + hi) / 2.0)
+        mean_evals = sum(r.inner_evaluations for r in records) / len(records)
+        with tally() as probes:
+            analysis = analysis_summary(
+                spec,
+                phi,
+                tasks,
+                config,
+                spec.fidelity_space.setting(probe_f_values),
+                spec.environment_space.config(probe_values),
+                K1=max(1, round(mean_evals)),
+            )
+        analysis["probe_config"] = list(probe_values)
+        totals["analysis_high_calls"] = probes["high_calls"]
+        totals["analysis_low_calls"] = probes["low_calls"]
 
     window = min(config.convergence_window, len(regret.losses))
     convergence: dict[str, Any] = {}
@@ -724,15 +709,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         inner_rep = convergence_report(last_inner_trace, inner_window, config.convergence_tol)
         convergence["inner_last"] = dataclasses.asdict(inner_rep)
 
-    grand = _counter_delta(start_counts)
-    totals_out = {
-        "high_calls": grand["high_calls"],
-        "low_calls": grand["low_calls"],
-        "high_steps": grand["high_steps"],
-        "low_steps": grand["low_steps"],
-        **totals,
-    }
-
     result = CampaignResult(
         config=config,
         best_fidelity=best_f.values,
@@ -741,7 +717,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         counterexamples=tuple(counterexamples),
         regret_reference=regret.reference,
         regret_reference_is_proxy=regret.reference_is_proxy,
-        totals=totals_out,
+        totals={**grand, **totals},
         analysis=analysis,
         convergence=convergence,
     )

@@ -29,10 +29,10 @@ from .bo import optimize_fidelity
 from .campaign import (
     CampaignConfig,
     analysis_summary,
+    campaign_inputs,
     load_result,
     regret_csv,
     report,
-    resolve_simulator,
     run_joint,
     sample_tasks,
 )
@@ -160,12 +160,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     config = CampaignConfig.from_json_file(args.config)
-    spec = resolve_simulator(config.simulator)
-    spec_text = config.safety_spec or spec.safety_spec
-    if not spec_text:
-        raise InvalidArgumentError("config needs a safety_spec for analysis")
-    phi = parse_spec(spec_text)
-    tasks = sample_tasks(spec, config.task_count, config.params_per_task, config.master_seed)
+    spec, spec_text, phi, tasks = campaign_inputs(config)
     seed = config.master_seed
     f_max = spec.fidelity_space.max_fidelity()
     lo = spec.environment_space.lower_array()

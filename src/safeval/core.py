@@ -161,9 +161,6 @@ class EnvironmentSpace:
             np.all(v >= self.lower_array() - tol) and np.all(v <= self.upper_array() + tol)
         )
 
-    def clip(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, self.lower_array(), self.upper_array())
-
     def config(self, values: Sequence[float]) -> "EnvironmentConfig":
         return EnvironmentConfig(values=_as_float_tuple(values), space=self)
 

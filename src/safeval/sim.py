@@ -40,6 +40,9 @@ fidelity, seed, high flag), which hands all of them to the spec's backend
 in one ``run`` call: ``simulate_batch`` (one setting) and
 ``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
+The dispatch books each call's rows and integration steps, split by their
+high flags, to every :func:`tally` open in the calling context; there is no
+process-wide counter.
 
 The built-in benchmarks run on one batched RK4 integrator. Each splits its
 dynamics into a right-hand side, evaluated four times per step, and a drive
@@ -65,8 +68,11 @@ from __future__ import annotations
 
 import json
 import subprocess
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -87,8 +93,7 @@ __all__ = [
     "KnobMap",
     "FidelityMapping",
     "SimulatorSpec",
-    "SimCallCounter",
-    "CALL_COUNTER",
+    "tally",
     "AdapterProtocolError",
     "SimulatorBackend",
     "OdeBenchmark",
@@ -217,37 +222,25 @@ class SimulatorSpec:
         return self.base_dt * np.arange(self.steps)
 
 
-@dataclass
-class SimCallCounter:
-    """Running totals of simulator invocations and integration steps.
+# The tallies open in the current context, innermost last. A thread starts
+# with an empty context, so concurrent runs never book each other's rows.
+_TALLIES: ContextVar[tuple[Counter, ...]] = ContextVar("safeval_tallies", default=())
 
-    Single-process bookkeeping: the campaign layer snapshots this around
-    each phase to attribute cost.
+
+@contextmanager
+def tally() -> Iterator[Counter]:
+    """Count the simulations run in this context while the block is open.
+
+    Yields a ``Counter`` of ``high_calls``, ``low_calls``, ``high_steps`` and
+    ``low_steps``: simulated rows and their integration steps, split by the
+    rows' high flags. Tallies nest; every open one books each call.
     """
-
-    high_calls: int = 0
-    low_calls: int = 0
-    high_steps: int = 0
-    low_steps: int = 0
-
-    def record(self, *, high: bool, calls: int, steps: int) -> None:
-        if high:
-            self.high_calls += calls
-            self.high_steps += steps
-        else:
-            self.low_calls += calls
-            self.low_steps += steps
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "high_calls": self.high_calls,
-            "low_calls": self.low_calls,
-            "high_steps": self.high_steps,
-            "low_steps": self.low_steps,
-        }
-
-
-CALL_COUNTER = SimCallCounter()
+    counts = Counter(high_calls=0, low_calls=0, high_steps=0, low_steps=0)
+    token = _TALLIES.set((*_TALLIES.get(), counts))
+    try:
+        yield counts
+    finally:
+        _TALLIES.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +665,8 @@ def _simulate(
     """The one simulator dispatch: check the rows, run them, book them.
 
     All rows go to ``spec.backend.run`` in one call. Rows flagged in
-    ``high`` take the high-fidelity path and are booked as high-fidelity
-    calls; their fidelity rows are ignored.
+    ``high`` take the high-fidelity path and are booked to the open tallies
+    as high-fidelity calls; their fidelity rows are ignored.
     """
     e_values = _env_rows(spec, e_values, seeds)
     f_rows = np.asarray(f_rows, dtype=float)
@@ -691,8 +684,16 @@ def _simulate(
         raise InvalidArgumentError("high must hold one flag per batch item")
     samples, steps = spec.backend.run(spec, e_values, f_rows, list(seeds), high)
     ok = np.isfinite(samples).all(axis=(1, 2))
-    CALL_COUNTER.record(high=True, calls=int(high.sum()), steps=int(steps[high].sum()))
-    CALL_COUNTER.record(high=False, calls=int((~high).sum()), steps=int(steps[~high].sum()))
+    tallies = _TALLIES.get()
+    if tallies:
+        booking = {
+            "high_calls": int(high.sum()),
+            "low_calls": int((~high).sum()),
+            "high_steps": int(steps[high].sum()),
+            "low_steps": int(steps[~high].sum()),
+        }
+        for counts in tallies:
+            counts.update(booking)
     return samples, ok
 
 

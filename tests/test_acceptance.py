@@ -14,10 +14,11 @@ from scipy import stats
 
 from safeval.analysis import (
     _paired_points,
-    _rho_rows,
+    _rho_plan,
     estimate_lipschitz_env,
     estimate_lipschitz_fidelity,
     hoeffding_n,
+    run_plans,
     sensitivity,
     total_samples,
 )
@@ -150,14 +151,19 @@ def test_criterion_05_hoeffding_bound_and_monte_carlo():
     )
 
 
+def rho_rows(spec, phi, e_values, f_rows, seed):
+    """Robustness of each (e, f) row, in one simulator call."""
+    return run_plans(spec, [_rho_plan(spec, phi, e_values, f_rows, seed, None)])[0]
+
+
 def test_criterion_06_lipschitz_estimates_hold_out(braking, braking_phi):
     f_max = braking.fidelity_space.max_fidelity()
     est_env = estimate_lipschitz_env(braking, braking_phi, f_max, pairs=500, seed=101)
     space = braking.environment_space
     a, b = _paired_points(space.lower_array(), space.upper_array(), 1000, 909)
     f_rows = np.tile(f_max.as_array(), (len(a), 1))
-    va = _rho_rows(braking, braking_phi, a, f_rows, split_seed(909, "eval"), None)
-    vb = _rho_rows(braking, braking_phi, b, f_rows, split_seed(909, "eval"), None)
+    va = rho_rows(braking, braking_phi, a, f_rows, split_seed(909, "eval"))
+    vb = rho_rows(braking, braking_phi, b, f_rows, split_seed(909, "eval"))
     dist = np.linalg.norm(a - b, axis=1)
     env_ok = np.abs(va - vb) <= 1.1 * est_env.constant * dist
     assert env_ok.mean() >= 0.99, f"env-direction bound held on only {env_ok.mean():.3f}"
@@ -169,8 +175,8 @@ def test_criterion_06_lipschitz_estimates_hold_out(braking, braking_phi):
     fa, fb = _paired_points(np.zeros(3), np.ones(3), 1000, 909)
     fa, fb = _force_noise_off(braking, fa), _force_noise_off(braking, fb)
     e_rows = np.tile(e_center.as_array(), (len(fa), 1))
-    wa = _rho_rows(braking, braking_phi, e_rows, fa, split_seed(909, "eval"), None)
-    wb = _rho_rows(braking, braking_phi, e_rows, fb, split_seed(909, "eval"), None)
+    wa = rho_rows(braking, braking_phi, e_rows, fa, split_seed(909, "eval"))
+    wb = rho_rows(braking, braking_phi, e_rows, fb, split_seed(909, "eval"))
     fdist = np.linalg.norm(fa - fb, axis=1)
     usable = fdist > 1e-15
     fid_ok = np.abs(wa - wb)[usable] <= 1.1 * est_fid.constant * fdist[usable]

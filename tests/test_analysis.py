@@ -39,7 +39,7 @@ class TestLipschitzEnv:
     def test_holdout_validation_oscillator(self, oscillator):
         # Estimate on one seed, validate on fresh pairs: the inflated bound
         # holds for at least 99% of them.
-        from safeval.analysis import _paired_points, _rho_rows
+        from safeval.analysis import _paired_points, _rho_plan, run_plans
         from safeval.core import split_seed
         from safeval.stl import parse_spec
 
@@ -49,8 +49,11 @@ class TestLipschitzEnv:
         space = oscillator.environment_space
         a, b = _paired_points(space.lower_array(), space.upper_array(), 400, 77)
         f_rows = np.tile(f.as_array(), (len(a), 1))
-        va = _rho_rows(oscillator, phi, a, f_rows, split_seed(77, "eval"), None)
-        vb = _rho_rows(oscillator, phi, b, f_rows, split_seed(77, "eval"), None)
+        eval_seed = split_seed(77, "eval")
+        va, vb = (
+            run_plans(oscillator, [_rho_plan(oscillator, phi, x, f_rows, eval_seed, None)])[0]
+            for x in (a, b)
+        )
         dist = np.linalg.norm(a - b, axis=1)
         violations = np.abs(va - vb) > 1.1 * est.constant * dist
         assert violations.mean() <= 0.01
@@ -126,12 +129,13 @@ class TestLipschitzLoss:
 
     def test_holdout_validation_braking(self, braking):
         # Fresh perturbed pairs respect the inflated estimate on >= 99%.
-        from safeval.analysis import _loss_pair_ratios
+        from safeval.analysis import _loss_pair_plan, run_plans
         from safeval.campaign import sample_tasks
 
         tasks = sample_tasks(braking, 2, 3, seed=5)
         est = estimate_lipschitz_loss(braking, tasks, pairs=300, seed=1)
-        fresh = np.array([r[0] for r in _loss_pair_ratios(braking, tasks, 300, seed=42)])
+        ratios = run_plans(braking, [_loss_pair_plan(braking, tasks, 300, seed=42)])[0]
+        fresh = np.array([r[0] for r in ratios])
         assert (fresh <= 1.1 * est.constant).mean() >= 0.99
 
     def test_all_identical_pairs_error(self, oscillator, monkeypatch):

@@ -246,7 +246,7 @@ class TestEstimators:
         budget = FalsifyBudget(max_evaluations=64, population=32)
         seed, h = 29, 1e-3
         got = sensitivity(braking, braking_phi, f, h, budget, seed, repeats=3)
-        entries, _ = _stencil(np.asarray(f.values), h)
+        entries = _stencil(np.asarray(f.values), h)
         stencil_seed = split_seed(seed, "stencil")
         expected = []
         for k, plus, minus, _ in entries:
@@ -259,7 +259,7 @@ class TestEstimators:
         f = braking.fidelity_space.setting((0.6, 0.8, 1.0))
         budget = FalsifyBudget(max_evaluations=192, population=32)
         seed, h = 31, 0.05
-        entries, _ = _stencil(np.asarray(f.values), h)
+        entries = _stencil(np.asarray(f.values), h)
         falsify_seed = split_seed(seed, "falsify")
         expected = []
         for k, plus, minus, _ in entries:

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -263,6 +265,31 @@ class TestRunJoint:
             for line in p.read_text().splitlines()
         ]
         assert strip(tmp_path / "events.jsonl") == strip(out / "events.jsonl")
+
+    def test_interleaved_campaigns_report_their_own_calls(self, monkeypatch):
+        # Two campaigns in two threads take turns at a barrier before every
+        # simulator call, so their calls interleave. Each counts only its own.
+        config = tiny_config(outer_iterations=3)
+        solo = run_joint(config)
+        barrier = threading.Barrier(2, timeout=60)
+
+        class TakingTurns:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, spec, e_values, f_rows, seeds, high):
+                barrier.wait()
+                return self.inner.run(spec, e_values, f_rows, seeds, high)
+
+        replace_braking_backend(monkeypatch, TakingTurns)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run_joint, config) for _ in range(2)]
+            results = [run.result(timeout=120) for run in runs]
+        counts = lambda r: [(i.inner_sim_calls, i.high_calls, i.low_calls) for i in r.iterations]
+        for result in results:
+            assert result.totals == solo.totals
+            assert counts(result) == counts(solo)
+            assert result == solo
 
 
 class TestPersistence:

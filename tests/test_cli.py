@@ -9,7 +9,7 @@ from safeval.analysis import sensitivity
 from safeval.campaign import CampaignConfig, analysis_summary, sample_tasks
 from safeval.cli import main
 from safeval.core import split_seed
-from safeval.sim import CALL_COUNTER
+from safeval.sim import tally
 from safeval.stl import parse_spec
 from tests.conftest import replace_braking_backend
 
@@ -222,13 +222,14 @@ class TestJointCommand:
         assert main(["joint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_unknown_weight_key_fails_before_any_simulation(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["joint", "analyze"])
+    def test_unknown_weight_key_fails_before_any_simulation(self, tmp_path, capsys, command):
         cfg = tiny_config_file(tmp_path, task_weights={"task-0": 2.0, "task-7": 2.0})
         out = tmp_path / "out"
-        before = CALL_COUNTER.snapshot()
-        assert main(["joint", "--config", str(cfg), "--out", str(out)]) == 1
+        with tally() as counts:
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: weights name tasks that do not exist: ['task-7']\n"
-        assert CALL_COUNTER.snapshot() == before
+        assert not any(counts.values())
         assert not (out / "events.jsonl").exists()
         assert not (out / "result.partial.json").exists()
 
@@ -236,12 +237,12 @@ class TestJointCommand:
     def test_bad_weight_value_fails_before_any_simulation(self, tmp_path, capsys, weight):
         cfg = tiny_config_file(tmp_path, task_weights={"task-0": weight})
         out = tmp_path / "out"
-        before = CALL_COUNTER.snapshot()
-        assert main(["joint", "--config", str(cfg), "--out", str(out)]) == 1
+        with tally() as counts:
+            assert main(["joint", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: task_weights must map task ids to numbers from 0 to 1e+06\n"
         )
-        assert CALL_COUNTER.snapshot() == before
+        assert not any(counts.values())
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -281,6 +282,18 @@ class TestAnalyzeCommand:
             assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append((out / "analysis.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command", ["analyze", "joint"])
+    def test_external_simulator_without_a_spec_is_usage_error(self, tmp_path, capsys, command):
+        # Both commands take a config's inputs the same way and refuse alike.
+        ghost = {k: v for k, v in GHOST_SIM.items() if k != "safety_spec"}
+        cfg = tiny_config_file(tmp_path, simulator=ghost)
+        with tally() as counts:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulator 'ghost-sim' has no safety spec of record; set safety_spec\n"
+        )
+        assert not any(counts.values())
 
 
 ACCEPTANCE_09 = dict(
@@ -456,13 +469,13 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, documen
     }
     for key, path in paths.items():
         argv = [arg.replace(key, str(path)) for arg in argv]
-    before = CALL_COUNTER.snapshot()
     if document is not None:
         path = tmp_path / "result.json"
         path.write_text(json.dumps(document))
         argv = argv + ["--result", str(path)]
     elif "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "out")]
-    assert main(argv) == 1
+    with tally() as counts:
+        assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert CALL_COUNTER.snapshot() == before
+    assert not any(counts.values())

@@ -13,7 +13,7 @@ from safeval.core import (
     split_seed,
 )
 from safeval.falsify import FalsifyBudget, _evaluate, _Search, falsify, falsify_many
-from safeval.sim import CALL_COUNTER, get_benchmark, simulate_batch, simulate_low
+from safeval.sim import get_benchmark, simulate_batch, simulate_low, tally
 from safeval.stl import parse_spec, robustness, robustness_batch
 from tests.conftest import QUAD_CENTER, SYNTH_PHI, make_synthetic
 
@@ -245,14 +245,13 @@ def outcome(result):
 
 
 def counted(fn, *args):
-    """``fn(*args)`` with the ``CALL_COUNTER`` delta it caused (or its error instead of a value)."""
-    before = CALL_COUNTER.snapshot()
-    try:
-        value = fn(*args)
-    except FalsificationFailedError as exc:
-        value = exc
-    after = CALL_COUNTER.snapshot()
-    return value, {k: after[k] - before[k] for k in after}
+    """``fn(*args)`` with the simulations it ran (or its error instead of a value)."""
+    with tally() as counts:
+        try:
+            value = fn(*args)
+        except FalsificationFailedError as exc:
+            value = exc
+    return value, counts
 
 
 def lhs_points(spec, seed, generation, population=64):

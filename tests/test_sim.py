@@ -4,6 +4,7 @@ import json
 import stat
 import subprocess
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from safeval.core import InvalidArgumentError, SimulationDivergedError
 from safeval.loss import LOSS_FAILURES, mse_loss
 from safeval.sim import (
-    CALL_COUNTER,
     AdapterProtocolError,
     KnobMap,
     builtin_benchmarks,
@@ -21,6 +21,7 @@ from safeval.sim import (
     simulate_batch_multi_f,
     simulate_high,
     simulate_low,
+    tally,
 )
 from safeval.stl import robustness
 from tests.conftest import make_synthetic
@@ -208,17 +209,15 @@ class TestBatchConsistency:
         seeds = [3, 4, 5, 6, 3, 4, 5, 6]
         high = np.array([True, False] * 4)
 
-        before = CALL_COUNTER.snapshot()
-        samples, ok = simulate_batch_multi_f(spec, values, f_rows, seeds, high=high)
-        mixed = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        with tally() as mixed:
+            samples, ok = simulate_batch_multi_f(spec, values, f_rows, seeds, high=high)
         assert ok.all()
 
-        before = CALL_COUNTER.snapshot()
-        highs, _ = simulate_batch(spec, values[high], None, [s for s, h in zip(seeds, high) if h])
-        lows, _ = simulate_batch_multi_f(
-            spec, values[~high], f_rows[~high], [s for s, h in zip(seeds, high) if not h]
-        )
-        separate = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        with tally() as separate:
+            highs, _ = simulate_batch(spec, values[high], None, [s for s, h in zip(seeds, high) if h])
+            lows, _ = simulate_batch_multi_f(
+                spec, values[~high], f_rows[~high], [s for s, h in zip(seeds, high) if not h]
+            )
         assert np.array_equal(samples[high], highs)
         assert np.array_equal(samples[~high], lows)
         assert mixed == separate
@@ -248,9 +247,8 @@ class TestBatchConsistency:
         high = np.array([False, False, False, True, False, False, True])
         seeds = [1, 2, 3, 4, 5, 6, 7]
 
-        before = CALL_COUNTER.snapshot()
-        samples, ok = simulate_batch_multi_f(spec, e_values, f_rows, seeds, high=high)
-        delta = {k: v - before[k] for k, v in CALL_COUNTER.snapshot().items()}
+        with tally() as delta:
+            samples, ok = simulate_batch_multi_f(spec, e_values, f_rows, seeds, high=high)
         ((got_e, got_f, got_seeds, got_high),) = backend.calls
         assert np.array_equal(got_e, e_values) and np.array_equal(got_f, f_rows)
         assert got_seeds == seeds and got_high.tolist() == high.tolist()
@@ -282,6 +280,48 @@ class TestBatchConsistency:
         values = np.array([c.values for c in rand_configs(braking, 2, seed=1)])
         with pytest.raises(InvalidArgumentError):
             simulate_batch_multi_f(braking, values, np.ones((2, 3)), [0, 0], high=[True])
+
+
+
+class TestTally:
+    def test_nested_tallies_both_count_an_inner_call(self, quad_loss_spec):
+        spec, steps = quad_loss_spec, quad_loss_spec.steps
+        e = np.array([[0.2], [0.7]])
+        f = spec.fidelity_space.setting((0.5,))
+        with tally() as outer:
+            simulate_batch(spec, e, None, [1, 2])
+            with tally() as inner:
+                simulate_batch(spec, e[:1], f, [3])
+            simulate_batch(spec, e, f, [4, 5])
+        assert inner == {"high_calls": 0, "low_calls": 1, "high_steps": 0, "low_steps": steps}
+        assert outer == {
+            "high_calls": 2, "low_calls": 3, "high_steps": 2 * steps, "low_steps": 3 * steps
+        }
+
+    def test_a_tally_in_another_thread_counts_none_of_this_threads_calls(self, quad_loss_spec):
+        # Both tallies are open at once; each counts only its own thread's calls.
+        spec, steps = quad_loss_spec, quad_loss_spec.steps
+        e = np.array([[0.2], [0.7]])
+        opened, release = threading.Event(), threading.Event()
+        theirs = []
+
+        def other():
+            with tally() as counts:
+                simulate_batch(spec, e[:1], spec.fidelity_space.setting((0.5,)), [3])
+                opened.set()
+                release.wait(timeout=60)
+            theirs.append(counts)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert opened.wait(timeout=60)
+        with tally() as mine:
+            simulate_batch(spec, e, None, [1, 2])
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert mine == {"high_calls": 2, "low_calls": 0, "high_steps": 2 * steps, "low_steps": 0}
+        assert theirs == [{"high_calls": 0, "low_calls": 1, "high_steps": 0, "low_steps": steps}]
 
 
 ADAPTER_SOURCE = textwrap.dedent(
