@@ -42,6 +42,7 @@ from .core import (
     Seed,
     SimulationDivergedError,
     Task,
+    check_fields,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -85,7 +86,8 @@ class LipschitzEstimate:
     max_pair: tuple[tuple[float, ...], tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        if not (self.constant >= 0 and math.isfinite(self.constant)):
+        check_fields(self)
+        if not self.constant >= 0:
             raise InvalidArgumentError("Lipschitz constant must be finite and >= 0")
 
 
@@ -121,6 +123,7 @@ class SampleComplexityPlan:
     total_samples: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.total_samples != self.n_per_iteration * self.K1 * self.K2:
             raise InvalidArgumentError("total_samples must equal n * K1 * K2")
 

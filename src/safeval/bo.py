@@ -34,7 +34,7 @@ from .core import (
     NumericalFailureError,
     Seed,
     Task,
-    check_number_fields,
+    check_fields,
     latin_hypercube_unit,
     split_seed,
 )
@@ -193,7 +193,7 @@ class BetaSchedule:
     grid_size: int = 512
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_fields(self)
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgumentError("delta must lie in (0, 1)")
         if self.grid_size < 1:
@@ -348,7 +348,6 @@ def gp_ucb_minimize(
     dimension: int,
     iterations: int,
     seed: Seed,
-    schedule: BetaSchedule | None = None,
     reference_optimum: float | None = None,
     fidelity_space: FidelitySpace | None = None,
 ) -> FidelityOptResult:
@@ -360,7 +359,7 @@ def gp_ucb_minimize(
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     space = fidelity_space or FidelitySpace(dimension=dimension)
-    opt = UcbMinimizer(dimension, seed, schedule=schedule)
+    opt = UcbMinimizer(dimension, seed)
     for t in range(1, iterations + 1):
         x = opt.suggest(t)
         y = objective(x, t)
@@ -380,8 +379,6 @@ def optimize_fidelity(
     tasks: Sequence[Task],
     T: int,
     seed: Seed,
-    schedule: BetaSchedule | None = None,
-    reference_optimum: float | None = None,
 ) -> FidelityOptResult:
     """Tune fidelity settings to minimize the aggregate high/low discrepancy.
 
@@ -412,8 +409,6 @@ def optimize_fidelity(
         dimension=spec.fidelity_space.dimension,
         iterations=T,
         seed=split_seed(seed, "bo"),
-        schedule=schedule,
-        reference_optimum=reference_optimum,
         fidelity_space=spec.fidelity_space,
     )
 

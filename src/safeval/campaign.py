@@ -23,7 +23,9 @@ from typing import IO, Any, Iterable, Sequence
 import numpy as np
 
 from .analysis import (
+    LipschitzEstimate,
     RowPlan,
+    SampleComplexityPlan,
     convergence_report,
     lipschitz_env_plan,
     lipschitz_fidelity_plan,
@@ -35,13 +37,15 @@ from .bo import BetaSchedule, UcbMinimizer
 from .core import (
     EnvironmentConfig,
     EnvironmentSpace,
+    ExtendedFloat,
     FidelitySetting,
     InvalidArgumentError,
     NumericalFailureError,
     SchemaVersionError,
     Seed,
     Task,
-    check_number_fields,
+    _field_kwargs,
+    check_fields,
     sample_uniform,
     split_seed,
 )
@@ -69,6 +73,7 @@ __all__ = [
     "campaign_inputs",
     "analysis_summary",
     "run_joint",
+    "write_json",
     "save_result",
     "load_result",
     "report",
@@ -79,6 +84,7 @@ SCHEMA_VERSION = 1
 # Task weights are relative, so a bound costs nothing; it keeps each
 # weighted MSE far from float overflow.
 MAX_TASK_WEIGHT = 1e6
+_WEIGHTS_ERROR = f"task_weights must map task ids to numbers from 0 to {MAX_TASK_WEIGHT:g}"
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class AdaptiveBudgetPolicy:
     sigma_threshold: float = 1e-3
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_fields(self)
         if self.base_budget < 4:
             raise InvalidArgumentError("base_budget must be >= 4")
         if self.scale < 0:
@@ -132,7 +138,7 @@ class CampaignConfig:
     beta_schedule: BetaSchedule = field(default_factory=BetaSchedule)
     budget_policy: AdaptiveBudgetPolicy = field(default_factory=AdaptiveBudgetPolicy)
     counterexample_cap: int = 32
-    task_weights: dict[str, float] | None = None
+    task_weights: dict[str, float] | None = field(default=None, metadata={"error": _WEIGHTS_ERROR})
     analysis_pairs: int = 40
     analysis_epsilon: float = 0.1
     analysis_delta: float = 0.05
@@ -141,19 +147,13 @@ class CampaignConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_fields(self)
         if self.task_count < 1:
             raise InvalidArgumentError("task_count must be >= 1")
         counts = self.params_per_task
-        if isinstance(counts, (list, tuple)):
-            object.__setattr__(self, "params_per_task", tuple(counts))
-            if len(counts) != self.task_count:
-                raise InvalidArgumentError("params_per_task list must have one entry per task")
-        else:
-            counts = [counts]
-        if any(isinstance(m, bool) or not isinstance(m, int) for m in counts):
-            raise InvalidArgumentError("params_per_task must be an integer or a list of integers")
-        if any(m < 1 for m in counts):
+        if isinstance(counts, tuple) and len(counts) != self.task_count:
+            raise InvalidArgumentError("params_per_task list must have one entry per task")
+        if any(m < 1 for m in (counts if isinstance(counts, tuple) else (counts,))):
             raise InvalidArgumentError("every per-task parameter count must be >= 1")
         if self.outer_iterations < 1:
             raise InvalidArgumentError("outer_iterations must be >= 1")
@@ -163,33 +163,15 @@ class CampaignConfig:
             raise InvalidArgumentError("analysis_pairs must be >= 10")
         if self.convergence_window < 2:
             raise InvalidArgumentError("convergence_window must be >= 2")
-        if not all(isinstance(v, (str, type(None))) for v in (self.safety_spec, self.output_dir)):
-            raise InvalidArgumentError("safety_spec and output_dir must be strings or null")
-        weights = {} if self.task_weights is None else self.task_weights
-        if not isinstance(weights, dict) or any(
-            isinstance(w, bool)
-            or not isinstance(w, (int, float))
-            or not 0 <= w <= MAX_TASK_WEIGHT
-            for w in weights.values()
-        ):
-            raise InvalidArgumentError(
-                f"task_weights must map task ids to numbers from 0 to {MAX_TASK_WEIGHT:g}"
-            )
+        if any(not 0 <= w <= MAX_TASK_WEIGHT for w in (self.task_weights or {}).values()):
+            raise InvalidArgumentError(_WEIGHTS_ERROR)
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignConfig":
-        kwargs = _field_kwargs(cls, "campaign config", data)
-        for name, nested in (
-            ("falsify_budget", FalsifyBudget),
-            ("beta_schedule", BetaSchedule),
-            ("budget_policy", AdaptiveBudgetPolicy),
-        ):
-            if name in kwargs:
-                kwargs[name] = nested(**_field_kwargs(nested, name, kwargs[name]))
-        return cls(**kwargs)
+        return cls(**_field_kwargs(cls, "campaign config", data))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "CampaignConfig":
@@ -210,24 +192,10 @@ def _read_json_file(path: str | Path, what: str) -> Any:
         ) from exc
 
 
-def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
-    """``data`` as keyword arguments for dataclass ``cls``; names every unknown or missing field."""
-    if not isinstance(data, dict):
-        raise InvalidArgumentError(f"{what} must be a JSON object, got {type(data).__name__}")
-    fields = dataclasses.fields(cls)
-    unknown = set(data) - {f.name for f in fields}
-    if unknown:
-        raise InvalidArgumentError(f"unknown {what} fields: {sorted(unknown)}")
-    missing = [
-        f.name
-        for f in fields
-        if f.name not in data
-        and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    if missing:
-        raise InvalidArgumentError(f"{what} missing fields: {missing}")
-    return dict(data)
+def write_json(path: Path, data: dict[str, Any]) -> None:
+    """Write JSON output file ``path``: sorted keys, indent 2 and a final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -236,21 +204,15 @@ class _AdapterConfig:
 
     id: str
     adapter: str
-    environment: dict[str, Any]
+    environment: EnvironmentSpace
     fidelity_dimension: int
-    channels: list[str]
+    channels: tuple[str, ...]
     base_dt: float
     duration: float
     safety_spec: str | None = None
 
-
-def _check_array(what: str, value: Any, kinds: tuple[type, ...], noun: str) -> tuple:
-    """``value`` as a tuple; raises unless it is an array of ``kinds`` (booleans never count)."""
-    if not isinstance(value, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, kinds) for v in value
-    ):
-        raise InvalidArgumentError(f"{what} must be an array of {noun}, got {value!r}")
-    return tuple(value)
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
@@ -263,21 +225,12 @@ def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
     if isinstance(simulator, str):
         return get_benchmark(simulator)
     ext = _AdapterConfig(**_field_kwargs(_AdapterConfig, "external simulator config", simulator))
-    check_number_fields(ext)
-    if not all(isinstance(v, str) for v in (ext.id, ext.adapter, ext.safety_spec or "")):
-        raise InvalidArgumentError("simulator id, adapter and safety_spec must be strings")
-    env = _field_kwargs(EnvironmentSpace, "simulator environment", ext.environment)
-    number = (int, float)
     return external_simulator_spec(
         sim_id=ext.id,
         adapter=ext.adapter,
-        environment_space=EnvironmentSpace(
-            lower=_check_array("environment lower", env["lower"], number, "numbers"),
-            upper=_check_array("environment upper", env["upper"], number, "numbers"),
-            names=_check_array("environment names", env.get("names", ()), (str,), "strings"),
-        ),
+        environment_space=ext.environment,
         fidelity_dimension=ext.fidelity_dimension,
-        channels=_check_array("channels", ext.channels, (str,), "strings"),
+        channels=ext.channels,
         base_dt=float(ext.base_dt),
         duration=float(ext.duration),
         safety_spec=ext.safety_spec,
@@ -293,18 +246,22 @@ class IterationRecord:
     inner_evaluations: int
     inner_iterations: int
     inner_sim_calls: int
-    inner_trace: tuple[float, ...]
+    # A falsifier scores a diverged candidate +inf, and a failed loss is +inf.
+    inner_trace: tuple[ExtendedFloat, ...]
     e_star: tuple[float, ...] | None
-    rho_star: float | None
+    rho_star: ExtendedFloat | None
     counterexample_found: bool
     falsification_failed: bool
-    loss: float
-    loss_mean: float
+    loss: ExtendedFloat
+    loss_mean: ExtendedFloat
     pair_count: int
     high_calls: int
     low_calls: int
-    regret: float
-    cumulative_regret: float
+    regret: ExtendedFloat
+    cumulative_regret: ExtendedFloat
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -312,6 +269,9 @@ class CounterexampleRecord:
     values: tuple[float, ...]
     robustness: float
     found_at: int
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -328,9 +288,12 @@ class CampaignResult:
     convergence: dict[str, Any]
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict[str, Any]:
-        # Tuples stay tuples: ``json.dumps`` writes them as arrays.
-        return dataclasses.asdict(self)
+    def __post_init__(self) -> None:
+        check_fields(self)
+        # ``analysis`` stays a plain dict; the entries the report reads must hold their records.
+        for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss", "sample_plan"):
+            kind = SampleComplexityPlan if key == "sample_plan" else LipschitzEstimate
+            kind(**_field_kwargs(kind, f"analysis {key}", self.analysis.get(key)))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignResult":
@@ -348,50 +311,12 @@ class CampaignResult:
                 f"result contains unknown fields {sorted(unknown)}; it was likely "
                 f"written by a newer schema than version {SCHEMA_VERSION}"
             )
-        _field_kwargs(cls, "result", data)  # names any missing field
-        for name in ("iterations", "counterexamples"):
-            if not isinstance(data[name], list):
-                raise InvalidArgumentError(
-                    f"result {name} must be a JSON array, got {type(data[name]).__name__}"
-                )
-        iterations = []
-        for raw in data["iterations"]:
-            rec = _field_kwargs(IterationRecord, "iteration record", raw)
-            iterations.append(
-                IterationRecord(
-                    **{
-                        **rec,
-                        "fidelity": tuple(rec["fidelity"]),
-                        "inner_trace": tuple(rec["inner_trace"]),
-                        "e_star": None if rec["e_star"] is None else tuple(rec["e_star"]),
-                    }
-                )
-            )
-        counterexamples = []
-        for raw in data["counterexamples"]:
-            c = _field_kwargs(CounterexampleRecord, "counterexample record", raw)
-            counterexamples.append(CounterexampleRecord(**{**c, "values": tuple(c["values"])}))
-        return cls(
-            config=CampaignConfig.from_dict(data["config"]),
-            best_fidelity=tuple(data["best_fidelity"]),
-            best_loss=data["best_loss"],
-            iterations=tuple(iterations),
-            counterexamples=tuple(counterexamples),
-            regret_reference=data["regret_reference"],
-            regret_reference_is_proxy=data["regret_reference_is_proxy"],
-            totals=dict(data["totals"]),
-            analysis=data["analysis"],
-            convergence=data["convergence"],
-            schema_version=version,
-        )
-
-
-def _dump_json(data: dict[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return cls(**_field_kwargs(cls, "result", data))
 
 
 def save_result(result: CampaignResult, path: str | Path) -> None:
-    Path(path).write_text(_dump_json(result.to_dict()))
+    # Tuples stay tuples: ``json.dumps`` writes them as arrays.
+    write_json(Path(path), dataclasses.asdict(result))
 
 
 def load_result(path: str | Path) -> CampaignResult:
@@ -658,7 +583,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     "config": config.to_dict(),
                     "iterations": raw_records,
                 }
-                (out / "result.partial.json").write_text(_dump_json(partial))
+                write_json(out / "result.partial.json", partial)
             events.close()
             raise
 
@@ -722,7 +647,6 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
         convergence=convergence,
     )
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         save_result(result, out / "result.json")
     events.emit("finish", best_loss=best_loss)
     events.close()

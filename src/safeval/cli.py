@@ -20,7 +20,6 @@ appear only in the campaign event log).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .campaign import (
     report,
     run_joint,
     sample_tasks,
+    write_json,
 )
 from .core import InvalidArgumentError, SchemaVersionError, split_seed
 from .falsify import FalsifyBudget, falsify
@@ -69,11 +69,6 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _dump(data: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-
-
 def _cmd_falsify(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     spec = get_benchmark(args.sim)
@@ -105,7 +100,7 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "trace": list(result.trace),
     }
-    _dump(payload, out / "falsify.json")
+    write_json(out / "falsify.json", payload)
     print(
         f"best robustness {result.best_robustness:.6g} at {list(result.best_config.values)} "
         f"({'counterexample' if result.counterexample_found else 'no counterexample'})"
@@ -132,7 +127,7 @@ def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
         "regret_reference_is_proxy": result.regret.reference_is_proxy,
         "losses": list(result.regret.losses),
     }
-    _dump(payload, out / "fidelity.json")
+    write_json(out / "fidelity.json", payload)
     trace = result.regret
     rows = zip(
         range(1, len(trace) + 1),
@@ -176,7 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         sensitivity=sens,
     )
     payload = {"simulator": spec.id, "safety_spec": spec_text, "master_seed": seed, **summary}
-    _dump(payload, out / "analysis.json")
+    write_json(out / "analysis.json", payload)
     print(
         f"Lipschitz estimates: env {summary['lipschitz_env']['constant']:.4g}, "
         f"fidelity {summary['lipschitz_fidelity']['constant']:.4g}, "

@@ -11,10 +11,15 @@ same seed, every sampling operation here is byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import math
+import reprlib
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NewType, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +33,8 @@ __all__ = [
     "FalsificationFailedError",
     "NumericalFailureError",
     "SchemaVersionError",
+    "ExtendedFloat",
+    "check_fields",
     "EnvironmentSpace",
     "EnvironmentConfig",
     "FidelitySpace",
@@ -63,31 +70,109 @@ class SchemaVersionError(ValueError):
     """A persisted document does not match the supported schema version."""
 
 
-def check_number_fields(obj: object) -> None:
-    """Raise if a dataclass field annotated ``int``/``Seed`` or ``float`` holds another type.
+# A ``float`` field that may also hold an infinity, as a failed evaluation's
+# loss does; every other ``float`` field must be finite. Neither may be NaN.
+ExtendedFloat = NewType("ExtendedFloat", float)
 
-    Configs read from JSON reach their range checks holding whatever the file
-    held; without this a string there surfaces as a ``TypeError``. Booleans
-    are rejected too, although Python counts them as integers, and so is a
-    ``float`` value that is no finite float: NaN or an infinity (Python's
-    ``json`` reads ``NaN`` and ``Infinity``), or an integer too large to
-    convert.
+_LARGEST = sys.float_info.max
+_WORDS = {int: "an integer", float: "a finite number", ExtendedFloat: "a number", str: "a string"}
+_WORDS.update({bool: "a boolean", type(None): "null", tuple: "an array", dict: "an object"})
+
+
+class _Mismatch(Exception):
+    """A value does not have the type its annotation names."""
+
+
+def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
+    """``data`` as keyword arguments for dataclass ``cls``; names every unknown or missing field."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{what} must be a JSON object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise InvalidArgumentError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise InvalidArgumentError(f"{what} missing fields: {missing}")
+    return dict(data)
+
+
+@functools.cache
+def _field_hints(cls: type) -> tuple[tuple[dataclasses.Field, Any], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _conform(hint: Any, value: Any, name: str) -> Any:
+    """``value`` in the form ``hint`` names; raises :class:`_Mismatch` if it has another type.
+
+    JSON arrays become tuples and JSON objects nested dataclasses, built
+    through their constructors so that their own checks run.
     """
-    largest = sys.float_info.max
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("int", "Seed"):
-            kind, types = "an integer", (int, np.integer)
-        elif f.type == "float":
-            kind, types = "a finite number", (int, float, np.integer, np.floating)
-        else:
-            continue
-        if (
-            isinstance(value, (bool, np.bool_))
-            or not isinstance(value, types)
-            or (f.type == "float" and not -largest <= value <= largest)
+    if hint is Any:
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (Union, types.UnionType):
+        for arm in args:
+            try:
+                return _conform(arm, value, name)
+            except _Mismatch:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            arms = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(arms) == len(value):
+                return tuple(_conform(arm, v, name) for arm, v in zip(arms, value))
+    elif origin is dict:
+        if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+            return {k: _conform(args[1], v, name) for k, v in value.items()}
+    elif dataclasses.is_dataclass(hint):
+        return value if isinstance(value, hint) else hint(**_field_kwargs(hint, name, value))
+    elif hint in (int, float, ExtendedFloat):
+        kinds = (int, np.integer) if hint is int else (int, float, np.integer, np.floating)
+        if isinstance(value, kinds) and not isinstance(value, (bool, np.bool_)) and (
+            hint is int or abs(value) <= _LARGEST or hint is ExtendedFloat and math.isinf(value)
         ):
-            raise InvalidArgumentError(f"{f.name} must be {kind}, got {value!r}")
+            return value
+    elif isinstance(value, hint):
+        return value
+    raise _Mismatch
+
+
+def _describe(hint: Any) -> str:
+    if typing.get_origin(hint) in (Union, types.UnionType):
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    return _WORDS.get(typing.get_origin(hint) or hint, "an object")  # a dataclass
+
+
+def check_fields(obj: object) -> None:
+    """Check each field of dataclass ``obj`` against its annotation; raise naming the first misfit.
+
+    Records read from JSON hold whatever the file held until this runs;
+    without it a string in a number field surfaces as a ``TypeError``. The
+    annotations understood are ``int`` (``Seed``), ``float`` (finite),
+    :data:`ExtendedFloat`, ``str``, ``bool``, ``X | None``, tuples (JSON
+    arrays, stored as tuples), ``dict[str, X]``, ``Any`` and dataclasses
+    (JSON objects, built into instances). Booleans never count as numbers,
+    and no number may be NaN (Python's ``json`` reads ``NaN`` and
+    ``Infinity``) or, where a float is due, an integer too large to convert.
+    A field's ``"error"`` metadata, if set, replaces the generic message.
+    """
+    for f, hint in _field_hints(type(obj)):
+        value = getattr(obj, f.name)
+        try:
+            conformed = _conform(hint, value, f.name)
+        except _Mismatch:
+            default = f"{f.name} must be {_describe(hint)}, got {reprlib.repr(value)}"
+            raise InvalidArgumentError(f.metadata.get("error", default)) from None
+        if conformed is not value:
+            object.__setattr__(obj, f.name, conformed)
 
 
 def split_seed(seed: Seed, *path: str | int) -> Seed:
@@ -123,15 +208,12 @@ class EnvironmentSpace:
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", _as_float_tuple(self.lower))
-        object.__setattr__(self, "upper", _as_float_tuple(self.upper))
+        check_fields(self)
         if len(self.lower) != len(self.upper):
             raise InvalidArgumentError("lower and upper bounds differ in length")
         if len(self.lower) < 1:
             raise InvalidArgumentError("environment space needs dimension >= 1")
         for lo, hi in zip(self.lower, self.upper):
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise InvalidArgumentError("bounds must be finite")
             if not lo < hi:
                 raise InvalidArgumentError(f"lower bound {lo} must be < upper bound {hi}")
         if self.names and len(self.names) != len(self.lower):
@@ -140,8 +222,6 @@ class EnvironmentSpace:
             object.__setattr__(
                 self, "names", tuple(f"e{i}" for i in range(len(self.lower)))
             )
-        else:
-            object.__setattr__(self, "names", tuple(str(n) for n in self.names))
 
     @property
     def dimension(self) -> int:

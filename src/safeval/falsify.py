@@ -52,7 +52,7 @@ from .core import (
     FidelitySetting,
     InvalidArgumentError,
     Seed,
-    check_number_fields,
+    check_fields,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -82,7 +82,7 @@ class FalsifyBudget:
     samples_per_eval: int = 1
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_fields(self)
         if self.population < 4:
             raise InvalidArgumentError("population must be >= 4")
         if self.max_evaluations < self.population:

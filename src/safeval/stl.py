@@ -203,12 +203,12 @@ class _Parser:
         if i < n and self.text[i] in "+-":
             i += 1
         digits = 0
-        while i < n and self.text[i].isdigit():
+        while i < n and self.text[i].isdecimal():
             i += 1
             digits += 1
         if i < n and self.text[i] == ".":
             i += 1
-            while i < n and self.text[i].isdigit():
+            while i < n and self.text[i].isdecimal():
                 i += 1
                 digits += 1
         if digits == 0:
@@ -218,8 +218,8 @@ class _Parser:
             j = i + 1
             if j < n and self.text[j] in "+-":
                 j += 1
-            if j < n and self.text[j].isdigit():
-                while j < n and self.text[j].isdigit():
+            if j < n and self.text[j].isdecimal():
+                while j < n and self.text[j].isdecimal():
                     j += 1
                 i = j
         self.pos = i

@@ -18,7 +18,13 @@ from safeval.campaign import (
     sample_tasks,
     save_result,
 )
-from safeval.core import InvalidArgumentError, SchemaVersionError, latin_hypercube_unit, split_seed
+from safeval.core import (
+    InvalidArgumentError,
+    SchemaVersionError,
+    SimulationDivergedError,
+    latin_hypercube_unit,
+    split_seed,
+)
 from safeval.falsify import FalsificationFailedError, FalsifyBudget
 from tests.conftest import replace_braking_backend
 
@@ -301,6 +307,35 @@ class TestPersistence:
         assert loaded == result
         save_result(loaded, tmp_path / "copy2.json")
         assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "copy2.json").read_bytes()
+
+    def test_round_trip_of_a_failed_loss(self, tmp_path, monkeypatch):
+        # A failed loss is written as Infinity in four fields of its iteration,
+        # the only numbers a result may hold that are not finite.
+        import safeval.campaign as campaign_mod
+
+        real_loss = campaign_mod.aggregate_loss
+        calls = {"n": 0}
+
+        def failing_first(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise SimulationDivergedError("synthetic divergence")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "aggregate_loss", failing_first)
+        result = run_joint(tiny_config(outer_iterations=3), output_dir=tmp_path)
+        first = result.iterations[0]
+        failed = [first.loss, first.loss_mean, first.regret, first.cumulative_regret]
+        assert failed == [math.inf] * 4
+        assert '"loss": Infinity' in (tmp_path / "result.json").read_text()
+        loaded = load_result(tmp_path / "result.json")
+        assert loaded == result
+        save_result(loaded, tmp_path / "copy.json")
+        assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "result.json").read_bytes()
+        md = report(loaded, "markdown")
+        assert "| 1 | (" in md and "| inf |" in md
+        regret_rows = report(loaded, "csv")["regret.csv"].splitlines()
+        assert regret_rows[1].endswith(",inf,inf,inf")
 
     def test_truncated_file_reports_offset(self, tiny_result, tmp_path):
         result, out, _ = tiny_result

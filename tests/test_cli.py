@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -422,7 +423,8 @@ def campaign_result_document(tmp_path_factory):
     return json.loads((out / "result.json").read_text())
 
 
-# A document given as (EDITED, fields) is a real campaign result with those fields replaced.
+# A document given as (EDITED, fields) is a real campaign result with those fields
+# replaced; a dotted name such as "iterations.0.loss" names a field inside it.
 EDITED = "campaign result with"
 # Path arguments: a directory, a file that is not UTF-8, an existing regular
 # file, and a valid campaign config.
@@ -442,6 +444,14 @@ FALSIFY = ["falsify", "--sim", "braking", "--budget", "64"]
         (["report"], (EDITED, {"iterations": 3})),
         (["report"], (EDITED, {"iterations": [{}]})),
         (["report"], (EDITED, {"counterexamples": [{}]})),
+        (["report"], (EDITED, {"iterations.0.fidelity": 5})),
+        (["report"], (EDITED, {"iterations.0.loss": "x"})),
+        (["report"], (EDITED, {"iterations.0.inner_trace": None})),
+        (["report"], (EDITED, {"counterexamples.0.values": 3})),
+        (["report"], (EDITED, {"best_fidelity": 3})),
+        (["report"], (EDITED, {"best_loss": "x"})),
+        (["report"], (EDITED, {"totals": [1]})),
+        (["report"], (EDITED, {"analysis": {}})),
         (["joint", "--config", DIRECTORY], None),
         (["joint", "--config", NOT_UTF8], None),
         (["analyze", "--config", DIRECTORY], None),
@@ -453,12 +463,20 @@ FALSIFY = ["falsify", "--sim", "braking", "--budget", "64"]
         (["joint", "--config", CONFIG, "--out", REGULAR_FILE], None),
         (["analyze", "--config", CONFIG, "--out", REGULAR_FILE], None),
         (["report", "--format", "csv", "--out", REGULAR_FILE], (EDITED, {})),
+        ([*FALSIFY, "--spec", "G[0,6](gap > \u00b2)"], None),
     ],
     ids=lambda value: json.dumps(value),
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, document):
     if isinstance(document, tuple):
-        document = {**request.getfixturevalue("campaign_result_document"), **document[1]}
+        edits = document[1]
+        document = copy.deepcopy(request.getfixturevalue("campaign_result_document"))
+        for name, value in edits.items():
+            *parents, last = name.split(".")
+            target = document
+            for key in parents:
+                target = target[int(key) if isinstance(target, list) else key]
+            target[last] = value
     (tmp_path / "not-utf8.json").write_bytes(b'{"simulator": "\xff"}')
     (tmp_path / "file").write_text("")
     paths = {

@@ -47,6 +47,13 @@ class TestParse:
             parse_spec("G[0,(x>")
         assert err.value.offset == 4  # points at the '('
 
+    def test_numbers_take_decimal_digits_of_any_script(self):
+        assert parse_spec("G[0,6](gap > \u0661\u0662)") == parse_spec("G[0,6](gap > 12)")
+        # A superscript two is a digit to str.isdigit, but no decimal digit.
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_spec("G[0,6](gap > \u00b2)")
+        assert err.value.offset == 13
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             parse_spec("   ")
