@@ -113,7 +113,9 @@ def _conform(hint: Any, value: Any, name: str) -> Any:
     """``value`` in the form ``hint`` names; raises :class:`_Mismatch` if it has another type.
 
     JSON arrays become tuples and JSON objects nested dataclasses, built
-    through their constructors so that their own checks run.
+    through their constructors so that their own checks run. ``name`` is
+    the value's position, such as ``iterations[0]``; a nested record's
+    errors start with it.
     """
     if hint is Any:
         return value
@@ -128,12 +130,20 @@ def _conform(hint: Any, value: Any, name: str) -> Any:
         if isinstance(value, (list, tuple)):
             arms = args[:1] * len(value) if args[-1] is Ellipsis else args
             if len(arms) == len(value):
-                return tuple(_conform(arm, v, name) for arm, v in zip(arms, value))
+                return tuple(
+                    _conform(arm, v, f"{name}[{i}]") for i, (arm, v) in enumerate(zip(arms, value))
+                )
     elif origin is dict:
         if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-            return {k: _conform(args[1], v, name) for k, v in value.items()}
+            return {k: _conform(args[1], v, f"{name}[{k!r}]") for k, v in value.items()}
     elif dataclasses.is_dataclass(hint):
-        return value if isinstance(value, hint) else hint(**_field_kwargs(hint, name, value))
+        if isinstance(value, hint):
+            return value
+        kwargs = _field_kwargs(hint, name, value)
+        try:
+            return hint(**kwargs)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{name}: {exc}") from None
     elif hint in (int, float, ExtendedFloat):
         kinds = (int, np.integer) if hint is int else (int, float, np.integer, np.floating)
         if isinstance(value, kinds) and not isinstance(value, (bool, np.bool_)) and (

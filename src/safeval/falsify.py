@@ -14,6 +14,12 @@ Noisy fidelity settings are handled by averaging the robustness over
 ``samples_per_eval`` fixed repeat seeds shared by all candidates (common
 random numbers). Diverged simulations score +inf and still consume budget.
 
+Each candidate is simulated only as far as the spec reads: every simulator
+call asks for the first :func:`~safeval.stl.samples_read` samples of the
+grid, which are those of a full-length simulation bit for bit, so the
+scores are too. A simulation counts as diverged when one of those samples
+is not finite; what it does after the spec's reach is never computed.
+
 Simulator calls. A call costs about the same at 64 rows as at 128, so the
 search sends few, full batches:
 
@@ -58,7 +64,7 @@ from .core import (
     split_seed,
 )
 from .sim import SimulatorSpec, simulate_batch_multi_f
-from .stl import RobustnessValue, SafetySpec, horizon, robustness_batch
+from .stl import RobustnessValue, SafetySpec, horizon, robustness_batch, samples_read
 
 __all__ = ["FalsifyBudget", "FalsificationResult", "falsify", "falsify_many"]
 
@@ -201,20 +207,25 @@ class _Search:
 
 
 def _evaluate(
-    spec: SimulatorSpec, phi: SafetySpec, searches: Sequence[_Search], points: Sequence[np.ndarray]
+    spec: SimulatorSpec,
+    phi: SafetySpec,
+    n_samples: int,
+    searches: Sequence[_Search],
+    points: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Mean robustness of ``points[k]`` under search k, one row per search; +inf if diverged.
 
     One simulator call covers every search and repeat: search k's rows are
     its points tiled once per repeat seed, and every ``points[k]`` has the
-    same length.
+    same length. Each row is simulated for the ``n_samples`` samples that
+    ``phi`` reads.
     """
     n = len(points[0])
     repeats = len(searches[0].repeat_seeds)
     e_rows = np.vstack([np.tile(p, (repeats, 1)) for p in points])
     seeds = [rep for s in searches for rep in s.repeat_seeds for _ in range(n)]
     f_rows = np.repeat([s.f.as_array() for s in searches], repeats * n, axis=0)
-    samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds)
+    samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, n_samples=n_samples)
     # A candidate stays alive while every repeat so far is finite; later
     # repeats of a dead candidate are not scored.
     alive = np.logical_and.accumulate(ok.reshape(len(searches), repeats, n), axis=1)
@@ -249,6 +260,7 @@ def falsify_many(
         )
     if not searches:
         return []
+    n_samples = min(samples_read(phi, spec.base_dt), spec.steps)
     lo = space.lower_array()
     hi = space.upper_array()
     width = hi - lo
@@ -259,7 +271,9 @@ def falsify_many(
 
     if np.all(width < 1e-12):
         center = space.config((lo + hi) / 2.0)
-        scores = _evaluate(spec, phi, state, [center.as_array()[None, :]] * len(state))
+        scores = _evaluate(
+            spec, phi, n_samples, state, [center.as_array()[None, :]] * len(state)
+        )
         return [
             FalsificationResult(
                 best_config=center,
@@ -276,7 +290,9 @@ def falsify_many(
     active = list(range(len(state)))
     while active:
         gens = [state[k].next_generations(budget, lo, hi) for k in active]
-        scores = _evaluate(spec, phi, [state[k] for k in active], [np.vstack(g) for g in gens])
+        scores = _evaluate(
+            spec, phi, n_samples, [state[k] for k in active], [np.vstack(g) for g in gens]
+        )
         for k, points, row in zip(active, gens, scores):
             try:
                 for p, part in zip(points, np.split(row, [len(points[0])])):

@@ -33,14 +33,20 @@ External simulators plug in through an executable adapter: per row the
 adapter program receives one JSON request ``{"e": [...], "f": [...]|null,
 "seed": int, "duration": float, "dt": float}`` on stdin and must print a
 JSON trajectory ``{"start_time": float, "dt": float, "channels": [...],
-"samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid.
+"samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid,
+with numbers only (no strings or booleans). The request always covers the
+whole duration; a caller that wants fewer samples gets the reply cut.
 
 Every simulation goes through one dispatch over rows of (environment,
 fidelity, seed, high flag), which hands all of them to the spec's backend
 in one ``run`` call: ``simulate_batch`` (one setting) and
 ``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
-The dispatch books each call's rows and integration steps, split by their
+A call may ask for only the first ``n_samples`` samples of the grid, as the
+falsifier does for the samples its spec reads; they are those of a full
+call bit for bit, a row is diverged when one of them is not finite, and
+the ODE benchmarks integrate each row only as far as they need. The
+dispatch books each call's rows and integration steps, split by their
 high flags, to every :func:`tally` open in the calling context; there is no
 process-wide counter.
 
@@ -179,14 +185,17 @@ class SimulatorBackend(Protocol):
         f_rows: np.ndarray,
         seeds: Sequence[Seed],
         high: np.ndarray,
+        n_samples: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Return ((batch, channels, steps) samples, per-row integration steps).
+        """Return ((batch, channels, n_samples) samples, per-row integration steps).
 
         Row i runs environment ``e_values[i]`` with seed ``seeds[i]`` at the
         normalized fidelity row ``f_rows[i]``, or on the high-fidelity path
-        where ``high[i]`` is set, ignoring its fidelity row. Implementations
-        may emit non-finite samples for diverged rows; callers handle those
-        per row.
+        where ``high[i]`` is set, ignoring its fidelity row. Its samples are
+        the first ``n_samples`` of the grid, bit for bit those of a call with
+        ``n_samples = spec.steps``, so a backend may stop a row once it has
+        them. Implementations may emit non-finite samples for diverged rows;
+        callers handle those per row.
         """
         ...
 
@@ -327,6 +336,7 @@ def _integrate_to_grid(
     blend: np.ndarray,
     duration: float,
     grid: np.ndarray,
+    n_samples: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate each batch item with its own step size and resample onto ``grid``.
 
@@ -342,6 +352,14 @@ def _integrate_to_grid(
     steps take steps of size 0 until the longest item is done. Every
     operation is elementwise per item, so an item's result does not depend
     on which other items share its batch.
+
+    With ``n_samples`` set, only the first ``n_samples`` grid points are
+    resampled, and each item is integrated only up to the first knot of its
+    full-run knots (every h, then ``duration``) at or past the last of them:
+    the loop runs the full run's first steps, so the samples are the first
+    ``n_samples`` of a full run bit for bit. The step counts are then those
+    of the steps taken, which for an item whose knot was reached earlier
+    than the batch's last include its steps past that knot.
     """
     batch, state_dim = x0.shape
     n_quad = model.quad_rows
@@ -351,11 +369,33 @@ def _integrate_to_grid(
     remainder = duration - full_steps * h
     remainder = np.where(remainder > 1e-12 * max(duration, 1.0), remainder, 0.0)
     max_full = int(full_steps.max())
+    n_grid = len(grid) if n_samples is None else n_samples
+    n_knots = full_steps + 1 + (remainder > 0.0)
+    knot_times: dict[float, np.ndarray] = {}
+    h_of = h.tolist()
+
+    def knots(i: int) -> np.ndarray:
+        # Knot times depend on h alone: every h, then the duration.
+        knots_t = knot_times.get(h_of[i])
+        if knots_t is None:
+            knots_t = knot_times[h_of[i]] = h_of[i] * np.arange(n_knots[i])
+            knots_t[full_steps[i] + 1 :] = duration
+        return knots_t
+
+    # Each item needs its knots up to the first at or past the last grid
+    # point kept, and the loop runs until every item has its knot: knot k
+    # takes k steps, and an item's last knot the whole loop, as in a full
+    # run, whose last step is the remainder.
+    last_knot, n_loop = n_knots - 1, max_full + 1
+    if n_grid < len(grid):
+        needed = [np.searchsorted(knots(i), grid[n_grid - 1]) for i in range(batch)]
+        last_knot = np.minimum(needed, last_knot)
+        n_loop = int(np.where(last_knot == n_knots - 1, n_loop, last_knot).max())
 
     drive, drive_only = model.drive, model.drive_only
     e = np.ascontiguousarray(e.T)
     rhs = model.rhs(e, blend)
-    hist = np.empty((max_full + 2, state_dim, batch))
+    hist = np.empty((n_loop + 1, state_dim, batch))
     hist[0] = x0.T
     hist_quad = hist[:, :n_quad]
     hist_dyn = hist[:, n_quad:]
@@ -381,13 +421,13 @@ def _integrate_to_grid(
         row[0], row[1], row[2] = hk, 0.5 * hk, hk / 6.0
     size_of = np.searchsorted(changes, np.arange(max_full + 1), side="right") - 1
     size_views = [tuple(row) for row in step_sizes]
-    sizes = [size_views[row] for row in size_of.tolist()]
+    sizes = [size_views[row] for row in size_of[:n_loop].tolist()]
     # Per-step calls go to locally bound ufuncs and pass ``out`` positionally,
     # which skips a global lookup and keyword parsing on each of them.
     multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
     saturated = drive_only is not None
     t = np.zeros(batch)
-    for first in range(0, max_full + 1, _DRIVE_BLOCK):
+    for first in range(0, n_loop, _DRIVE_BLOCK):
         block = sizes[first : first + _DRIVE_BLOCK]
         n = len(block)
         # (h, h/2, h/6) of the block's steps, (n, 3, 1, B), for block-wide calls.
@@ -456,27 +496,25 @@ def _integrate_to_grid(
             np.add.accumulate(rows, axis=0, out=rows)
         t = times[-1]
 
-    n_grid = len(grid)
+    verbatim = (h == base_dt) & (full_steps == len(grid) - 1)
+    grid = grid[:n_grid]
     out = np.empty((batch, state_dim, n_grid))
-    verbatim = (h == base_dt) & (full_steps == n_grid - 1)
     if verbatim.any():  # then hist holds at least n_grid steps
         np.copyto(out.transpose(2, 1, 0), hist[:n_grid], where=verbatim)
-    # Knot times depend on h alone. A row whose full steps end last has its
-    # knots in consecutive history rows; the others skip their h = 0 steps.
-    knot_times: dict[float, np.ndarray] = {}
+    # A row whose full steps end last has its knots in consecutive history
+    # rows; the others skip their h = 0 steps to the remainder knot. Knots
+    # past the first at or after the last grid point change no sample.
     for i in np.flatnonzero(~verbatim):
-        fi = int(full_steps[i])
-        n_knots = fi + 1 + int(remainder[i] > 0.0)
-        knots_t = knot_times.get(h[i])
-        if knots_t is None:
-            knots_t = knot_times[h[i]] = h[i] * np.arange(n_knots)
-            knots_t[fi + 1 :] = duration
-        knots_x = hist[:n_knots, :, i]
-        if fi < max_full and n_knots > fi + 1:
+        fi, k = int(full_steps[i]), int(last_knot[i])
+        knots_x = hist[: k + 1, :, i]
+        if fi < max_full and k > fi:
             knots_x = np.vstack([hist[: fi + 1, :, i], hist[max_full + 1, :, i]])
+        knots_t = knots(i)[: k + 1]
         for s in range(state_dim):
             out[i, s] = np.interp(grid, knots_t, knots_x[:, s])
-    return out, full_steps + (remainder > 0.0)
+    if n_loop > max_full:  # every item took its remainder step
+        return out, full_steps + (remainder > 0.0)
+    return out, np.minimum(full_steps, n_loop)
 
 
 @dataclass(frozen=True)
@@ -513,6 +551,7 @@ class OdeBenchmark:
         f_rows: np.ndarray,
         seeds: Sequence[Seed],
         high: np.ndarray,
+        n_samples: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """All rows in one integrator call; see :class:`SimulatorBackend`."""
         batch = e_values.shape[0]
@@ -522,16 +561,17 @@ class OdeBenchmark:
         sigma = np.where(high, 0.0, sigma)
         x0 = self.initial_state(e_values)
         samples, steps = _integrate_to_grid(
-            self, x0, e_values, h, blend, spec.duration, spec.grid_times()
+            self, x0, e_values, h, blend, spec.duration, spec.grid_times(), n_samples
         )
         # A row's noise is drawn from its seed alone, so rows that share a
-        # seed (the falsifier's common random numbers) share one draw.
+        # seed (the falsifier's common random numbers) share one draw. It is
+        # drawn for the whole grid and cut, so a prefix gets a prefix's bits.
         noisy_rows: dict[Seed, list[int]] = {}
         for i in np.flatnonzero(sigma > 0.0):
             noisy_rows.setdefault(seeds[i], []).append(i)
         for seed, rows in noisy_rows.items():
             rng = rng_from_seed(split_seed(seed, "obs-noise", spec.id))
-            z = rng.standard_normal(samples.shape[1:])
+            z = rng.standard_normal((samples.shape[1], spec.steps))[:, :n_samples]
             for i in rows:
                 samples[i] += sigma[i] * z
         return samples, steps
@@ -542,6 +582,8 @@ class _AdapterBackend:
     """Runs an external simulator executable via the JSON stdin/stdout protocol.
 
     One process per row, in row order; a row flagged high sends ``"f": null``.
+    Each request asks for the whole duration; the reply is checked whole and
+    then cut to its first ``n_samples`` samples.
     """
 
     command: str
@@ -553,9 +595,10 @@ class _AdapterBackend:
         f_rows: np.ndarray,
         seeds: Sequence[Seed],
         high: np.ndarray,
+        n_samples: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         batch = e_values.shape[0]
-        out = np.empty((batch, len(spec.channels), spec.steps))
+        out = np.empty((batch, len(spec.channels), n_samples))
         for i in range(batch):
             request = {
                 "e": [float(v) for v in e_values[i]],
@@ -587,13 +630,18 @@ class _AdapterBackend:
                 reply = json.loads(proc.stdout.decode())
             except (ValueError, UnicodeDecodeError) as exc:
                 raise AdapterProtocolError(f"adapter produced invalid JSON: {exc}")
-            out[i] = _reply_samples(spec, reply)
+            out[i] = _reply_samples(spec, reply)[:, :n_samples]
         return out, np.full(batch, spec.steps)
 
 
 # What float() and np.asarray(..., dtype=float) raise on a value that is not
 # a number, or not a rectangular array of numbers.
 _NOT_NUMERIC = (TypeError, ValueError, OverflowError)
+
+
+def _is_text_or_boolean(value: Any) -> bool:
+    # JSON values that float() converts ("1.5", true) but that are not numbers.
+    return isinstance(value, (str, bool))
 
 
 def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
@@ -610,6 +658,8 @@ def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
         raise AdapterProtocolError(
             f"adapter channels {reply['channels']!r} != spec channels {list(spec.channels)}"
         )
+    if _is_text_or_boolean(reply["dt"]):
+        raise AdapterProtocolError(f"adapter dt {reply['dt']!r} is not a number")
     try:
         dt = float(reply["dt"])
     except _NOT_NUMERIC as exc:
@@ -624,6 +674,11 @@ def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
         raise AdapterProtocolError(
             f"adapter samples shape {arr.shape} != expected {(len(spec.channels), spec.steps)}"
         )
+    # The shape holds, so the samples are a list of lists of scalars.
+    for row in reply["samples"]:
+        for value in row:
+            if _is_text_or_boolean(value):
+                raise AdapterProtocolError(f"adapter sample {value!r} is not a number")
     return arr
 
 
@@ -661,12 +716,16 @@ def _simulate(
     f_rows: np.ndarray,
     seeds: Sequence[Seed],
     high: Sequence[bool] | np.ndarray,
+    n_samples: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one simulator dispatch: check the rows, run them, book them.
 
     All rows go to ``spec.backend.run`` in one call. Rows flagged in
     ``high`` take the high-fidelity path and are booked to the open tallies
-    as high-fidelity calls; their fidelity rows are ignored.
+    as high-fidelity calls; their fidelity rows are ignored. ``n_samples``
+    keeps the first that many samples of the grid (all if None); a row is
+    ``ok`` when those are finite, and the steps booked are those the
+    backend took.
     """
     e_values = _env_rows(spec, e_values, seeds)
     f_rows = np.asarray(f_rows, dtype=float)
@@ -682,7 +741,11 @@ def _simulate(
     high = np.asarray(high, dtype=bool)
     if high.shape != (batch,):
         raise InvalidArgumentError("high must hold one flag per batch item")
-    samples, steps = spec.backend.run(spec, e_values, f_rows, list(seeds), high)
+    if n_samples is None:
+        n_samples = spec.steps
+    if not 1 <= n_samples <= spec.steps:
+        raise InvalidArgumentError(f"n_samples must lie in [1, {spec.steps}], got {n_samples}")
+    samples, steps = spec.backend.run(spec, e_values, f_rows, list(seeds), high, n_samples)
     ok = np.isfinite(samples).all(axis=(1, 2))
     tallies = _TALLIES.get()
     if tallies:
@@ -722,15 +785,18 @@ def simulate_batch_multi_f(
     f_rows: np.ndarray,
     seeds: Sequence[Seed],
     high: Sequence[bool] | np.ndarray | None = None,
+    n_samples: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`simulate_batch` but with one fidelity setting per item.
 
     ``high`` optionally flags items that take the high-fidelity path, as
-    ``simulate_batch`` with ``f=None`` would run them.
+    ``simulate_batch`` with ``f=None`` would run them. ``n_samples``
+    optionally keeps only the first that many samples of each row, bit for
+    bit those of a full call; see :func:`_simulate`.
     """
     if high is None:
         high = np.zeros(len(seeds), dtype=bool)
-    return _simulate(spec, e_values, f_rows, seeds, high)
+    return _simulate(spec, e_values, f_rows, seeds, high, n_samples)
 
 
 def _diverged(spec: SimulatorSpec, e: EnvironmentConfig) -> SimulationDivergedError:

@@ -21,7 +21,8 @@ Evaluation is one recursive walk over a (batch, channels, steps) sample
 array that returns one value per row (:func:`robustness_batch`). Each node
 yields its signal at only the first m samples, m = 1 at the root; a temporal
 node asks its child for m + b/dt samples, so the outermost window reduces
-only itself. Windows are reduced by whole-array log-doubling passes of
+only itself, and no sample past the first :func:`samples_read` is read.
+Windows are reduced by whole-array log-doubling passes of
 min/max (van Herk 1992; Gil & Werman 1993) over the child's signal padded
 with the operation's identity (+inf for min, -inf for max), which gives
 windows clipped at the end and empty windows their usual values. The
@@ -68,6 +69,7 @@ __all__ = [
     "robustness_batch",
     "satisfied",
     "horizon",
+    "samples_read",
 ]
 
 # Signed satisfaction margin, in the units of the predicates' channels.
@@ -155,17 +157,41 @@ class Eventually:
 SafetySpec = Union[Predicate, Not, And, Or, Globally, Eventually]
 
 
-def horizon(spec: SafetySpec) -> float:
-    """Largest lookahead (seconds) the spec needs past its evaluation time."""
+def _lookahead(spec: SafetySpec, span: Callable[[tuple[float, float]], float]) -> float:
+    """Largest sum of ``span(interval)`` over the temporal nodes on one root-to-leaf path."""
     if isinstance(spec, Predicate):
         return 0.0
     if isinstance(spec, Not):
-        return horizon(spec.sub)
+        return _lookahead(spec.sub, span)
     if isinstance(spec, (And, Or)):
-        return max(horizon(a) for a in spec.args)
+        return max(_lookahead(a, span) for a in spec.args)
     if isinstance(spec, (Globally, Eventually)):
-        return spec.interval[1] + horizon(spec.sub)
+        return span(spec.interval) + _lookahead(spec.sub, span)
     raise TypeError(f"not a spec node: {spec!r}")
+
+
+def horizon(spec: SafetySpec) -> float:
+    """Largest lookahead (seconds) the spec needs past its evaluation time."""
+    return _lookahead(spec, lambda interval: interval[1])
+
+
+def samples_read(spec: SafetySpec, dt: float) -> int:
+    """How many leading samples at spacing ``dt`` the robustness at the start reads.
+
+    That is every sample the evaluation walk asks for, and enough that the
+    trajectory covers :func:`horizon` by the reach check of the evaluators
+    (an interval end off the grid reads one sample less than it needs to
+    cover). Robustness and errors on the first ``samples_read`` samples of
+    a trajectory are those on the whole of it.
+    """
+    read = 1 + int(_lookahead(spec, lambda interval: _window_offsets(interval, dt)[1]))
+    reach = horizon(spec)
+    cover = max(int(np.ceil(reach / dt)), 0)
+    while reach > cover * dt + 1e-9:
+        cover += 1
+    while cover > 0 and reach <= (cover - 1) * dt + 1e-9:
+        cover -= 1
+    return max(read, cover + 1)
 
 
 # ---------------------------------------------------------------------------

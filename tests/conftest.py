@@ -27,9 +27,9 @@ class ConstantChannelBackend:
     def __init__(self, fn):
         self.fn = fn
 
-    def run(self, spec, e_values, f_rows, seeds, high):
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
         batch = e_values.shape[0]
-        out = np.empty((batch, 1, spec.steps))
+        out = np.empty((batch, 1, n_samples))
         for i in range(batch):
             out[i, 0, :] = float(self.fn(e_values[i], None if high[i] else f_rows[i]))
         return out, np.full(batch, spec.steps)

@@ -138,9 +138,9 @@ def diverge_at(e_low, e_high):
     """Backend emitting y = e, but NaN on the low path at ``e_low`` and on the high path at ``e_high``."""
 
     class Backend:
-        def run(self, spec, e_values, f_rows, seeds, high):
+        def run(self, spec, e_values, f_rows, seeds, high, n_samples):
             bad = np.where(high, e_high, e_low)
-            out = np.repeat(e_values[:, :1, None], spec.steps, axis=2)
+            out = np.repeat(e_values[:, :1, None], n_samples, axis=2)
             out[e_values[:, 0] == bad] = np.nan
             return out, np.full(len(e_values), spec.steps)
 
@@ -371,10 +371,10 @@ class LossPathTypeError:
     def __init__(self, inner, population):
         self.inner, self.population = inner, population
 
-    def run(self, spec, e_values, f_rows, seeds, high):
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
         if not high.all() and len(e_values) < self.population:
             raise TypeError("synthetic programming error")
-        return self.inner.run(spec, e_values, f_rows, seeds, high)
+        return self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
 
 
 @pytest.fixture()
@@ -409,8 +409,8 @@ class SeedOffsetHigh:
     def __init__(self, inner):
         self.inner = inner
 
-    def run(self, spec, e_values, f_rows, seeds, high):
-        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
         offsets = np.array([(s % 1000) * 1e-3 for s in seeds])
         samples[high] += offsets[high][:, None, None]
         return samples, steps

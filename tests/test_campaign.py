@@ -35,8 +35,8 @@ class LowRowsDivergeAt:
     def __init__(self, inner, points):
         self.inner, self.points = inner, {tuple(p) for p in points}
 
-    def run(self, spec, e_values, f_rows, seeds, high):
-        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
         samples[~high & [tuple(e) in self.points for e in e_values]] = np.nan
         return samples, steps
 
@@ -244,8 +244,8 @@ class TestRunJoint:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run(self, spec, e_values, f_rows, seeds, high):
-                samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+            def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+                samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
                 samples[~high] = np.nan
                 return samples, steps
 
@@ -283,9 +283,9 @@ class TestRunJoint:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run(self, spec, e_values, f_rows, seeds, high):
+            def run(self, spec, e_values, f_rows, seeds, high, n_samples):
                 barrier.wait()
-                return self.inner.run(spec, e_values, f_rows, seeds, high)
+                return self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
 
         replace_braking_backend(monkeypatch, TakingTurns)
         with ThreadPoolExecutor(max_workers=2) as pool:

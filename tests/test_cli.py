@@ -315,8 +315,8 @@ class DivergeLowRows:
     def __init__(self, inner, diverges):
         self.inner, self.diverges = inner, diverges
 
-    def run(self, spec, e_values, f_rows, seeds, high):
-        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high)
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+        samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
         samples[~high & self.diverges(f_rows)] = np.nan
         return samples, steps
 
@@ -328,9 +328,9 @@ class TestAnalyzeCalls:
         calls = []
         real = sim._simulate
 
-        def counting(spec, e_values, f_rows, seeds, high):
+        def counting(spec, e_values, f_rows, seeds, high, n_samples=None):
             calls.append(len(seeds))
-            return real(spec, e_values, f_rows, seeds, high)
+            return real(spec, e_values, f_rows, seeds, high, n_samples)
 
         monkeypatch.setattr(sim, "_simulate", counting)
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 0
@@ -424,7 +424,8 @@ def campaign_result_document(tmp_path_factory):
 
 
 # A document given as (EDITED, fields) is a real campaign result with those fields
-# replaced; a dotted name such as "iterations.0.loss" names a field inside it.
+# replaced; a dotted name such as "iterations.0.loss" names a field inside it, and
+# the error message must give that record's position, "iterations[0]".
 EDITED = "campaign result with"
 # Path arguments: a directory, a file that is not UTF-8, an existing regular
 # file, and a valid campaign config.
@@ -468,6 +469,7 @@ FALSIFY = ["falsify", "--sim", "braking", "--budget", "64"]
     ids=lambda value: json.dumps(value),
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, document):
+    positions = []
     if isinstance(document, tuple):
         edits = document[1]
         document = copy.deepcopy(request.getfixturevalue("campaign_result_document"))
@@ -477,6 +479,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, documen
             for key in parents:
                 target = target[int(key) if isinstance(target, list) else key]
             target[last] = value
+            if parents:
+                positions.append(parents[0] + "".join(f"[{key}]" for key in parents[1:]))
     (tmp_path / "not-utf8.json").write_bytes(b'{"simulator": "\xff"}')
     (tmp_path / "file").write_text("")
     paths = {
@@ -495,5 +499,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, documen
         argv = argv + ["--out", str(tmp_path / "out")]
     with tally() as counts:
         assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(position in err for position in positions), err
     assert not any(counts.values())

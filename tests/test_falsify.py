@@ -96,8 +96,8 @@ class TestFailureModes:
         repeat_seeds = [split_seed(13, "rep", k) for k in range(2)]
 
         class SeedOffsetBackend:
-            def run(self, spec, e_values, f_rows, seeds, high):
-                out = np.empty((len(e_values), 1, spec.steps))
+            def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+                out = np.empty((len(e_values), 1, n_samples))
                 for i, (e, seed) in enumerate(zip(e_values, seeds)):
                     bad = e[0] > 0.65 if seed == repeat_seeds[1] else e[0] == 0.0
                     out[i, 0, :] = np.nan if bad else e[0] + (seed % 997) / 997.0
@@ -108,7 +108,7 @@ class TestFailureModes:
         )
         f = spec.fidelity_space.setting((0.5,))
         points = np.linspace(0.0, 1.0, 11)[:, None]
-        scores = _evaluate(spec, synth_phi, [_Search(f, 13, repeat_seeds)], [points])[0]
+        scores = _evaluate(spec, synth_phi, spec.steps, [_Search(f, 13, repeat_seeds)], [points])[0]
         dead = (points[:, 0] > 0.65) | (points[:, 0] == 0.0)
         assert np.isinf(scores[dead]).all() and dead.sum() == 5
         for i in np.flatnonzero(~dead):
@@ -268,8 +268,8 @@ class DivergeAt:
     def __init__(self, points):
         self.points = {tuple(p) for p in points}
 
-    def run(self, spec, e_values, f_rows, seeds, high):
-        out = np.empty((len(e_values), 1, spec.steps))
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+        out = np.empty((len(e_values), 1, n_samples))
         for i, (e, f) in enumerate(zip(e_values, f_rows[:, 0])):
             if tuple(e) in self.points or f == 0.0:
                 out[i] = np.nan
@@ -343,9 +343,9 @@ class TestGenerationSchedule:
         calls = []
         real = falsify_module.simulate_batch_multi_f
 
-        def counting(spec, e_values, f_rows, seeds):
+        def counting(spec, e_values, f_rows, seeds, n_samples):
             calls.append(len(seeds))
-            return real(spec, e_values, f_rows, seeds)
+            return real(spec, e_values, f_rows, seeds, n_samples=n_samples)
 
         monkeypatch.setattr(falsify_module, "simulate_batch_multi_f", counting)
         f = quad_robustness_spec.fidelity_space.setting((1.0,))
@@ -422,3 +422,59 @@ class TestLockstep:
 
     def test_no_searches(self, quad_robustness_spec, synth_phi):
         assert falsify_many(quad_robustness_spec, synth_phi, [], FalsifyBudget(64)) == []
+
+
+# ---------------------------------------------------------------------------
+# Specs that read less than the whole trajectory
+# ---------------------------------------------------------------------------
+
+SHORT_SPECS = [
+    ("oscillator", "G[0,3](F[0,2](x > -1.9))"),  # reaches 5 s of 6
+    ("braking", "G[0,2](gap > 0)"),
+    ("braking", "G[0,2.0005](gap > 0)"),  # the interval ends between two samples
+]
+
+
+class TailTurnsNaN:
+    """The quadratic landscape for the first 6 samples of 11, NaN after; cut to those asked for."""
+
+    def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+        out = np.full((len(e_values), 1, spec.steps), np.nan)
+        out[:, 0, :6] = (np.sum((e_values - QUAD_CENTER) ** 2, axis=1) - 0.01)[:, None]
+        return out[:, :, :n_samples], np.full(len(e_values), n_samples)
+
+
+class TestShortHorizon:
+    @pytest.mark.parametrize("f_values", [(1.0, 1.0, 1.0), NOISY], ids=["max", "noisy"])
+    @pytest.mark.parametrize("sim_id, text", SHORT_SPECS)
+    def test_equals_falsifying_full_length_simulations(self, sim_id, text, f_values):
+        spec = get_benchmark(sim_id)
+        phi = parse_spec(text)
+        f = spec.fidelity_space.setting(f_values)
+        budget = FalsifyBudget(max_evaluations=128, samples_per_eval=2)
+        got, got_calls = counted(falsify, spec, phi, f, budget, 3)
+        want, want_calls = counted(reference_falsify, spec, phi, f, budget, 3)
+        assert outcome(got) == want
+        assert got_calls["low_calls"] == want_calls["low_calls"]
+        assert got_calls["low_steps"] < want_calls["low_steps"]
+
+    def test_divergence_is_judged_by_the_samples_the_spec_reads(self):
+        spec = dataclasses.replace(
+            make_synthetic("synth-tail-nan", None, (0.0, 0.0), (1.0, 1.0)), backend=TailTurnsNaN()
+        )
+        phi = parse_spec("G[0,0.5](y > 0)")  # samples 0-5 at dt = 0.1
+        f = spec.fidelity_space.setting((1.0,))
+        budget = FalsifyBudget(max_evaluations=128)
+        result = falsify(spec, phi, f, budget, seed=0)
+        best = np.array(result.best_config.values)
+        assert result.best_robustness == float(np.sum((best - QUAD_CENTER) ** 2) - 0.01)
+        with pytest.raises(FalsificationFailedError):  # every full-length row has a NaN
+            reference_falsify(spec, phi, f, budget, 0)
+
+    def test_books_the_steps_integrated(self, oscillator):
+        # The nested spec reads 5001 samples: 5000 RK4 steps per row, not 6000.
+        phi = parse_spec("G[0,3](F[0,2](x > -1.9))")
+        f = oscillator.fidelity_space.max_fidelity()
+        with tally() as counts:
+            falsify(oscillator, phi, f, FalsifyBudget(max_evaluations=64), seed=1)
+        assert counts == {"high_calls": 0, "low_calls": 64, "high_steps": 0, "low_steps": 64 * 5000}

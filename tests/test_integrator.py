@@ -64,8 +64,10 @@ def ref_rk4_step(rhs, t, x, h, e, blend, stage_states):
     return x + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid, stage_states=None):
-    """The textbook integration; each step's four (B, S) stage states go to ``stage_states``."""
+def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid, n_samples=None,
+                          stage_states=None):
+    """The textbook integration over the whole duration, its samples cut to the first
+    ``n_samples``; each step's four (B, S) stage states go to ``stage_states``."""
     rhs = REFERENCE_RHS[model.rhs]
     batch, state_dim = x0.shape
     base_dt = float(grid[1] - grid[0])
@@ -99,7 +101,7 @@ def ref_integrate_to_grid(model, x0, e, h, blend, duration, grid, stage_states=N
             knots_x = np.vstack([knots_x, hist[max_full + 1, i, :][None, :]])
         for s in range(state_dim):
             out[i, s] = np.interp(grid, knots_t, knots_x[:, s])
-    return out, full_steps + (remainder > 0.0)
+    return out[:, :, :n_samples], full_steps + (remainder > 0.0)
 
 
 def random_batch(spec, batch, seed):
@@ -359,7 +361,7 @@ def test_block_quadrature_matches_the_textbook_rk4_bit_for_bit(case):
     grid = BRAKING.grid_times()
     stage_states = []
     expected, expected_steps = ref_integrate_to_grid(
-        BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid, stage_states
+        BRAKING.backend, x0, e, h, blend, BRAKING.duration, grid, stage_states=stage_states
     )
     assert first_step_reading_the_state(stage_states) == entry
     if case == "corners":  # the coarse steps overshoot the stop: speeds change sign

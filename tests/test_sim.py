@@ -231,11 +231,11 @@ class TestBatchConsistency:
             def __init__(self):
                 self.calls = []
 
-            def run(self, spec, e_values, f_rows, seeds, high):
+            def run(self, spec, e_values, f_rows, seeds, high, n_samples):
                 self.calls.append((e_values.copy(), f_rows.copy(), list(seeds), high.copy()))
                 f0 = np.where(high, -1.0, f_rows[:, 0])
                 values = e_values[:, 0] + 10.0 * f0 + 100.0 * np.asarray(seeds)
-                out = np.repeat(values[:, None, None], spec.steps, axis=2)
+                out = np.repeat(values[:, None, None], n_samples, axis=2)
                 return out, np.arange(1, len(seeds) + 1)
 
         backend = Recording()
@@ -324,6 +324,61 @@ class TestTally:
         assert theirs == [{"high_calls": 0, "low_calls": 1, "high_steps": 0, "low_steps": steps}]
 
 
+
+def multiplier_knob(multiplier):
+    """The dt_multiplier knob value at which the benchmarks' step is ``multiplier`` base steps."""
+    return (32.0 - multiplier) / 31.0
+
+
+# (fidelity rows, seeds, high flags) of a call; each is cut at several sample
+# counts below. A multiplier of 2.7 is not a whole number of base steps, so its
+# knots fall between grid points and it ends on a remainder step; 32 does too.
+PREFIX_CASES = {
+    "max-fidelity": ([(1.0, 1.0, 1.0)] * 3, [1, 2, 3], [False] * 3),
+    "off-grid-step": ([(multiplier_knob(2.7), 1.0, 1.0)] * 3, [1, 2, 3], [False] * 3),
+    "blend-half": ([(1.0, 0.5, 1.0)] * 3, [1, 2, 3], [False] * 3),
+    "noise-shared-seed": ([(1.0, 1.0, 0.3), (multiplier_knob(2.7), 1.0, 0.6), (1.0, 1.0, 0.3)],
+                          [5, 5, 6], [False] * 3),
+    "mixed-high-low": (
+        [(1.0, 1.0, 1.0), (0.0, 0.3, 0.5), (multiplier_knob(2.7), 0.5, 1.0), (1.0, 1.0, 1.0)],
+        [1, 2, 3, 4],
+        [True, False, False, False],
+    ),
+}
+
+
+class TestSamplePrefix:
+    """A call for the first m samples gives the first m samples of a full call, bit for bit."""
+
+    @pytest.mark.parametrize("case", PREFIX_CASES)
+    @pytest.mark.parametrize("sim_id", ["oscillator", "braking"])
+    def test_prefix_is_bit_identical_to_the_full_call(self, sim_id, case):
+        spec = get_benchmark(sim_id)
+        f_rows, seeds, high = PREFIX_CASES[case]
+        f_rows, high = np.array(f_rows), np.array(high)
+        e_rows = np.array([c.values for c in rand_configs(spec, len(seeds), seed=11)])
+        full, ok_full = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, high)
+        assert ok_full.all()
+        # The cut falls on the first sample, inside the first drive block, a
+        # third of the way, just before the end and on the last sample.
+        for m in (1, 2, 40, spec.steps // 3, spec.steps - 2, spec.steps - 1, spec.steps):
+            with tally() as counts:
+                samples, ok = simulate_batch_multi_f(
+                    spec, e_rows, f_rows, seeds, high, n_samples=m
+                )
+            assert samples.shape == (len(seeds), len(spec.channels), m)
+            assert samples.tobytes() == full[:, :, :m].tobytes(), m
+            assert ok.tolist() == ok_full.tolist()
+            if case == "max-fidelity":  # one RK4 step per grid interval read
+                assert counts["low_steps"] == len(seeds) * (m - 1)
+
+    def test_sample_count_is_checked(self, braking):
+        values = np.array([c.values for c in rand_configs(braking, 1, seed=1)])
+        for m in (0, braking.steps + 1):
+            with pytest.raises(InvalidArgumentError, match="n_samples"):
+                simulate_batch_multi_f(braking, values, np.ones((1, 3)), [0], n_samples=m)
+
+
 ADAPTER_SOURCE = textwrap.dedent(
     """\
     #!/usr/bin/env python3
@@ -396,6 +451,17 @@ class TestExternalAdapter:
         assert ok.all()
         assert samples[:, 0, 0].tolist() == pytest.approx([0.1, 0.4, 0.15, 0.4, 1.0])
 
+    def test_prefix_asks_for_the_whole_duration_and_cuts_the_reply(self, adapter_spec, tmp_path):
+        e_values, f_rows = np.array([[0.5], [1.5]]), np.array([[0.5], [0.25]])
+        full, _ = simulate_batch_multi_f(adapter_spec, e_values, f_rows, [1, 2])
+        with tally() as counts:
+            samples, ok = simulate_batch_multi_f(adapter_spec, e_values, f_rows, [1, 2], n_samples=5)
+        assert ok.all() and samples.tobytes() == full[:, :, :5].tobytes()
+        requests = [json.loads(line) for line in (tmp_path / "requests.jsonl").read_text().splitlines()]
+        assert [r["duration"] for r in requests] == [2.0] * 4
+        # The adapter simulated the whole duration, and that is what is booked.
+        assert counts["low_steps"] == 2 * adapter_spec.steps
+
     def test_protocol_violation_reported(self, tmp_path, adapter_spec):
         bad = tmp_path / "bad.py"
         bad.write_text("#!/usr/bin/env python3\nprint('not json')\n")
@@ -433,11 +499,17 @@ class TestExternalAdapter:
             {**GOOD_REPLY, "samples": [[0.0] * 21, [0.0]]},
             {**GOOD_REPLY, "samples": {"y": [0.0] * 21}},
             {**GOOD_REPLY, "samples": [[10**400] * 21]},
+            # Values that float() converts but that are not JSON numbers.
+            {**GOOD_REPLY, "dt": "0.1"},
+            {**GOOD_REPLY, "dt": True},
+            {**GOOD_REPLY, "samples": [[0.0] * 20 + ["1.5"]]},
+            {**GOOD_REPLY, "samples": [[True] + [0.0] * 20]},
         ],
         ids=[
             "number", "list", "string", "channels-string", "channels-number",
             "dt-string", "dt-list", "dt-null", "dt-huge-int", "dt-nan",
             "samples-strings", "samples-ragged", "samples-object", "samples-huge-int",
+            "dt-numeric-string", "dt-boolean", "samples-numeric-string", "samples-boolean",
         ],
     )
     def test_malformed_reply_is_protocol_error(self, adapter_spec, monkeypatch, reply):

@@ -18,6 +18,7 @@ from safeval.stl import (
     parse_spec,
     robustness,
     robustness_batch,
+    samples_read,
     satisfied,
 )
 
@@ -333,3 +334,37 @@ class TestBatchedEvaluator:
         samples[1, 0, 0] = np.inf
         with pytest.raises(SpecEvaluationError):
             robustness_batch(parse_spec("a > 0"), samples, ("a", "b"), 0.1)
+
+
+class TestSamplesRead:
+    CASES = [
+        ("x > 0", 0.1, 1),
+        ("G[0,6](x > 0)", 0.01, 601),
+        ("G[0,3](F[0,2](x > -1.9))", 1e-3, 5001),
+        ("G[0,2.0005](x > 0)", 0.01, 202),  # the window reads 201; the reach needs one more
+        ("F[0.05,0.3](G[0,0.1](x > 0)) | x > 2", 0.1, 5),
+        ("!(G[0,0.2](x > 0)) & F[0,0.35](G[0.1,0.2](x < 1))", 0.1, 7),  # reads 6, reaches 0.55 s
+        ("G[0.15,0.15](x > 0)", 0.1, 3),  # an empty window still reaches 0.15 s
+    ]
+
+    @pytest.mark.parametrize("text, dt, expected", CASES)
+    def test_count_and_prefix_evaluation(self, text, dt, expected):
+        spec = parse_spec(text)
+        m = samples_read(spec, dt)
+        assert m == expected
+
+        def evaluate(samples):
+            try:
+                return robustness_batch(spec, samples, ("x",), dt).tolist()
+            except SpecEvaluationError as exc:
+                return str(exc)
+
+        samples = np.random.default_rng(m).normal(size=(4, 1, m + 7))
+        assert evaluate(samples[:, :, :m]) == evaluate(samples)
+
+    def test_interval_end_off_the_grid_needs_the_covering_sample(self):
+        spec = parse_spec("G[0,2.0005](x > 0)")
+        samples = np.ones((1, 1, 202))
+        assert robustness_batch(spec, samples, ("x",), 0.01).tolist() == [1.0]
+        with pytest.raises(SpecEvaluationError, match="needs 2.0005 s"):
+            robustness_batch(spec, samples[:, :, :201], ("x",), 0.01)
