@@ -20,6 +20,7 @@ minimization) and cumulated into R_T.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -159,12 +160,6 @@ class GpState:
         return GpState(kernel=self.kernel, points=pts, values=vals)
 
 
-def _query_array(f: FidelitySetting | Sequence[float] | np.ndarray) -> np.ndarray:
-    if isinstance(f, FidelitySetting):
-        return f.as_array()
-    return np.asarray(f, dtype=float)
-
-
 def gp_posterior_many(gp: GpState, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and stddev at many query points, shape (m, d) -> ((m,), (m,))."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -181,7 +176,7 @@ def gp_posterior_many(gp: GpState, queries: np.ndarray) -> tuple[np.ndarray, np.
 
 def gp_posterior(gp: GpState, f: FidelitySetting | Sequence[float]) -> tuple[float, float]:
     """Exact GP regression posterior (mean, stddev) at one fidelity point."""
-    mean, std = gp_posterior_many(gp, _query_array(f)[None, :])
+    mean, std = gp_posterior_many(gp, f.values if isinstance(f, FidelitySetting) else f)
     return float(mean[0]), float(std[0])
 
 
@@ -218,20 +213,13 @@ class RegretTrace:
     losses: tuple[float, ...]
     reference: float
     reference_is_proxy: bool
-    instantaneous: tuple[float, ...] = ()
-    cumulative: tuple[float, ...] = ()
+    instantaneous: tuple[float, ...] = field(init=False)
+    cumulative: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.instantaneous:
-            inst = tuple(l - self.reference for l in self.losses)
-            object.__setattr__(self, "instantaneous", inst)
-        if not self.cumulative:
-            run: list[float] = []
-            total = 0.0
-            for r in self.instantaneous:
-                total += r
-                run.append(total)
-            object.__setattr__(self, "cumulative", tuple(run))
+        inst = tuple(l - self.reference for l in self.losses)
+        object.__setattr__(self, "instantaneous", inst)
+        object.__setattr__(self, "cumulative", tuple(itertools.accumulate(inst)))
 
     def __len__(self) -> int:
         return len(self.losses)
@@ -273,29 +261,22 @@ class UcbMinimizer:
         self._y: list[float] = []
         self._gp_cache: GpState | None = None
 
-    def _amplitude(self) -> float:
-        finite = [y for y in self._y if math.isfinite(y)]
-        if len(finite) < 2:
-            return 1.0
-        return max(float(np.std(finite)), 1e-8)
-
     def gp(self) -> GpState:
+        """The GP over the finite observations, scaled to their spread (1 below two of them)."""
         if self._gp_cache is None:
+            finite = np.isfinite(self._y)
+            values = np.array(self._y)[finite]
             kernel = GpKernel(
                 lengthscales=(_LENGTHSCALE,) * self.dimension,
-                amplitude=self._amplitude(),
+                amplitude=max(float(np.std(values)), 1e-8) if len(values) >= 2 else 1.0,
                 noise_variance=_NOISE_VARIANCE,
             )
-            xs = [x for x, y in zip(self._x, self._y) if math.isfinite(y)]
-            ys = [y for y in self._y if math.isfinite(y)]
-            if xs:
-                self._gp_cache = GpState(kernel=kernel, points=np.array(xs), values=np.array(ys))
-            else:
-                self._gp_cache = GpState.empty(self.dimension, kernel)
+            points = np.array(self._x).reshape(-1, self.dimension)[finite]
+            self._gp_cache = GpState(kernel=kernel, points=points, values=values)
         return self._gp_cache
 
     def posterior(self, x: Sequence[float]) -> tuple[float, float]:
-        return gp_posterior(self.gp(), np.asarray(x, dtype=float))
+        return gp_posterior(self.gp(), x)
 
     def suggest(self, t: int) -> np.ndarray:
         """Next point to evaluate at iteration ``t`` (1-based)."""
@@ -304,12 +285,7 @@ class UcbMinimizer:
         if t <= len(self.warm):
             return self.warm[t - 1].copy()
         gp = self.gp()
-        observed = (
-            np.array([x for x, y in zip(self._x, self._y) if math.isfinite(y)])
-            if any(math.isfinite(y) for y in self._y)
-            else np.zeros((0, self.dimension))
-        )
-        candidates = np.vstack([self.grid, observed]) if observed.size else self.grid
+        candidates = np.vstack([self.grid, gp.points])
         mean, std = gp_posterior_many(gp, candidates)
         lcb = mean - math.sqrt(self.schedule.beta(t)) * std
         best = int(np.argmin(lcb))  # np.argmin returns the lowest index on ties
@@ -325,10 +301,11 @@ class UcbMinimizer:
     def trace(
         self, reference_optimum: float | None, fidelity_space: FidelitySpace
     ) -> tuple[RegretTrace, FidelitySetting, float]:
-        finite = [(i, y) for i, y in enumerate(self._y) if math.isfinite(y)]
-        if not finite:
+        gp = self.gp()
+        if not gp.n_observations:
             raise NumericalFailureError("every objective evaluation failed")
-        best_i, best_loss = min(finite, key=lambda iy: (iy[1], iy[0]))
+        best = int(np.argmin(gp.values))  # the first observation on ties
+        best_loss = float(gp.values[best])
         if reference_optimum is None:
             reference, proxy = best_loss, True
         else:
@@ -339,8 +316,7 @@ class UcbMinimizer:
             reference=reference,
             reference_is_proxy=proxy,
         )
-        best_f = fidelity_space.setting(tuple(float(v) for v in self._x[best_i]))
-        return regret, best_f, float(best_loss)
+        return regret, fidelity_space.setting(gp.points[best]), best_loss
 
 
 def gp_ucb_minimize(
@@ -399,8 +375,7 @@ def optimize_fidelity(
                 seed=split_seed(seed, "loss-eval"),
                 high_cache=high_cache,
             )
-        except LOSS_FAILURES as exc:  # failed evaluation: record +inf, keep going
-            log.warning("aggregate loss failed at f=%s (t=%d): %s", list(x), t, exc)
+        except LOSS_FAILURES:  # failed evaluation: record +inf; observe() logs it
             return math.inf
         return result.total
 

@@ -12,6 +12,7 @@ configuration and master seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -467,7 +468,19 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     counterexamples: list[CounterexampleRecord] = []
     raw_records: list[dict[str, Any]] = []
     sigma_ref = 0.0
-    last_inner_trace: tuple[float, ...] = ()
+
+    def fail(exc: Exception) -> None:
+        """Log ``exc``, write every iteration so far to ``result.partial.json``, close the log."""
+        events.emit("error", message=f"{type(exc).__name__}: {exc}")
+        if out is not None:
+            partial = {
+                "schema_version": SCHEMA_VERSION,
+                "completed": False,
+                "config": config.to_dict(),
+                "iterations": raw_records,
+            }
+            write_json(out / "result.partial.json", partial)
+        events.close()
 
     with tally() as grand:
         try:
@@ -501,22 +514,19 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 )
                 budget = dataclasses.replace(config.falsify_budget, max_evaluations=inner_budget)
 
-                falsification_failed = False
                 inner_result = None
-                with tally() as inner:
-                    try:
-                        inner_result = falsify(
-                            spec, phi, f, budget, split_seed(config.master_seed, "falsify", t)
-                        )
-                    except FalsificationFailedError:
-                        falsification_failed = True
+                with tally() as inner, contextlib.suppress(FalsificationFailedError):
+                    inner_result = falsify(
+                        spec, phi, f, budget, split_seed(config.master_seed, "falsify", t)
+                    )
                 totals["inner_low_calls"] += inner["low_calls"]
 
-                if inner_result is not None and inner_result.counterexample_found:
+                found = inner_result is not None and inner_result.counterexample_found
+                if found:
                     counterexamples.append(
                         CounterexampleRecord(
-                            values=tuple(inner_result.best_config.values),
-                            robustness=float(inner_result.best_robustness),
+                            values=inner_result.best_config.values,
+                            robustness=inner_result.best_robustness,
                             found_at=t,
                         )
                     )
@@ -548,43 +558,30 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 totals["loss_low_calls"] += loss["low_calls"]
 
                 optimizer.observe(f_vec, loss_total)
-                if inner_result is not None:
-                    last_inner_trace = inner_result.trace
 
                 raw = {
                     "t": t,
-                    "fidelity": tuple(float(v) for v in f.values),
-                    "sigma": float(sigma),
-                    "inner_budget": int(inner_budget),
+                    "fidelity": f.values,
+                    "sigma": sigma,
+                    "inner_budget": inner_budget,
                     "inner_evaluations": 0 if inner_result is None else inner_result.evaluations_used,
                     "inner_iterations": 0 if inner_result is None else inner_result.iterations,
                     "inner_sim_calls": inner["low_calls"],
                     "inner_trace": () if inner_result is None else inner_result.trace,
-                    "e_star": None if inner_result is None else tuple(inner_result.best_config.values),
-                    "rho_star": None if inner_result is None else float(inner_result.best_robustness),
-                    "counterexample_found": bool(
-                        inner_result is not None and inner_result.counterexample_found
-                    ),
-                    "falsification_failed": falsification_failed,
-                    "loss": float(loss_total),
-                    "loss_mean": float(loss_mean),
-                    "pair_count": int(pair_count),
+                    "e_star": None if inner_result is None else inner_result.best_config.values,
+                    "rho_star": None if inner_result is None else inner_result.best_robustness,
+                    "counterexample_found": found,
+                    "falsification_failed": inner_result is None,
+                    "loss": loss_total,
+                    "loss_mean": loss_mean,
+                    "pair_count": pair_count,
                     "high_calls": inner["high_calls"] + loss["high_calls"],
                     "low_calls": inner["low_calls"] + loss["low_calls"],
                 }
                 raw_records.append(raw)
                 events.emit("iteration", **raw)
         except Exception as exc:
-            events.emit("error", message=f"{type(exc).__name__}: {exc}")
-            if out is not None:
-                partial = {
-                    "schema_version": SCHEMA_VERSION,
-                    "completed": False,
-                    "config": config.to_dict(),
-                    "iterations": raw_records,
-                }
-                write_json(out / "result.partial.json", partial)
-            events.close()
+            fail(exc)
             raise
 
         # Regret against the best observed loss (proxy; the true optimum is unknown).
@@ -611,28 +608,33 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
             probe_values = tuple((lo + hi) / 2.0)
         mean_evals = sum(r.inner_evaluations for r in records) / len(records)
         with tally() as probes:
-            analysis = analysis_summary(
-                spec,
-                phi,
-                tasks,
-                config,
-                spec.fidelity_space.setting(probe_f_values),
-                spec.environment_space.config(probe_values),
-                K1=max(1, round(mean_evals)),
-            )
+            try:
+                analysis = analysis_summary(
+                    spec,
+                    phi,
+                    tasks,
+                    config,
+                    spec.fidelity_space.setting(probe_f_values),
+                    spec.environment_space.config(probe_values),
+                    K1=max(1, round(mean_evals)),
+                )
+            except Exception as exc:
+                fail(exc)
+                raise
         analysis["probe_config"] = list(probe_values)
         totals["analysis_high_calls"] = probes["high_calls"]
         totals["analysis_low_calls"] = probes["low_calls"]
 
-    window = min(config.convergence_window, len(regret.losses))
-    convergence: dict[str, Any] = {}
-    if window >= 2:
-        outer_rep = convergence_report(regret.losses, window, config.convergence_tol)
-        convergence["outer"] = dataclasses.asdict(outer_rep)
-    if len(last_inner_trace) >= 2:
-        inner_window = min(config.convergence_window, len(last_inner_trace))
-        inner_rep = convergence_report(last_inner_trace, inner_window, config.convergence_tol)
-        convergence["inner_last"] = dataclasses.asdict(inner_rep)
+    inner_last = next((r.inner_trace for r in reversed(records) if not r.falsification_failed), ())
+    convergence = {
+        key: dataclasses.asdict(
+            convergence_report(
+                trace, min(config.convergence_window, len(trace)), config.convergence_tol
+            )
+        )
+        for key, trace in (("outer", regret.losses), ("inner_last", inner_last))
+        if len(trace) >= 2
+    }
 
     result = CampaignResult(
         config=config,

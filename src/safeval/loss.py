@@ -138,8 +138,8 @@ def aggregate_loss(
     """
     if not tasks and not extra_configs:
         raise InvalidArgumentError("aggregate_loss needs at least one task or extra config")
-    if not spec.fidelity_space.contains(f.values):
-        raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
+    if f.space.dimension != spec.fidelity_space.dimension:
+        raise InvalidArgumentError("fidelity setting dimension mismatch")
     weights = check_task_weights(weights, tasks)
     groups = [(task.id, task.sampled_params, float(weights.get(task.id, 1.0))) for task in tasks]
     if extra_configs:

@@ -34,7 +34,8 @@ adapter program receives one JSON request ``{"e": [...], "f": [...]|null,
 "seed": int, "duration": float, "dt": float}`` on stdin and must print a
 JSON trajectory ``{"start_time": float, "dt": float, "channels": [...],
 "samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid,
-with numbers only (no strings or booleans). The request always covers the
+with numbers only (no strings or booleans). A ``null``, ``NaN`` or
+``Infinity`` sample marks the row diverged. The request always covers the
 whole duration; a caller that wants fewer samples gets the reply cut.
 
 Every simulation goes through one dispatch over rows of (environment,
@@ -814,8 +815,6 @@ def simulate_low(
     high-fidelity path. Raises :class:`SimulationDivergedError` if the row
     diverged.
     """
-    if f is not None and not spec.fidelity_space.contains(f.values):
-        raise InvalidArgumentError(f"fidelity setting {f.values} outside [0,1] box")
     _check_env(spec, e)
     samples, ok = simulate_batch(spec, e.as_array()[None, :], f, [seed])
     if not ok[0]:

@@ -16,7 +16,7 @@ from safeval.bo import (
     optimize_fidelity,
     regret_growth_fit,
 )
-from safeval.core import InvalidArgumentError, Task
+from safeval.core import FidelitySpace, InvalidArgumentError, NumericalFailureError, Task
 
 
 def kernel(amp=1.0, noise=1e-6, ls=0.2, dim=1):
@@ -127,6 +127,19 @@ class TestAcquisition:
         assert int(best_permuted[1]) == forward
         repeat = opt.suggest(7)
         assert np.array_equal(repeat, opt.suggest(7))
+
+    def test_every_observation_failed(self):
+        # An empty GP has a constant prior, so LCB ties everywhere and the
+        # lowest index, grid[0], wins past the warm-up points.
+        opt = UcbMinimizer(2, seed=3)
+        for t in range(1, len(opt.warm) + 5):
+            x = opt.suggest(t)
+            if t > len(opt.warm):
+                assert np.array_equal(x, opt.grid[0])
+            opt.observe(x, math.inf)
+        assert opt.gp().n_observations == 0
+        with pytest.raises(NumericalFailureError, match="every objective evaluation failed"):
+            opt.trace(None, FidelitySpace(dimension=2))
 
 
 class TestSyntheticQuadratic:

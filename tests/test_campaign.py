@@ -217,6 +217,48 @@ class TestRunJoint:
         assert events[-1]["event"] == "error"
         assert "synthetic hard failure" in events[-1]["message"]
 
+    def test_analysis_failure_leaves_every_iteration_and_a_closed_log(self, tmp_path, monkeypatch):
+        # Searches of 64 rows and losses of at most 6 leave the analysis call
+        # (144 rows at 24 pairs) as the only one over 100 rows.
+        import safeval.campaign as campaign_mod
+
+        class LargeCallsDiverge:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+                samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
+                if len(seeds) > 100:
+                    samples[:] = np.nan
+                return samples, steps
+
+        logs = []
+
+        class RecordedLog(campaign_mod._EventLog):
+            def __init__(self, path):
+                super().__init__(path)
+                logs.append(self)
+
+        monkeypatch.setattr(campaign_mod, "_EventLog", RecordedLog)
+        replace_braking_backend(monkeypatch, LargeCallsDiverge)
+        config = tiny_config(
+            outer_iterations=2,
+            falsify_budget=FalsifyBudget(max_evaluations=64, population=64),
+            budget_policy=AdaptiveBudgetPolicy(base_budget=64, scale=0.0),
+            analysis_pairs=24,
+        )
+        with pytest.raises(SimulationDivergedError, match="during estimation"):
+            run_joint(config, output_dir=tmp_path)
+        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        assert [e["event"] for e in events] == ["start", "iteration", "iteration", "error"]
+        assert events[-1]["message"].startswith("SimulationDivergedError: ")
+        partial = json.loads((tmp_path / "result.partial.json").read_text())
+        assert partial["completed"] is False
+        iterations = [{k: v for k, v in e.items() if k not in ("event", "timestamp")}
+                      for e in events[1:3]]
+        assert partial["iterations"] == iterations
+        assert [log._fh for log in logs] == [None]
+
     def test_failed_search_books_the_paired_rows(self, monkeypatch):
         # Every row of iteration 1's exploration generation 4 diverges. That
         # generation shares its simulator call with CEM generation 5, so the

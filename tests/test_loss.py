@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeval.campaign import sample_tasks
-from safeval.core import InvalidArgumentError, Task, Trajectory, sample_uniform
+from safeval.core import FidelitySpace, InvalidArgumentError, Task, Trajectory, sample_uniform
 from safeval.loss import aggregate_loss, mse_loss
-from safeval.sim import simulate_high, simulate_low
+from safeval.sim import simulate_high, simulate_low, tally
 
 
 def const_traj(value, steps=101, dt=0.01, channels=("x",)):
@@ -135,6 +135,19 @@ class TestAggregateLoss:
     def test_empty_everything_rejected(self, oscillator):
         with pytest.raises(InvalidArgumentError):
             aggregate_loss(oscillator, oscillator.fidelity_space.max_fidelity(), [], seed=0)
+
+    def test_fidelity_of_another_dimension_rejected_before_simulating(self, braking):
+        tasks = sample_tasks(braking, 1, 2, seed=0)
+        f = FidelitySpace(dimension=1).setting((0.5,))
+        calls = [
+            lambda: aggregate_loss(braking, f, tasks, seed=0),
+            lambda: simulate_low(braking, tasks[0].sampled_params[0], f, seed=0),
+        ]
+        with tally() as counts:
+            for call in calls:
+                with pytest.raises(InvalidArgumentError, match="^fidelity setting dimension mismatch"):
+                    call()
+        assert counts["high_calls"] == counts["low_calls"] == 0
 
     def test_failure_identifies_pair(self, diverging_spec):
         task = Task(

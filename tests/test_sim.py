@@ -523,6 +523,18 @@ class TestExternalAdapter:
         with pytest.raises(AdapterProtocolError):
             simulate_high(adapter_spec, adapter_spec.environment_space.config((1.0,)), seed=0)
 
+    @pytest.mark.parametrize("sample", [None, float("nan"), float("inf")], ids=["null", "nan", "inf"])
+    def test_non_finite_sample_marks_the_row_diverged(self, adapter_spec, monkeypatch, sample):
+        sim_module = importlib.import_module("safeval.sim")
+        reply = {**self.GOOD_REPLY, "samples": [[sample] + [0.0] * 20]}
+
+        def reply_with(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(reply).encode(), b"")
+
+        monkeypatch.setattr(sim_module.subprocess, "run", reply_with)
+        _, ok = simulate_batch(adapter_spec, np.array([[1.0]]), None, [0])
+        assert ok.tolist() == [False]
+
     def test_missing_executable(self, adapter_spec):
         spec = external_simulator_spec(
             sim_id="external-missing",
