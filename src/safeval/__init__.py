@@ -38,7 +38,6 @@ from .bo import (
     RegretTrace,
     gp_posterior,
     gp_ucb_minimize,
-    optimize_fidelity,
     regret_growth_fit,
 )
 from .analysis import (
@@ -60,6 +59,7 @@ from .campaign import (
     CampaignConfig,
     CampaignResult,
     load_result,
+    optimize_fidelity,
     report,
     run_joint,
     sample_tasks,

@@ -15,7 +15,8 @@ maximization, with the finite-candidate-set schedule
 Candidates are a seeded Latin-hypercube grid plus all previously observed
 points; ties are broken by the lowest candidate index. Instantaneous regret
 is recorded as r_t = loss(f_t) - loss(f*) >= 0 (nonnegative under
-minimization) and cumulated into R_T.
+minimization) and cumulated into R_T. Objectives come from the caller:
+the outer loss and ``optimize_fidelity`` live in :mod:`safeval.campaign`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from .core import (
     InvalidArgumentError,
     NumericalFailureError,
     Seed,
-    Task,
     check_fields,
     latin_hypercube_unit,
     split_seed,
 )
-from .loss import LOSS_FAILURES, aggregate_loss
-from .sim import SimulatorSpec
 
 __all__ = [
     "GpKernel",
@@ -52,7 +50,6 @@ __all__ = [
     "gp_posterior_many",
     "UcbMinimizer",
     "gp_ucb_minimize",
-    "optimize_fidelity",
     "regret_growth_fit",
 ]
 
@@ -347,44 +344,6 @@ def gp_ucb_minimize(
         iterations=iterations,
         regret=regret,
         gp=opt.gp(),
-    )
-
-
-def optimize_fidelity(
-    spec: SimulatorSpec,
-    tasks: Sequence[Task],
-    T: int,
-    seed: Seed,
-) -> FidelityOptResult:
-    """Tune fidelity settings to minimize the aggregate high/low discrepancy.
-
-    The joint campaign does not call this: ``run_joint`` runs its own outer
-    loop and scores its counterexamples there as extras.
-    """
-    if not tasks:
-        raise InvalidArgumentError("optimize_fidelity needs at least one task")
-    high_cache: dict = {}
-
-    def objective(x: np.ndarray, t: int) -> float:
-        f = spec.fidelity_space.setting(np.clip(x, 0.0, 1.0))
-        try:
-            result = aggregate_loss(
-                spec,
-                f,
-                tasks,
-                seed=split_seed(seed, "loss-eval"),
-                high_cache=high_cache,
-            )
-        except LOSS_FAILURES:  # failed evaluation: record +inf; observe() logs it
-            return math.inf
-        return result.total
-
-    return gp_ucb_minimize(
-        objective,
-        dimension=spec.fidelity_space.dimension,
-        iterations=T,
-        seed=split_seed(seed, "bo"),
-        fidelity_space=spec.fidelity_space,
     )
 
 

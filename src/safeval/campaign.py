@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable, Sequence
@@ -27,6 +28,7 @@ from .analysis import (
     LipschitzEstimate,
     RowPlan,
     SampleComplexityPlan,
+    _force_noise_off,
     convergence_report,
     lipschitz_env_plan,
     lipschitz_fidelity_plan,
@@ -34,7 +36,7 @@ from .analysis import (
     run_plans,
     sample_complexity_plan,
 )
-from .bo import BetaSchedule, UcbMinimizer
+from .bo import BetaSchedule, FidelityOptResult, UcbMinimizer, gp_ucb_minimize
 from .core import (
     EnvironmentConfig,
     EnvironmentSpace,
@@ -73,6 +75,7 @@ __all__ = [
     "sample_tasks",
     "campaign_inputs",
     "analysis_summary",
+    "optimize_fidelity",
     "run_joint",
     "write_json",
     "save_result",
@@ -434,6 +437,44 @@ def campaign_inputs(config: CampaignConfig) -> tuple[SimulatorSpec, str, SafetyS
     return spec, spec_text, phi, tasks
 
 
+def optimize_fidelity(
+    spec: SimulatorSpec,
+    tasks: Sequence[Task],
+    T: int,
+    seed: Seed,
+) -> FidelityOptResult:
+    """Tune fidelity settings to minimize the aggregate high/low discrepancy.
+
+    The outer loop of :func:`run_joint` without its inner falsifier: the
+    loss is scored over ``tasks`` only, its pairs seeded under "loss-eval".
+    """
+    if not tasks:
+        raise InvalidArgumentError("optimize_fidelity needs at least one task")
+    high_cache: dict = {}
+
+    def objective(x: np.ndarray, t: int) -> float:
+        f = spec.fidelity_space.setting(np.clip(x, 0.0, 1.0))
+        try:
+            result = aggregate_loss(
+                spec,
+                f,
+                tasks,
+                seed=split_seed(seed, "loss-eval"),
+                high_cache=high_cache,
+            )
+        except LOSS_FAILURES:  # failed evaluation: record +inf; observe() logs it
+            return math.inf
+        return result.total
+
+    return gp_ucb_minimize(
+        objective,
+        dimension=spec.fidelity_space.dimension,
+        iterations=T,
+        seed=split_seed(seed, "bo"),
+        fidelity_space=spec.fidelity_space,
+    )
+
+
 def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> CampaignResult:
     """Run the full nested campaign described by ``config``.
 
@@ -442,48 +483,27 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
     here or in the config. Rerunning with the same config and master seed
     reproduces ``result.json`` byte for byte. The simulations are counted
     by tallies open in the calling context only, so campaigns run in other
-    threads do not disturb the totals.
+    threads do not disturb the totals. A failure once the log is open ends
+    it with an ``error`` event and writes ``result.partial.json``.
     """
     out = Path(output_dir) if output_dir is not None else (
         Path(config.output_dir) if config.output_dir else None
     )
     spec, _, phi, tasks = campaign_inputs(config)
     events = _EventLog(out / "events.jsonl" if out else None)
-    events.emit("start", simulator=spec.id, outer_iterations=config.outer_iterations)
-
-    totals = {
-        "setup_high_calls": 0,
-        "inner_low_calls": 0,
-        "loss_high_calls": 0,
-        "loss_low_calls": 0,
-        "analysis_high_calls": 0,
-        "analysis_low_calls": 0,
-    }
-
-    optimizer = UcbMinimizer(
-        dimension=spec.fidelity_space.dimension,
-        seed=split_seed(config.master_seed, "bo"),
-        schedule=config.beta_schedule,
-    )
-    counterexamples: list[CounterexampleRecord] = []
     raw_records: list[dict[str, Any]] = []
-    sigma_ref = 0.0
+    try:
+        events.emit("start", simulator=spec.id, outer_iterations=config.outer_iterations)
+        optimizer = UcbMinimizer(
+            dimension=spec.fidelity_space.dimension,
+            seed=split_seed(config.master_seed, "bo"),
+            schedule=config.beta_schedule,
+        )
+        counterexamples: list[CounterexampleRecord] = []
+        sigma_ref = 0.0
+        totals: Counter[str] = Counter()
 
-    def fail(exc: Exception) -> None:
-        """Log ``exc``, write every iteration so far to ``result.partial.json``, close the log."""
-        events.emit("error", message=f"{type(exc).__name__}: {exc}")
-        if out is not None:
-            partial = {
-                "schema_version": SCHEMA_VERSION,
-                "completed": False,
-                "config": config.to_dict(),
-                "iterations": raw_records,
-            }
-            write_json(out / "result.partial.json", partial)
-        events.close()
-
-    with tally() as grand:
-        try:
+        with tally() as grand:
             # Fidelity-independent ground-truth runs, shared by every outer
             # iteration and seeded as aggregate_loss seeds each pair. The cache
             # gains each counterexample's run in the first iteration scoring it.
@@ -580,78 +600,79 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 }
                 raw_records.append(raw)
                 events.emit("iteration", **raw)
-        except Exception as exc:
-            fail(exc)
-            raise
 
-        # Regret against the best observed loss (proxy; the true optimum is unknown).
-        try:
-            regret, best_f, best_loss = optimizer.trace(None, spec.fidelity_space)
-        except NumericalFailureError:
-            events.emit("error", message="every outer evaluation failed")
-            events.close()
-            raise FalsificationFailedError("every outer loss evaluation failed") from None
-        records = [
-            IterationRecord(**raw, regret=r_t, cumulative_regret=r_cum)
-            for raw, r_t, r_cum in zip(raw_records, regret.instantaneous, regret.cumulative)
-        ]
-
-        # Analysis summary at desk scale; estimates run on the noise-free face
-        # of the fidelity box so they are deterministic.
-        probe_f_values = best_f.as_array()
-        if spec.fidelity_mapping.noise_knob is not None:
-            probe_f_values[spec.fidelity_mapping.noise_knob] = 1.0
-        if counterexamples:
-            probe_values = min(counterexamples, key=lambda c: c.robustness).values
-        else:
-            lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
-            probe_values = tuple((lo + hi) / 2.0)
-        mean_evals = sum(r.inner_evaluations for r in records) / len(records)
-        with tally() as probes:
+            # Regret against the best observed loss (proxy; the true optimum is unknown).
             try:
+                regret, best_f, best_loss = optimizer.trace(None, spec.fidelity_space)
+            except NumericalFailureError:
+                raise FalsificationFailedError("every outer loss evaluation failed") from None
+            records = [
+                IterationRecord(**raw, regret=r_t, cumulative_regret=r_cum)
+                for raw, r_t, r_cum in zip(raw_records, regret.instantaneous, regret.cumulative)
+            ]
+
+            # Analysis summary at desk scale; estimates run on the noise-free face
+            # of the fidelity box so they are deterministic.
+            probe_f = _force_noise_off(spec, best_f.as_array()[None])[0]
+            if counterexamples:
+                probe_values = min(counterexamples, key=lambda c: c.robustness).values
+            else:
+                lo, hi = spec.environment_space.lower_array(), spec.environment_space.upper_array()
+                probe_values = tuple((lo + hi) / 2.0)
+            mean_evals = sum(r.inner_evaluations for r in records) / len(records)
+            with tally() as probes:
                 analysis = analysis_summary(
                     spec,
                     phi,
                     tasks,
                     config,
-                    spec.fidelity_space.setting(probe_f_values),
+                    spec.fidelity_space.setting(probe_f),
                     spec.environment_space.config(probe_values),
                     K1=max(1, round(mean_evals)),
                 )
-            except Exception as exc:
-                fail(exc)
-                raise
-        analysis["probe_config"] = list(probe_values)
-        totals["analysis_high_calls"] = probes["high_calls"]
-        totals["analysis_low_calls"] = probes["low_calls"]
+            analysis["probe_config"] = list(probe_values)
+            totals["analysis_high_calls"] = probes["high_calls"]
+            totals["analysis_low_calls"] = probes["low_calls"]
 
-    inner_last = next((r.inner_trace for r in reversed(records) if not r.falsification_failed), ())
-    convergence = {
-        key: dataclasses.asdict(
-            convergence_report(
-                trace, min(config.convergence_window, len(trace)), config.convergence_tol
+        inner_last = next((r.inner_trace for r in reversed(records) if not r.falsification_failed), ())
+        convergence = {
+            key: dataclasses.asdict(
+                convergence_report(
+                    trace, min(config.convergence_window, len(trace)), config.convergence_tol
+                )
             )
-        )
-        for key, trace in (("outer", regret.losses), ("inner_last", inner_last))
-        if len(trace) >= 2
-    }
+            for key, trace in (("outer", regret.losses), ("inner_last", inner_last))
+            if len(trace) >= 2
+        }
 
-    result = CampaignResult(
-        config=config,
-        best_fidelity=best_f.values,
-        best_loss=best_loss,
-        iterations=tuple(records),
-        counterexamples=tuple(counterexamples),
-        regret_reference=regret.reference,
-        regret_reference_is_proxy=regret.reference_is_proxy,
-        totals={**grand, **totals},
-        analysis=analysis,
-        convergence=convergence,
-    )
-    if out is not None:
-        save_result(result, out / "result.json")
-    events.emit("finish", best_loss=best_loss)
-    events.close()
+        result = CampaignResult(
+            config=config,
+            best_fidelity=best_f.values,
+            best_loss=best_loss,
+            iterations=tuple(records),
+            counterexamples=tuple(counterexamples),
+            regret_reference=regret.reference,
+            regret_reference_is_proxy=regret.reference_is_proxy,
+            totals={**grand, **totals},
+            analysis=analysis,
+            convergence=convergence,
+        )
+        if out is not None:
+            save_result(result, out / "result.json")
+        events.emit("finish", best_loss=best_loss)
+    except Exception as exc:
+        events.emit("error", message=f"{type(exc).__name__}: {exc}")
+        if out is not None:
+            partial = {
+                "schema_version": SCHEMA_VERSION,
+                "completed": False,
+                "config": config.to_dict(),
+                "iterations": raw_records,
+            }
+            write_json(out / "result.partial.json", partial)
+        raise
+    finally:
+        events.close()
     return result
 
 

@@ -24,12 +24,12 @@ import sys
 from pathlib import Path
 
 from .analysis import sensitivity_plan
-from .bo import optimize_fidelity
 from .campaign import (
     CampaignConfig,
     analysis_summary,
     campaign_inputs,
     load_result,
+    optimize_fidelity,
     regret_csv,
     report,
     run_joint,
@@ -57,6 +57,7 @@ _INPUT_ERRORS = (
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 

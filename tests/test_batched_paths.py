@@ -21,8 +21,13 @@ from safeval.analysis import (
     estimate_lipschitz_loss,
     sensitivity,
 )
-from safeval.bo import optimize_fidelity
-from safeval.campaign import CampaignConfig, run_joint, sample_tasks, save_result
+from safeval.campaign import (
+    CampaignConfig,
+    optimize_fidelity,
+    run_joint,
+    sample_tasks,
+    save_result,
+)
 from safeval.core import (
     EnvironmentSpace,
     FidelitySpace,

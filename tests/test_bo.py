@@ -13,9 +13,9 @@ from safeval.bo import (
     UcbMinimizer,
     gp_posterior,
     gp_ucb_minimize,
-    optimize_fidelity,
     regret_growth_fit,
 )
+from safeval.campaign import optimize_fidelity
 from safeval.core import FidelitySpace, InvalidArgumentError, NumericalFailureError, Task
 
 

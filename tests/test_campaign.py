@@ -63,6 +63,35 @@ def tiny_result(tmp_path_factory):
     return run_joint(cfg, output_dir=out), out, cfg
 
 
+@pytest.fixture()
+def event_logs(monkeypatch):
+    """Every event log that a campaign opens during the test, to check that it was closed."""
+    import safeval.campaign as campaign_mod
+
+    logs = []
+
+    class RecordedLog(campaign_mod._EventLog):
+        def __init__(self, path):
+            super().__init__(path)
+            logs.append(self)
+
+    monkeypatch.setattr(campaign_mod, "_EventLog", RecordedLog)
+    return logs
+
+
+def read_events(out):
+    return [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+
+
+def assert_partial_holds_every_iteration(out, events):
+    partial = json.loads((out / "result.partial.json").read_text())
+    assert partial["completed"] is False
+    assert partial["iterations"] == [
+        {k: v for k, v in e.items() if k not in ("event", "timestamp")}
+        for e in events if e["event"] == "iteration"
+    ]
+
+
 class TestBudgetPolicy:
     @given(
         sigma=st.floats(0.0, 5.0),
@@ -195,7 +224,9 @@ class TestRunJoint:
         assert kinds[-1] == "finish"
         assert all("timestamp" in e for e in events)
 
-    def test_partial_results_flushed_on_unrecoverable_error(self, tmp_path, monkeypatch):
+    def test_partial_results_flushed_on_unrecoverable_error(
+        self, tmp_path, monkeypatch, event_logs
+    ):
         import safeval.campaign as campaign_mod
 
         real_falsify = campaign_mod.falsify
@@ -210,18 +241,17 @@ class TestRunJoint:
         monkeypatch.setattr(campaign_mod, "falsify", exploding)
         with pytest.raises(RuntimeError):
             run_joint(tiny_config(), output_dir=tmp_path)
-        partial = json.loads((tmp_path / "result.partial.json").read_text())
-        assert partial["completed"] is False
-        assert len(partial["iterations"]) == 1
-        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
-        assert events[-1]["event"] == "error"
-        assert "synthetic hard failure" in events[-1]["message"]
+        events = read_events(tmp_path)
+        assert [e["event"] for e in events] == ["start", "iteration", "error"]
+        assert events[-1]["message"] == "RuntimeError: synthetic hard failure"
+        assert_partial_holds_every_iteration(tmp_path, events)
+        assert [log._fh for log in event_logs] == [None]
 
-    def test_analysis_failure_leaves_every_iteration_and_a_closed_log(self, tmp_path, monkeypatch):
+    def test_analysis_failure_leaves_every_iteration_and_a_closed_log(
+        self, tmp_path, monkeypatch, event_logs
+    ):
         # Searches of 64 rows and losses of at most 6 leave the analysis call
         # (144 rows at 24 pairs) as the only one over 100 rows.
-        import safeval.campaign as campaign_mod
-
         class LargeCallsDiverge:
             def __init__(self, inner):
                 self.inner = inner
@@ -232,14 +262,6 @@ class TestRunJoint:
                     samples[:] = np.nan
                 return samples, steps
 
-        logs = []
-
-        class RecordedLog(campaign_mod._EventLog):
-            def __init__(self, path):
-                super().__init__(path)
-                logs.append(self)
-
-        monkeypatch.setattr(campaign_mod, "_EventLog", RecordedLog)
         replace_braking_backend(monkeypatch, LargeCallsDiverge)
         config = tiny_config(
             outer_iterations=2,
@@ -249,15 +271,21 @@ class TestRunJoint:
         )
         with pytest.raises(SimulationDivergedError, match="during estimation"):
             run_joint(config, output_dir=tmp_path)
-        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        events = read_events(tmp_path)
         assert [e["event"] for e in events] == ["start", "iteration", "iteration", "error"]
         assert events[-1]["message"].startswith("SimulationDivergedError: ")
-        partial = json.loads((tmp_path / "result.partial.json").read_text())
-        assert partial["completed"] is False
-        iterations = [{k: v for k, v in e.items() if k not in ("event", "timestamp")}
-                      for e in events[1:3]]
-        assert partial["iterations"] == iterations
-        assert [log._fh for log in logs] == [None]
+        assert_partial_holds_every_iteration(tmp_path, events)
+        assert [log._fh for log in event_logs] == [None]
+
+    def test_unwritable_result_leaves_every_iteration_and_a_closed_log(self, tmp_path, event_logs):
+        (tmp_path / "result.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run_joint(tiny_config(outer_iterations=2), output_dir=tmp_path)
+        events = read_events(tmp_path)
+        assert [e["event"] for e in events] == ["start", "iteration", "iteration", "error"]
+        assert events[-1]["message"].startswith("IsADirectoryError: ")
+        assert_partial_holds_every_iteration(tmp_path, events)
+        assert [log._fh for log in event_logs] == [None]
 
     def test_failed_search_books_the_paired_rows(self, monkeypatch):
         # Every row of iteration 1's exploration generation 4 diverges. That
@@ -279,7 +307,7 @@ class TestRunJoint:
         assert record.falsification_failed
         assert record.inner_sim_calls == 6 * 32
 
-    def test_every_loss_failing_raises_and_logs_the_error(self, tmp_path, monkeypatch):
+    def test_every_loss_failing_raises_and_logs_the_error(self, tmp_path, monkeypatch, event_logs):
         # Every low-fidelity row diverges: each search fails and each loss is
         # +inf, so no iteration has a loss to pick the best fidelity from.
         class LowRowsDiverge:
@@ -294,14 +322,17 @@ class TestRunJoint:
         replace_braking_backend(monkeypatch, LowRowsDiverge)
         with pytest.raises(FalsificationFailedError, match="^every outer loss evaluation failed$"):
             run_joint(tiny_config(outer_iterations=2), output_dir=tmp_path)
-        events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        events = read_events(tmp_path)
         kinds = [e["event"] for e in events]
         assert kinds == ["start"] + ["loss_failure", "iteration"] * 2 + ["error"]
         assert all(e["falsification_failed"] and e["loss"] == float("inf")
                    for e in events if e["event"] == "iteration")
-        assert events[-1]["message"] == "every outer evaluation failed"
+        assert events[-1]["message"] == (
+            "FalsificationFailedError: every outer loss evaluation failed"
+        )
         assert not (tmp_path / "result.json").exists()
-        assert not (tmp_path / "result.partial.json").exists()
+        assert_partial_holds_every_iteration(tmp_path, events)
+        assert [log._fh for log in event_logs] == [None]
 
     def test_deterministic_result_bytes(self, tiny_result, tmp_path):
         result, out, cfg = tiny_result

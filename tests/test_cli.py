@@ -503,3 +503,22 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, request, argv, documen
     assert err.startswith("error: ")
     assert all(position in err for position in positions), err
     assert not any(counts.values())
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["falsify", "--sim", "braking", "--out", "o"],
+         "the following arguments are required: --budget"),
+        (["tune-fidelity", "--sim", "braking", "--tasks", "two", "--per-task", "1",
+          "--iters", "1", "--out", "o"],
+         "argument --tasks: invalid int value: 'two'"),
+        (["report", "--result", "r.json", "--format", "pdf"],
+         "argument --format: invalid choice: 'pdf' (choose from 'md', 'markdown', 'csv')"),
+    ],
+)
+def test_usage_error_says_what_is_wrong(capsys, argv, reason):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: safeval {argv[0]} ")
+    assert err.endswith(f"\nerror: {reason}\n")
