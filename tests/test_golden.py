@@ -23,7 +23,7 @@ _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)")
 
 def _close(a, b, where):
     if isinstance(a, float) and isinstance(b, float):
-        ok = math.isclose(a, b, rel_tol=RTOL) or (math.isnan(a) and math.isnan(b))
+        ok = a == b or (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=RTOL)
     elif isinstance(a, dict) and isinstance(b, dict):
         assert a.keys() == b.keys(), f"{where}: keys differ"
         for key in a:
