@@ -2,10 +2,11 @@
 
 The set is the acceptance-09 campaign config at master seeds 2024, 7 and 123
 (``joint``, ``analyze``, ``report --format md`` and ``report --format csv``,
-plus ``events.jsonl`` with its timestamps dropped), ``tune-fidelity`` for
-both built-in simulators (2 tasks x 3 parameters, 8 iterations, seed 7),
-and ``falsify`` for both simulators (budget 256, seed 5) at max fidelity
-and at 0.5,0.5,0.5.
+plus ``events.jsonl`` with its timestamps dropped), ``joint`` alone on the
+same config at seed 7 with ``counterexample_cap`` 8, so that it evicts 12 of
+its 20 counterexamples, ``tune-fidelity`` for both built-in simulators (2
+tasks x 3 parameters, 8 iterations, seed 7), and ``falsify`` for both
+simulators (budget 256, seed 5) at max fidelity and at 0.5,0.5,0.5.
 
 The bytes depend on the NumPy build and the CPU features it dispatches on,
 so the recording keeps a fingerprint of both in ``fingerprint.json``.
@@ -40,7 +41,9 @@ ACCEPTANCE_09 = dict(
     budget_policy=dict(base_budget=192, scale=0.0),
     analysis_pairs=24,
 )
-CAMPAIGN_SEEDS = (2024, 7, 123)
+CAMPAIGNS = {f"campaign-{seed}": {**ACCEPTANCE_09, "master_seed": seed} for seed in (2024, 7, 123)}
+# Run through ``joint`` only: a cap under its 20 counterexamples makes it evict.
+EVICTION = {"campaign-7-cap-8": {**ACCEPTANCE_09, "master_seed": 7, "counterexample_cap": 8}}
 SIMULATORS = ("braking", "oscillator")
 FALSIFY_FIDELITIES = {"max": None, "half": "0.5,0.5,0.5"}
 
@@ -74,18 +77,19 @@ def _strip_timestamps(events: Path) -> None:
 
 def generate(out: Path) -> None:
     """Write the golden set under ``out``, one directory per run."""
-    for seed in CAMPAIGN_SEEDS:
-        case = out / f"campaign-{seed}"
+    for name, settings in {**CAMPAIGNS, **EVICTION}.items():
+        case = out / name
         case.mkdir(parents=True)
-        config = case.parent / f"campaign-{seed}.config.json"
-        config.write_text(json.dumps({**ACCEPTANCE_09, "master_seed": seed}))
+        config = out / f"{name}.config.json"
+        config.write_text(json.dumps(settings))
         _run("joint", "--config", str(config), "--out", str(case))
-        _run("analyze", "--config", str(config), "--out", str(case))
+        if name in CAMPAIGNS:
+            _run("analyze", "--config", str(config), "--out", str(case))
+            result = str(case / "result.json")
+            (case / "report.md").write_text(_run("report", "--result", result, "--format", "md"))
+            _run("report", "--result", result, "--format", "csv", "--out", str(case))
         config.unlink()
         _strip_timestamps(case / "events.jsonl")
-        result = str(case / "result.json")
-        (case / "report.md").write_text(_run("report", "--result", result, "--format", "md"))
-        _run("report", "--result", result, "--format", "csv", "--out", str(case))
     for sim in SIMULATORS:
         _run("tune-fidelity", "--sim", sim, "--tasks", "2", "--per-task", "3", "--iters", "8",
              "--seed", "7", "--out", str(out / f"tune-{sim}"))
