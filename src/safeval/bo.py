@@ -293,7 +293,7 @@ class UcbMinimizer:
         self._y.append(float(y))
         self._gp_cache = None
         if not math.isfinite(y):
-            log.warning("evaluation at %s failed; excluded from GP updates", list(x))
+            log.warning("evaluation at %s failed; excluded from GP updates", self._x[-1].tolist())
 
     def trace(
         self, reference_optimum: float | None, fidelity_space: FidelitySpace

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 invalid input, 2 runtime failure, 3 no
 counterexample found within budget while --require-counterexample is set.
 Rerunning any command with the same seed on the same NumPy build and CPU
 features reproduces its output files byte for byte (wall-clock timestamps
-appear only in the campaign event log).
+appear only in the campaign event log); oscillator simulations give the
+same bytes whatever the CPU features.
 """
 
 from __future__ import annotations

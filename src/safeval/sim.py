@@ -67,7 +67,7 @@ integrated the same way; the loop runs only from the first step that reads
 it. The right-hand side is bound once per call, to operands shaped like
 the state and to the call's blend: a call whose rows are all at blend 0
 binds the full model without the blend arithmetic. A braking step makes 22
-NumPy calls, an oscillator step 30 at blend 0 and 42 otherwise; they go
+NumPy calls, an oscillator step 34 at blend 0 and 46 otherwise; they go
 straight to the ufuncs (the braking ramp's ``clip`` included).
 """
 
@@ -846,23 +846,26 @@ def _osc_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> list[None]:
 
 
 def _osc_rhs(e: np.ndarray, blend: np.ndarray) -> StepFn:
-    # -w^2 x - c (cubic_w v^3 + linear_w v), the drag built in scratch rows.
-    # A call whose rows are all at blend 0 takes -w^2 x - c v^3: for every
-    # finite v, 1.0 * v^3 + 0.0 * v is v^3 bit for bit, a signed zero, a
-    # subnormal and an overflowed cube included, since 0.0 * v carries v's
-    # sign, and a NaN keeps its payload. The two differ only at v = +-inf,
-    # NaN against +-inf, on a row that is non-finite either way.
+    # -w^2 x - c (cubic_w v^3 + linear_w v), the drag built in scratch rows,
+    # the cube as (v*v)*v: two multiplies cost the same whatever v's sign and
+    # round the same on every SIMD path, and np.power does neither. A call
+    # whose rows are all at blend 0 takes -w^2 x - c (v*v)*v: for every
+    # finite v, 1.0 * (v*v)*v + 0.0 * v is (v*v)*v bit for bit, a signed
+    # zero, a subnormal and an overflowed cube included, since 0.0 * v
+    # carries v's sign, and a NaN keeps its payload. The two differ only at
+    # v = +-inf, NaN against +-inf, on a row that is non-finite either way.
     batch = e.shape[1]
-    neg_omega_sq, three = np.full(batch, _OSC_NEG_OMEGA_SQ), np.full(batch, 3.0)
+    neg_omega_sq = np.full(batch, _OSC_NEG_OMEGA_SQ)
     drag_c = e[2]
     blended = bool(blend.any())
     cubic_w, linear_w = 1.0 - blend, blend
     cubic, linear = np.empty((2, batch))
-    power, multiply, add, subtract = np.power, np.multiply, np.add, np.subtract
+    multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def step(x: np.ndarray, drive: None, out: np.ndarray) -> None:
         vel = x[1]
-        power(vel, three, cubic)
+        multiply(vel, vel, cubic)
+        multiply(cubic, vel, cubic)
         if blended:
             multiply(cubic_w, cubic, cubic)
             multiply(linear_w, vel, linear)

@@ -307,7 +307,9 @@ class TestRunJoint:
         assert record.falsification_failed
         assert record.inner_sim_calls == 6 * 32
 
-    def test_every_loss_failing_raises_and_logs_the_error(self, tmp_path, monkeypatch, event_logs):
+    def test_every_loss_failing_raises_and_logs_the_error(
+        self, tmp_path, monkeypatch, event_logs, caplog
+    ):
         # Every low-fidelity row diverges: each search fails and each loss is
         # +inf, so no iteration has a loss to pick the best fidelity from.
         class LowRowsDiverge:
@@ -333,6 +335,10 @@ class TestRunJoint:
         assert not (tmp_path / "result.json").exists()
         assert_partial_holds_every_iteration(tmp_path, events)
         assert [log._fh for log in event_logs] == [None]
+        # Each failed point is logged with its coordinates as plain numbers.
+        failed = [r.getMessage() for r in caplog.records if "failed; excluded" in r.getMessage()]
+        assert len(failed) == 2
+        assert not any("np.float64" in message for message in failed)
 
     def test_deterministic_result_bytes(self, tiny_result, tmp_path):
         result, out, cfg = tiny_result

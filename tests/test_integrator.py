@@ -12,13 +12,18 @@ it. Both must give the same bits.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from safeval import sim
 from safeval.core import sample_uniform
@@ -29,7 +34,7 @@ def ref_osc_rhs(t, x, e, blend):
     pos = x[:, 0]
     vel = x[:, 1]
     c = e[:, 2]
-    drag = c * ((1.0 - blend) * vel**3 + blend * vel)
+    drag = c * ((1.0 - blend) * (vel * vel * vel) + blend * vel)
     return np.stack([vel, -(sim._OSC_OMEGA**2) * pos - drag], axis=1)
 
 
@@ -447,6 +452,37 @@ def test_oscillator_at_blend_zero_matches_the_textbook_rk4_bit_for_bit(blends, p
     assert out.tobytes() == expected.tobytes()
 
 
+# The samples of two 64-row oscillator calls, at max fidelity and at
+# (0.5, 0.5, 1), hashed by a fresh interpreter.
+OSCILLATOR_HASHES = """
+import hashlib
+import numpy as np
+from safeval.core import sample_uniform
+from safeval.sim import get_benchmark, simulate_batch_multi_f
+spec = get_benchmark("oscillator")
+e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 64, 3)])
+for f, high in (((1.0, 1.0, 1.0), True), ((0.5, 0.5, 1.0), False)):
+    samples, _ = simulate_batch_multi_f(spec, e_rows, np.tile(f, (64, 1)), range(64), [high] * 64)
+    print(hashlib.sha256(samples.tobytes()).hexdigest())
+"""
+AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="needs AVX-512 to switch off")
+def test_oscillator_bytes_do_not_depend_on_simd_dispatch():
+    # The oscillator's step adds, subtracts and multiplies only: NumPy rounds
+    # those the same on every SIMD path, unlike its power, exp and log.
+    def hashes(**env):
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]), **env)
+        return subprocess.run([sys.executable, "-c", OSCILLATOR_HASHES], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+
+    plain = hashes()
+    assert len(plain) == 2
+    disabled = " ".join(name for name in AVX512_DISPATCH if __cpu_features__[name])
+    assert hashes(NPY_DISABLE_CPU_FEATURES=disabled) == plain
+
+
 def test_braking_drive_at_blend_zero_is_the_blended_formula_at_blend_zero():
     # Steps straddle the reaction time, one exactly at 0.6 s; the ego's factor
     # before it is -0.0. Speeds above the stop ramp make the reference's
@@ -482,13 +518,14 @@ class CountedArray(np.ndarray):
         return result.view(CountedArray) if isinstance(result, np.ndarray) else result
 
 
-# NumPy ufunc calls per RK4 step. Each oscillator step also copies the
-# velocity into its derivative four times by assignment, which is not a
-# ufunc call: 42 NumPy calls in all, 30 with every row at blend 0.
+# NumPy ufunc calls per RK4 step; the oscillator's cube is two multiplies
+# per stage. Each oscillator step also copies the velocity into its
+# derivative four times by assignment, which is not a ufunc call: 46 NumPy
+# calls in all, 34 with every row at blend 0.
 @pytest.mark.parametrize(
     "sim_id, per_step, blend",
-    [("braking", 22, 0.5), ("oscillator", 38, 0.5), ("oscillator", 26, 0.0)],
-    ids=["braking-22", "oscillator-38", "oscillator-26-blend-0"],
+    [("braking", 22, 0.5), ("oscillator", 42, 0.5), ("oscillator", 30, 0.0)],
+    ids=["braking-22", "oscillator-42", "oscillator-30-blend-0"],
 )
 def test_numpy_calls_per_rk4_step(sim_id, per_step, blend, monkeypatch):
     spec = get_benchmark(sim_id)
