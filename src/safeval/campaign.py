@@ -39,7 +39,6 @@ from .analysis import (
 from .bo import BetaSchedule, FidelityOptResult, UcbMinimizer, gp_ucb_minimize
 from .core import (
     EnvironmentConfig,
-    EnvironmentSpace,
     ExtendedFloat,
     FidelitySetting,
     InvalidArgumentError,
@@ -202,43 +201,15 @@ def write_json(path: Path, data: dict[str, Any]) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-@dataclass(frozen=True)
-class _AdapterConfig:
-    """A config's external simulator object; see :func:`resolve_simulator`."""
-
-    id: str
-    adapter: str
-    environment: EnvironmentSpace
-    fidelity_dimension: int
-    channels: tuple[str, ...]
-    base_dt: float
-    duration: float
-    safety_spec: str | None = None
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-
-
 def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
     """Turn a config's simulator field into a SimulatorSpec.
 
-    Strings name built-in benchmarks; dicts describe an external adapter:
-    ``{"id", "adapter", "environment": {"lower", "upper", "names"},
-    "fidelity_dimension", "channels", "base_dt", "duration", "safety_spec"}``.
+    Strings name built-in benchmarks; objects describe an external adapter,
+    see :func:`safeval.sim.external_simulator_spec`.
     """
     if isinstance(simulator, str):
         return get_benchmark(simulator)
-    ext = _AdapterConfig(**_field_kwargs(_AdapterConfig, "external simulator config", simulator))
-    return external_simulator_spec(
-        sim_id=ext.id,
-        adapter=ext.adapter,
-        environment_space=ext.environment,
-        fidelity_dimension=ext.fidelity_dimension,
-        channels=ext.channels,
-        base_dt=float(ext.base_dt),
-        duration=float(ext.duration),
-        safety_spec=ext.safety_spec,
-    )
+    return external_simulator_spec(simulator)
 
 
 @dataclass(frozen=True)

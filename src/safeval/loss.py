@@ -37,7 +37,7 @@ from .core import (
     Trajectory,
     split_seed,
 )
-from .sim import AdapterProtocolError, SimulatorSpec, _check_env, _diverged, simulate_batch
+from .sim import AdapterProtocolError, SimulatorSpec, _diverged, simulate_batch
 from .stl import SpecEvaluationError
 
 __all__ = ["LossValue", "AggregateLossResult", "mse_loss", "aggregate_loss"]
@@ -145,9 +145,7 @@ def aggregate_loss(
     if extra_configs:
         groups.append(("extra", tuple(extra_configs), 1.0))
     pairs = [(task_id, j, cfg, w) for task_id, cfgs, w in groups for j, cfg in enumerate(cfgs)]
-    for _, _, cfg, _ in pairs:
-        _check_env(spec, cfg)
-    e_rows = np.array([cfg.as_array() for _, _, cfg, _ in pairs])
+    e_rows = [cfg.values for _, _, cfg, _ in pairs]
     seeds = [split_seed(seed, task_id, j) for task_id, j, _, _ in pairs]
     keys = [(task_id, cfg.values) for task_id, _, cfg, _ in pairs]
     cache = {} if high_cache is None else high_cache
@@ -156,7 +154,8 @@ def aggregate_loss(
 
     ok = np.ones(len(pairs), dtype=bool)
     if missing:
-        fresh, ok_high = simulate_batch(spec, e_rows[missing], None, [seeds[i] for i in missing])
+        e_missing = [e_rows[i] for i in missing]
+        fresh, ok_high = simulate_batch(spec, e_missing, None, [seeds[i] for i in missing])
         ok[missing] = ok_high
     lows, ok_low = simulate_batch(spec, e_rows, f, seeds)
     ok &= ok_low

@@ -43,6 +43,8 @@ fidelity, seed, high flag), which hands all of them to the spec's backend
 in one ``run`` call: ``simulate_batch`` (one setting) and
 ``simulate_batch_multi_f`` (one per row) adapt their arguments to it, and
 ``simulate_high``/``simulate_low`` are one-row ``simulate_batch`` calls.
+Only the dispatch checks environments: before any row runs, a row outside
+the space or holding NaN raises, naming the row and the simulator.
 A call may ask for only the first ``n_samples`` samples of the grid, as the
 falsifier does for the samples its spec reads; they are those of a full
 call bit for bit, a row is diverged when one of them is not finite, and
@@ -92,6 +94,8 @@ from .core import (
     Seed,
     SimulationDivergedError,
     Trajectory,
+    _field_kwargs,
+    check_fields,
     rng_from_seed,
     split_seed,
 )
@@ -579,6 +583,23 @@ class OdeBenchmark:
 
 
 @dataclass(frozen=True)
+class _AdapterConfig:
+    """An external simulator's description; see :func:`external_simulator_spec`."""
+
+    id: str
+    adapter: str
+    environment: EnvironmentSpace
+    fidelity_dimension: int
+    channels: tuple[str, ...]
+    base_dt: float
+    duration: float
+    safety_spec: str | None = None
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class _AdapterBackend:
     """Runs an external simulator executable via the JSON stdin/stdout protocol.
 
@@ -688,26 +709,24 @@ def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_env(spec: SimulatorSpec, e: EnvironmentConfig) -> None:
-    if not spec.environment_space.contains(e.values):
-        raise InvalidArgumentError(
-            f"environment config {e.values} outside the space of simulator {spec.id!r}"
-        )
-
-
 def _env_rows(spec: SimulatorSpec, e_values: np.ndarray, seeds: Sequence[Seed]) -> np.ndarray:
     """``e_values`` as a (batch, dim) float array, checked against the space and seeds."""
-    e_values = np.asarray(e_values, dtype=float)
-    if e_values.ndim != 2 or e_values.shape[1] != spec.environment_space.dimension:
-        raise InvalidArgumentError(
-            f"e_values must have shape (batch, {spec.environment_space.dimension})"
-        )
+    space = spec.environment_space
+    try:
+        e_values = np.asarray(e_values, dtype=float)
+    except ValueError:  # rows of different lengths
+        e_values = np.empty(0)
+    if e_values.ndim != 2 or e_values.shape[1] != space.dimension:
+        raise InvalidArgumentError(f"e_values must have shape (batch, {space.dimension})")
     if len(seeds) != e_values.shape[0]:
         raise InvalidArgumentError("one seed per batch item required")
-    lo = spec.environment_space.lower_array()
-    hi = spec.environment_space.upper_array()
-    if not np.all((e_values >= lo - 1e-12) & (e_values <= hi + 1e-12)):
-        raise InvalidArgumentError("batch contains out-of-bounds or NaN environment values")
+    inside = (e_values >= space.lower_array() - 1e-12) & (e_values <= space.upper_array() + 1e-12)
+    bad = np.flatnonzero(~inside.all(axis=1))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"environment row {bad[0]}, {tuple(e_values[bad[0]].tolist())}, is out-of-bounds "
+            f"or NaN for the space of simulator {spec.id!r}"
+        )
     return e_values
 
 
@@ -815,7 +834,6 @@ def simulate_low(
     high-fidelity path. Raises :class:`SimulationDivergedError` if the row
     diverged.
     """
-    _check_env(spec, e)
     samples, ok = simulate_batch(spec, e.as_array()[None, :], f, [seed])
     if not ok[0]:
         raise _diverged(spec, e)
@@ -999,25 +1017,22 @@ def get_benchmark(sim_id: str) -> SimulatorSpec:
     )
 
 
-def external_simulator_spec(
-    sim_id: str,
-    adapter: str,
-    environment_space: EnvironmentSpace,
-    fidelity_dimension: int,
-    channels: Sequence[str],
-    base_dt: float,
-    duration: float,
-    safety_spec: str | None = None,
-) -> SimulatorSpec:
-    """Describe an external simulator reachable through the adapter protocol."""
+def external_simulator_spec(description: dict[str, Any]) -> SimulatorSpec:
+    """Describe an external simulator reachable through the adapter protocol.
+
+    ``description`` is a campaign config's ``simulator`` object, each field
+    checked by type: ``{"id", "adapter", "environment": {"lower", "upper",
+    "names"}, "fidelity_dimension", "channels", "base_dt", "duration", "safety_spec"}``.
+    """
+    ext = _AdapterConfig(**_field_kwargs(_AdapterConfig, "external simulator config", description))
     return SimulatorSpec(
-        id=sim_id,
-        environment_space=environment_space,
-        fidelity_space=FidelitySpace(dimension=fidelity_dimension),
-        channels=tuple(channels),
-        base_dt=base_dt,
-        duration=duration,
-        fidelity_mapping=identity_mapping(fidelity_dimension),
-        backend=_AdapterBackend(adapter),
-        safety_spec=safety_spec,
+        id=ext.id,
+        environment_space=ext.environment,
+        fidelity_space=FidelitySpace(dimension=ext.fidelity_dimension),
+        channels=ext.channels,
+        base_dt=float(ext.base_dt),
+        duration=float(ext.duration),
+        fidelity_mapping=identity_mapping(ext.fidelity_dimension),
+        backend=_AdapterBackend(ext.adapter),
+        safety_spec=ext.safety_spec,
     )

@@ -44,6 +44,7 @@ Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence, Union
@@ -199,72 +200,40 @@ def samples_read(spec: SafetySpec, dt: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Tokens, matched at the next non-space character. \d is a Unicode decimal digit
+# (str.isdecimal) and \w is str.isalnum() or "_"; a name must also start with a
+# letter or "_", and an exponent counts only with digits after it.
+_SPACE = re.compile(r"\s*")
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NAME = re.compile(r"\w+")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def error(self, message: str, offset: int | None = None) -> SpecSyntaxError:
-        return SpecSyntaxError(message, self.text, self.pos if offset is None else offset)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Skip spaces; the next character, or "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def expected(self, what: str) -> SpecSyntaxError:
+        found = repr(self.peek()) if self.peek() else "end of input"
+        return SpecSyntaxError(f"expected {what}, found {found}", self.text, self.pos)
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected {ch!r}, found {found}")
+            raise self.expected(repr(ch))
         self.pos += 1
 
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        i = self.pos
-        n = len(self.text)
-        if i < n and self.text[i] in "+-":
-            i += 1
-        digits = 0
-        while i < n and self.text[i].isdecimal():
-            i += 1
-            digits += 1
-        if i < n and self.text[i] == ".":
-            i += 1
-            while i < n and self.text[i].isdecimal():
-                i += 1
-                digits += 1
-        if digits == 0:
-            found = repr(self.text[start]) if start < n else "end of input"
-            raise self.error(f"expected a number, found {found}", offset=start)
-        if i < n and self.text[i] in "eE":
-            j = i + 1
-            if j < n and self.text[j] in "+-":
-                j += 1
-            if j < n and self.text[j].isdecimal():
-                while j < n and self.text[j].isdecimal():
-                    j += 1
-                i = j
-        self.pos = i
-        return float(self.text[start:i])
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        i = self.pos
-        n = len(self.text)
-        if i < n and (self.text[i].isalpha() or self.text[i] == "_"):
-            i += 1
-            while i < n and (self.text[i].isalnum() or self.text[i] == "_"):
-                i += 1
-        if i == start:
-            found = repr(self.text[start]) if start < n else "end of input"
-            raise self.error(f"expected an identifier, found {found}", offset=start)
-        self.pos = i
-        return self.text[start:i]
+    def scan(self, pattern: re.Pattern[str], what: str) -> str:
+        self.peek()
+        match = pattern.match(self.text, self.pos)
+        if match is None:
+            raise self.expected(what)
+        self.pos = match.end()
+        return match.group()
 
     def formula(self) -> SafetySpec:
         return self.or_expr()
@@ -294,32 +263,32 @@ class _Parser:
             self.expect(")")
             return inner
         if ch == "":
-            raise self.error("unexpected end of input")
+            raise SpecSyntaxError("unexpected end of input", self.text, self.pos)
+        if not (ch.isalpha() or ch == "_"):
+            raise self.expected("an identifier")
         start = self.pos
-        name = self.identifier()
+        name = self.scan(_NAME, "an identifier")
         if name in ("G", "F") and self.peek() == "[":
             self.pos += 1
-            a = self.number()
+            a = float(self.scan(_NUMBER, "a number"))
             self.expect(",")
-            b = self.number()
+            b = float(self.scan(_NUMBER, "a number"))
             self.expect("]")
             self.expect("(")
             inner = self.formula()
             self.expect(")")
             if a < 0 or a > b:
-                raise self.error(
-                    f"interval [{a:g},{b:g}] must satisfy 0 <= a <= b", offset=start
+                raise SpecSyntaxError(
+                    f"interval [{a:g},{b:g}] must satisfy 0 <= a <= b", self.text, start
                 )
             node = Globally if name == "G" else Eventually
             return node((a, b), inner)
         # plain predicate: identifier comparator number
         op = self.peek()
         if op not in (">", "<"):
-            found = repr(op) if op else "end of input"
-            raise self.error(f"expected '>' or '<' after channel name, found {found}")
+            raise self.expected("'>' or '<' after channel name")
         self.pos += 1
-        threshold = self.number()
-        return Predicate(name, op, threshold)
+        return Predicate(name, op, float(self.scan(_NUMBER, "a number")))
 
 
 def parse_spec(text: str) -> SafetySpec:
@@ -328,9 +297,8 @@ def parse_spec(text: str) -> SafetySpec:
         raise InvalidArgumentError("spec text must be nonempty")
     p = _Parser(text)
     node = p.formula()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error(f"unexpected trailing input {text[p.pos:]!r}")
+    if p.peek():
+        raise SpecSyntaxError(f"unexpected trailing input {text[p.pos:]!r}", text, p.pos)
     return node
 
 

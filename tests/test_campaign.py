@@ -518,3 +518,21 @@ def test_counterexample_high_runs_simulated_once_across_evictions(master_seed):
         if math.isfinite(rec.loss):
             scored |= new
     assert [c.values for c in result.counterexamples] == [values for values, _ in kept]
+
+
+def test_eviction_keeps_the_latest_of_equal_counterexamples(monkeypatch):
+    # Every row's gap is -1, so every search finds rho = -1 and each eviction
+    # is a tie between the kept counterexample and the new one.
+    class GapAlwaysNegative:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def run(self, spec, e_values, f_rows, seeds, high, n_samples):
+            samples, steps = self.inner.run(spec, e_values, f_rows, seeds, high, n_samples)
+            samples[:, spec.channels.index("gap")] = -1.0
+            return samples, steps
+
+    replace_braking_backend(monkeypatch, GapAlwaysNegative)
+    result = run_joint(tiny_config(outer_iterations=3, counterexample_cap=1))
+    assert [r.rho_star for r in result.iterations] == [-1.0] * 3
+    assert [c.found_at for c in result.counterexamples] == [3]

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeval.campaign import sample_tasks
-from safeval.core import FidelitySpace, InvalidArgumentError, Task, Trajectory, sample_uniform
+from safeval.core import (
+    EnvironmentSpace,
+    FidelitySpace,
+    InvalidArgumentError,
+    Task,
+    Trajectory,
+    sample_uniform,
+)
 from safeval.loss import aggregate_loss, mse_loss
 from safeval.sim import simulate_high, simulate_low, tally
 
@@ -148,6 +155,35 @@ class TestAggregateLoss:
                 with pytest.raises(InvalidArgumentError, match="^fidelity setting dimension mismatch"):
                     call()
         assert counts["high_calls"] == counts["low_calls"] == 0
+
+    def test_row_outside_the_space_named_before_simulating(self, braking, oscillator):
+        tasks = sample_tasks(braking, 1, 2, seed=0)
+        f = braking.fidelity_space.setting((0.5, 0.5, 0.5))
+        outside = oscillator.environment_space.config((1.5, -1.0, 0.6))
+        one_dimensional = EnvironmentSpace(lower=(0.0,), upper=(1.0,)).config((0.5,))
+        named = lambda row: (
+            f"^environment row {row}, \\(1\\.5, -1\\.0, 0\\.6\\), is out-of-bounds or NaN "
+            "for the space of simulator 'braking'$"
+        )
+        cache = {}
+        aggregate_loss(braking, f, tasks, seed=0, high_cache=cache)
+        calls = [
+            (lambda: aggregate_loss(braking, f, tasks, [outside], seed=0), named(2)),
+            # With the tasks' high runs cached, the extra is the high call's only row.
+            (lambda: aggregate_loss(braking, f, tasks, [outside], 0, high_cache=cache), named(0)),
+            (lambda: simulate_high(braking, outside, seed=0), named(0)),
+            (lambda: simulate_low(braking, outside, f, seed=0), named(0)),
+            # Rows of different lengths are a shape error, not a ValueError from NumPy.
+            (
+                lambda: aggregate_loss(braking, f, tasks, [one_dimensional], 0),
+                r"^e_values must have shape \(batch, 3\)$",
+            ),
+        ]
+        with tally() as counts:
+            for call, message in calls:
+                with pytest.raises(InvalidArgumentError, match=message):
+                    call()
+        assert set(counts.values()) == {0}
 
     def test_failure_identifies_pair(self, diverging_spec):
         task = Task(

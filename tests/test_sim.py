@@ -404,22 +404,24 @@ ADAPTER_SOURCE = textwrap.dedent(
 )
 
 
+# The object a campaign config's "simulator" field holds, less the adapter path.
+DEMO_DESCRIPTION = {
+    "id": "external-demo",
+    "environment": {"lower": [0.0], "upper": [2.0]},
+    "fidelity_dimension": 1,
+    "channels": ["y"],
+    "base_dt": 0.1,
+    "duration": 2.0,
+}
+
+
 @pytest.fixture()
 def adapter_spec(tmp_path):
     script = tmp_path / "adapter.py"
     script.write_text(ADAPTER_SOURCE)
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    from safeval.core import EnvironmentSpace
-
     return external_simulator_spec(
-        sim_id="external-demo",
-        adapter=str(script),
-        environment_space=EnvironmentSpace(lower=(0.0,), upper=(2.0,)),
-        fidelity_dimension=1,
-        channels=("y",),
-        base_dt=0.1,
-        duration=2.0,
-        safety_spec="G[0,2](y > -10)",
+        {**DEMO_DESCRIPTION, "adapter": str(script), "safety_spec": "G[0,2](y > -10)"}
     )
 
 
@@ -467,13 +469,7 @@ class TestExternalAdapter:
         bad.write_text("#!/usr/bin/env python3\nprint('not json')\n")
         bad.chmod(bad.stat().st_mode | stat.S_IEXEC)
         spec = external_simulator_spec(
-            sim_id="external-bad",
-            adapter=str(bad),
-            environment_space=adapter_spec.environment_space,
-            fidelity_dimension=1,
-            channels=("y",),
-            base_dt=0.1,
-            duration=2.0,
+            {**DEMO_DESCRIPTION, "id": "external-bad", "adapter": str(bad)}
         )
         with pytest.raises(AdapterProtocolError):
             simulate_high(spec, spec.environment_space.config((1.0,)), seed=0)
@@ -537,13 +533,7 @@ class TestExternalAdapter:
 
     def test_missing_executable(self, adapter_spec):
         spec = external_simulator_spec(
-            sim_id="external-missing",
-            adapter="/nonexistent/adapter",
-            environment_space=adapter_spec.environment_space,
-            fidelity_dimension=1,
-            channels=("y",),
-            base_dt=0.1,
-            duration=2.0,
+            {**DEMO_DESCRIPTION, "id": "external-missing", "adapter": "/nonexistent/adapter"}
         )
         with pytest.raises(AdapterProtocolError):
             simulate_high(spec, spec.environment_space.config((1.0,)), seed=0)

@@ -28,6 +28,97 @@ def traj(values, dt=0.1, channels=("x",)):
     return Trajectory(0.0, dt, channels, arr)
 
 
+# The parser's answer to each spec: its AST, or the error's type, exact message and
+# offset. Covers digits of other scripts, '\xb2' (a digit to str.isdigit but no
+# decimal digit), partial numbers and every kind of syntax error.
+PARSED_SPECS = [
+    ("G[0,5](dist > 0)", Globally((0.0, 5.0), Predicate("dist", ">", 0.0))),
+    ("F[0, 2](v < 1)", Eventually((0.0, 2.0), Predicate("v", "<", 1.0))),
+    ("x > 0 & !(y < 1) | z > 2",
+     Or((And((Predicate("x", ">", 0.0), Not(Predicate("y", "<", 1.0)))),
+         Predicate("z", ">", 2.0)))),
+    ("!!(x > 0)", Not(Not(Predicate("x", ">", 0.0)))),
+    ("x > \u0661\u0662", Predicate("x", ">", 12.0)),
+    ("G[\u0660,\u0666](x > 0)", Globally((0.0, 6.0), Predicate("x", ">", 0.0))),
+    ("x > \u0661.\u0665e\u0662", Predicate("x", ">", 150.0)),
+    ("x\xb2 > 0", Predicate("x\xb2", ">", 0.0)),
+    ("_x1 > 0", Predicate("_x1", ">", 0.0)),
+    ("\xe9t\xe9 < 3", Predicate("\xe9t\xe9", "<", 3.0)),
+    ("x > 1e3", Predicate("x", ">", 1000.0)),
+    ("x > 1E-2", Predicate("x", ">", 0.01)),
+    ("x > +3", Predicate("x", ">", 3.0)),
+    ("x > -0", Predicate("x", ">", -0.0)),
+    ("x > .5", Predicate("x", ">", 0.5)),
+    ("x > 5.", Predicate("x", ">", 5.0)),
+    ("G [0,1](x>0)", Globally((0.0, 1.0), Predicate("x", ">", 0.0))),
+    ("G > 0", Predicate("G", ">", 0.0)),
+    ("F<1", Predicate("F", "<", 1.0)),
+    (" x > 0 ", Predicate("x", ">", 0.0)),
+    ("\xa0x > 0\xa0", Predicate("x", ">", 0.0)),
+]
+
+REJECTED_SPECS = [
+    ("x > \xb2", SpecSyntaxError,
+     "expected a number, found '\xb2' at offset 4 (line 1, column 5)", 4),
+    ("\xb2 > 0", SpecSyntaxError,
+     "expected an identifier, found '\xb2' at offset 0 (line 1, column 1)", 0),
+    ("1x > 0", SpecSyntaxError,
+     "expected an identifier, found '1' at offset 0 (line 1, column 1)", 0),
+    ("x > -", SpecSyntaxError,
+     "expected a number, found '-' at offset 4 (line 1, column 5)", 4),
+    ("x > +", SpecSyntaxError,
+     "expected a number, found '+' at offset 4 (line 1, column 5)", 4),
+    ("x > -.", SpecSyntaxError,
+     "expected a number, found '-' at offset 4 (line 1, column 5)", 4),
+    ("x > 1e", SpecSyntaxError,
+     "unexpected trailing input 'e' at offset 5 (line 1, column 6)", 5),
+    ("x > 1e+", SpecSyntaxError,
+     "unexpected trailing input 'e+' at offset 5 (line 1, column 6)", 5),
+    ("x > .", SpecSyntaxError,
+     "expected a number, found '.' at offset 4 (line 1, column 5)", 4),
+    ("x > 5.3.1", SpecSyntaxError,
+     "unexpected trailing input '.1' at offset 7 (line 1, column 8)", 7),
+    ("G[0,1(x>0)", SpecSyntaxError,
+     "expected ']', found '(' at offset 5 (line 1, column 6)", 5),
+    ("G[0,1](x>0", SpecSyntaxError,
+     "expected ')', found end of input at offset 10 (line 1, column 11)", 10),
+    ("(x > 0", SpecSyntaxError,
+     "expected ')', found end of input at offset 6 (line 1, column 7)", 6),
+    ("G[0,(x>", SpecSyntaxError,
+     "expected a number, found '(' at offset 4 (line 1, column 5)", 4),
+    ("G[3,1](x > 0)", SpecSyntaxError,
+     "interval [3,1] must satisfy 0 <= a <= b at offset 0 (line 1, column 1)", 0),
+    ("G[-1,1](x > 0)", SpecSyntaxError,
+     "interval [-1,1] must satisfy 0 <= a <= b at offset 0 (line 1, column 1)", 0),
+    ("x 0", SpecSyntaxError,
+     "expected '>' or '<' after channel name, found '0' at offset 2 (line 1, column 3)", 2),
+    ("x", SpecSyntaxError,
+     "expected '>' or '<' after channel name, found end of input"
+     " at offset 1 (line 1, column 2)", 1),
+    ("x >= 0", SpecSyntaxError,
+     "expected a number, found '=' at offset 3 (line 1, column 4)", 3),
+    ("x > 0 &", SpecSyntaxError,
+     "unexpected end of input at offset 7 (line 1, column 8)", 7),
+    ("x > 0 | | y > 0", SpecSyntaxError,
+     "expected an identifier, found '|' at offset 8 (line 1, column 9)", 8),
+    ("x > 0 )", SpecSyntaxError,
+     "unexpected trailing input ')' at offset 6 (line 1, column 7)", 6),
+    ("", InvalidArgumentError, "spec text must be nonempty", None),
+    ("   ", InvalidArgumentError, "spec text must be nonempty", None),
+    ("\t\n", InvalidArgumentError, "spec text must be nonempty", None),
+    ("x\n>\n0 y", SpecSyntaxError,
+     "unexpected trailing input 'y' at offset 6 (line 3, column 3)", 6),
+    ("G[0,1]x > 0", SpecSyntaxError,
+     "expected '(', found 'x' at offset 6 (line 1, column 7)", 6),
+    ("G[0 1](x > 0)", SpecSyntaxError,
+     "expected ',', found '1' at offset 4 (line 1, column 5)", 4),
+    ("()", SpecSyntaxError,
+     "expected an identifier, found ')' at offset 1 (line 1, column 2)", 1),
+    ("x > 1_0", SpecSyntaxError,
+     "unexpected trailing input '_0' at offset 5 (line 1, column 6)", 5),
+]
+
+
 class TestParse:
     def test_globally_predicate(self):
         node = parse_spec("G[0,5](dist > 0)")
@@ -66,6 +157,19 @@ class TestParse:
     def test_bad_interval(self):
         with pytest.raises(SpecSyntaxError):
             parse_spec("G[3,1](x > 0)")
+
+    @pytest.mark.parametrize("text, expected", PARSED_SPECS)
+    def test_parsed_spec_table(self, text, expected):
+        # repr tells -0.0 from 0.0.
+        assert repr(parse_spec(text)) == repr(expected)
+
+    @pytest.mark.parametrize("text, error, message, offset", REJECTED_SPECS)
+    def test_rejected_spec_table(self, text, error, message, offset):
+        with pytest.raises(error) as err:
+            parse_spec(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "offset", None) == offset
 
 
 def predicates():
