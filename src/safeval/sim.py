@@ -68,9 +68,13 @@ derivatives do not read the state (braking speeds above the stop ramp) are
 integrated the same way; the loop runs only from the first step that reads
 it. The right-hand side is bound once per call, to operands shaped like
 the state and to the call's blend: a call whose rows are all at blend 0
-binds the full model without the blend arithmetic. A braking step makes 22
-NumPy calls, an oscillator step 34 at blend 0 and 46 otherwise; they go
-straight to the ufuncs (the braking ramp's ``clip`` included).
+binds the full model without the blend arithmetic. A model may lay out the
+rows of a stage: the oscillator's (cube, x, v, a) makes the velocity row
+its own position derivative, and one multiply gives both acceleration
+terms. A braking step makes 22 NumPy calls, an oscillator step 26 at blend
+0 and 38 otherwise, all straight to the ufuncs (the braking ramp's ``clip``
+included) and none a row copy. A call whose rows are all at the base step
+keeps one block of step history and copies each block out.
 """
 
 from __future__ import annotations
@@ -280,14 +284,27 @@ def tally() -> Iterator[Counter]:
 #   integrator calls it twice per block of steps, on the steps' start and end
 #   times and on their midpoints.
 # * ``rhs(e, blend)`` with e (d_e, B) and blend (B,) binds the right-hand
-#   side to one call's batch and returns ``step(x, drive, out)``. The binder
+#   side to one call's batch and returns ``bind(stages)``. The binder
 #   shapes the step's operands once, like the state, so that no per-step
 #   call broadcasts a scalar or allocates a temporary, and a call whose rows
 #   are all at blend 0 may bind the full model without the blend arithmetic.
-#   ``step`` with x (D, B) the dynamic rows writes their dx/dt into ``out``
-#   (D, B) and returns nothing. ``out`` is an integrator buffer that the
-#   next call overwrites: the step must write every element of it, must not
-#   keep it or a view of it, and must not modify x, e or drive.
+#   ``bind`` takes the buffers of one RK4 stage of every step of a block
+#   and returns one ``step(drive)`` per buffer, with its views made once.
+#   ``step`` reads the stage's state rows, writes every element of its
+#   derivative rows that is not a state row, and returns nothing. It may
+#   write scratch rows; it must not modify the state rows, e or drive.
+# * ``stage_layout`` lays out a stage buffer. By default (None) it is a
+#   pair of (D, B) arrays, the state rows and the derivative rows: a step's
+#   four states are one contiguous block, and the four derivatives are one
+#   block that all the steps share. With (rows, first state row, first
+#   derivative row) it is (rows, B), the D state rows and the D derivative
+#   rows each consecutive and the other rows scratch. A derivative row may
+#   then be a state row, where dx/dt is another state variable as it stands
+#   (the oscillator's (4, 1, 2): cube, x, v, a), and a scratch row may sit
+#   next to a state row, so that one call covers both. The stage sum
+#   doubles k2 and k3 in place with one call over the rows from k2 through
+#   k3, stage 3's leading rows included, which spends the stage states: a
+#   model with a layout has no quadrature rows.
 # * ``quad(x, out)`` with x (..., D, B), dynamic-row states at any number of
 #   points, writes the quadrature rows' derivatives at those points into
 #   ``out`` (..., quad_rows, B). They may depend on nothing else. The
@@ -303,8 +320,9 @@ def tally() -> Iterator[Counter]:
 #
 # All of them must be elementwise per batch item.
 DriveFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[Any]]
-StepFn = Callable[[np.ndarray, Any, np.ndarray], None]
-RhsFn = Callable[[np.ndarray, np.ndarray], StepFn]
+StepFn = Callable[[Any], None]
+BindFn = Callable[[Any], Sequence[StepFn]]
+RhsFn = Callable[[np.ndarray, np.ndarray], BindFn]
 QuadFn = Callable[[np.ndarray, np.ndarray], None]
 
 # Loop steps per drive evaluation: large enough to spread the drive's
@@ -399,21 +417,52 @@ def _integrate_to_grid(
 
     drive, drive_only = model.drive, model.drive_only
     e = np.ascontiguousarray(e.T)
-    rhs = model.rhs(e, blend)
-    hist = np.empty((n_loop + 1, state_dim, batch))
+    bind = model.rhs(e, blend)
+    # Rows at the base step are copied out of the history verbatim; each
+    # has len(grid) - 1 full steps, so the loop reaches all its samples.
+    # When every row is one, the history holds one block, its start state
+    # in row 0, and each block is copied out while it is in cache.
+    n_slots = min(n_loop, _DRIVE_BLOCK)
+    verbatim = (h == base_dt) & (full_steps == len(grid) - 1)
+    one_block = bool(verbatim.all())
+    hist = np.empty((n_slots + 1 if one_block else n_loop + 1, state_dim, batch))
     hist[0] = x0.T
     hist_quad = hist[:, :n_quad]
     hist_dyn = hist[:, n_quad:]
-    x = hist_dyn[0]
-    ks = np.empty((4, dyn, batch))
-    k1, k2, k3, k4 = ks
-    k2_k3 = ks[1:3]
-    two = np.full((2, dyn, batch), _TWO)
+    if one_block:
+        out = np.empty((batch, state_dim, n_grid))
+        out_steps = out.transpose(2, 1, 0)
+        out_steps[0] = hist[0]
     xs = np.empty((dyn, batch))
-    # The four stage states of every step of a block; the loop writes the
-    # last three, the quadrature pass copies in the first.
-    stages = np.empty((_DRIVE_BLOCK, 4, dyn, batch))
-    stage_views = [tuple(step[1:]) for step in stages]
+    # A slot per step of a block holds its four stage buffers, laid out as
+    # the contract above says. Step j starts from slot j's first stage state
+    # and writes the next one into slot j + 1's; one more slot takes the
+    # state after the block. Each slot's views are made once per call;
+    # iterating over an array's leading axis makes them in one C loop.
+    # ``doubled`` is the contiguous rows of k2 and k3.
+    layout = model.stage_layout
+    if layout is None:  # the steps share one block of derivatives
+        stage_x = np.empty((n_slots + 1, 4, dyn, batch))
+        ks = np.empty((4, dyn, batch))
+        k_of = [[k] * n_slots for k in ks]
+        doubled, ks_of = [ks[1:3]] * n_slots, [ks] * n_slots
+        two = np.full((2, dyn, batch), _TWO)
+    else:
+        rows, state_at, deriv_at = layout
+        stages = np.empty((n_slots + 1, 4, rows, batch))
+        stage_x = stages[:, :, state_at : state_at + dyn]
+        stage_k = stages[:n_slots, :, deriv_at : deriv_at + dyn]
+        k_of, ks_of = [list(stage_k[:, s]) for s in range(4)], list(stage_k)
+        flat = stages.reshape(n_slots + 1, 4 * rows, batch)
+        doubled = list(flat[:n_slots, rows + deriv_at : 2 * rows + deriv_at + dyn])
+        two = np.full((rows + dyn, batch), _TWO)
+    stage_x[0, 0] = hist_dyn[0]
+    x_of = [list(stage_x[:, s]) for s in range(4)]
+    steps_of = [
+        bind(list(zip(x_of[s], k_of[s])) if layout is None else stages[:n_slots, s])
+        for s in range(4)
+    ]
+    slots = list(zip(*steps_of, *x_of, *k_of[:3], doubled, ks_of, x_of[0][1:]))
     quad_ks = np.empty((_DRIVE_BLOCK, 4, n_quad, batch)) if n_quad else None
     # (h, h/2, h/6) of every loop step, each shaped (D, B) like the state so
     # that no per-step call broadcasts. The step sizes change only at the
@@ -435,6 +484,7 @@ def _integrate_to_grid(
     for first in range(0, n_loop, _DRIVE_BLOCK):
         block = sizes[first : first + _DRIVE_BLOCK]
         n = len(block)
+        at = 0 if one_block else first  # the block's start row in hist
         # (h, h/2, h/6) of the block's steps, (n, 3, 1, B), for block-wide calls.
         block_h = step_sizes[size_of[first : first + n], :, :1]
         # Start and end times of the block's steps, summed left to right as
@@ -451,10 +501,10 @@ def _integrate_to_grid(
             # steps before the first one with a stage state that is not
             # drive-only have the loop's bits; the loop steps from there, and
             # a block that keeps fewer than all its steps ends the shortcut.
-            sk = stages[:n]
+            sk = stage_x[:n]
             sk[:, 0], sk[:, 3] = d_ends[:-1], d_ends[1:]
             sk[:, 1] = sk[:, 2] = multiply(d_mids, _TWO)
-            rows = hist_dyn[first : first + n + 1]
+            rows = hist_dyn[at : at + n + 1]
             add_reduce(sk, axis=1, out=rows[1:], initial=-0.0)
             rows[1:] *= block_h[:, 2]
             np.add.accumulate(rows, axis=0, out=rows)
@@ -465,47 +515,54 @@ def _integrate_to_grid(
             kept = drive_only(sk).all(axis=(1, 2, 3))
             taken = n if kept.all() else int(kept.argmin())
             saturated = taken == n
-            x = rows[taken]
-        rest = (block, stage_views, d_ends, d_mids, d_ends[1:], hist_dyn[first + 1 :])
+        rest = (block, slots, d_ends, d_mids, d_ends[1:])
         steps = zip(*(seq[taken:] for seq in rest))
-        for (hk, half_h, sixth_h), (x2, x3, x4), d_start, d_mid, d_end, x_next in steps:
-            rhs(x, d_start, k1)
+        for (hk, half_h, sixth_h), slot, d_start, d_mid, d_end in steps:
+            f1, f2, f3, f4, x, x2, x3, x4, k1, k2, k3, k2_k3, ks, x_next = slot
+            f1(d_start)
             multiply(half_h, k1, x2)
             add(x2, x, x2)
-            rhs(x2, d_mid, k2)
+            f2(d_mid)
             multiply(half_h, k2, x3)
             add(x3, x, x3)
-            rhs(x3, d_mid, k3)
+            f3(d_mid)
             multiply(hk, k3, x4)
             add(x4, x, x4)
-            rhs(x4, d_end, k4)
+            f4(d_end)
             # x + h/6 * (k1 + 2 k2 + 2 k3 + k4). The reduce over the stage
             # axis adds the stages left to right onto -0.0, which leaves
             # every value, a signed zero included, as k1 + k2 + k3 + k4 would.
             multiply(k2_k3, two, k2_k3)
             add_reduce(ks, axis=0, out=xs, initial=-0.0)
             multiply(xs, sixth_h, xs)
-            x = add(x, xs, x_next)
+            add(x, xs, x_next)
+        hist_dyn[at + taken + 1 : at + n + 1] = stage_x[taken + 1 : n + 1, 0]
         if n_quad:
             # The same combine for the quadrature rows, at all of the block's
             # stage states at once; the accumulate then adds each step's
             # increment onto the previous value, left to right as the loop
             # would, so the rows get the bits a per-step update gives them.
-            stages[:n, 0] = hist_dyn[first : first + n]
             qk = quad_ks[:n]
-            model.quad(stages[:n], qk)
+            model.quad(stage_x[:n], qk)
             qk[:, 1:3] *= _TWO
-            rows = hist_quad[first : first + n + 1]
+            rows = hist_quad[at : at + n + 1]
             np.add.reduce(qk, axis=1, out=rows[1:], initial=-0.0)
             rows[1:] *= block_h[:, 2]
             np.add.accumulate(rows, axis=0, out=rows)
+        stage_x[0, 0] = hist_dyn[at + n]
+        if one_block:
+            on_grid = min(n, n_grid - 1 - first)  # the block's steps that end on a kept sample
+            out_steps[first + 1 : first + 1 + on_grid] = hist[1 : 1 + on_grid]
+            hist[0] = hist[n]
         t = times[-1]
 
-    verbatim = (h == base_dt) & (full_steps == len(grid) - 1)
     grid = grid[:n_grid]
-    out = np.empty((batch, state_dim, n_grid))
-    if verbatim.any():  # then hist holds at least n_grid steps
-        np.copyto(out.transpose(2, 1, 0), hist[:n_grid], where=verbatim)
+    if not one_block:
+        # Made after the loop: made before it, the output cost a 144-row
+        # call with a full history about 240 more page faults.
+        out = np.empty((batch, state_dim, n_grid))
+        if verbatim.any():  # then hist holds at least n_grid steps
+            np.copyto(out.transpose(2, 1, 0), hist[:n_grid], where=verbatim)
     # A row whose full steps end last has its knots in consecutive history
     # rows; the others skip their h = 0 steps to the remainder knot. Knots
     # past the first at or after the last grid point change no sample.
@@ -529,8 +586,9 @@ class OdeBenchmark:
     Fidelity knobs are interpreted positionally as (dt multiplier, model
     blend, noise scale); trailing knobs may be absent. The leading
     ``quad_rows`` state rows are quadrature rows with derivatives ``quad``;
-    ``drive_only`` marks the states whose derivative is the drive's term
-    (see the right-hand side contract above).
+    ``drive_only`` marks the states whose derivative is the drive's term;
+    ``stage_layout`` places the rows of one stage (see the right-hand side
+    contract above).
     """
 
     drive: DriveFn
@@ -539,6 +597,7 @@ class OdeBenchmark:
     quad_rows: int = 0
     quad: QuadFn | None = None
     drive_only: Callable[[np.ndarray], np.ndarray] | None = None
+    stage_layout: tuple[int, int, int] | None = None
 
     def _knob_arrays(
         self, spec: SimulatorSpec, f_rows: np.ndarray, batch: int
@@ -863,38 +922,46 @@ def _osc_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> list[None]:
     return [None] * len(t)
 
 
-def _osc_rhs(e: np.ndarray, blend: np.ndarray) -> StepFn:
-    # -w^2 x - c (cubic_w v^3 + linear_w v), the drag built in scratch rows,
-    # the cube as (v*v)*v: two multiplies cost the same whatever v's sign and
-    # round the same on every SIMD path, and np.power does neither. A call
-    # whose rows are all at blend 0 takes -w^2 x - c (v*v)*v: for every
-    # finite v, 1.0 * (v*v)*v + 0.0 * v is (v*v)*v bit for bit, a signed
-    # zero, a subnormal and an overflowed cube included, since 0.0 * v
-    # carries v's sign, and a NaN keeps its payload. The two differ only at
-    # v = +-inf, NaN against +-inf, on a row that is non-finite either way.
+def _osc_rhs(e: np.ndarray, blend: np.ndarray) -> BindFn:
+    # A stage is laid out (cube, x, v, a): its state is rows 1:3 and its
+    # derivative rows 2:4, so dx/dt is the v row itself, and one multiply of
+    # rows 0:2 by (c, -w^2) gives c * cube and -w^2 x, in a scratch pair
+    # that every stage shares. The cube is (v*v)*v: two multiplies cost the
+    # same whatever v's sign and round the same on every SIMD path, and
+    # np.power does neither. The blended drag is c (cubic_w v^3 + linear_w
+    # v), its linear term made in the a row. A call whose rows are all at
+    # blend 0 takes -w^2 x - c (v*v)*v: for every finite v, 1.0 * (v*v)*v +
+    # 0.0 * v is (v*v)*v bit for bit, a signed zero, a subnormal and an
+    # overflowed cube included, since 0.0 * v carries v's sign, and a NaN
+    # keeps its payload. The two differ only at v = +-inf, NaN against
+    # +-inf, on a row that is non-finite either way.
     batch = e.shape[1]
-    neg_omega_sq = np.full(batch, _OSC_NEG_OMEGA_SQ)
-    drag_c = e[2]
+    coef = np.stack([e[2], np.full(batch, _OSC_NEG_OMEGA_SQ)])
+    pair = np.empty((2, batch))
+    drag, spring = pair
     blended = bool(blend.any())
     cubic_w, linear_w = 1.0 - blend, blend
-    cubic, linear = np.empty((2, batch))
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
-    def step(x: np.ndarray, drive: None, out: np.ndarray) -> None:
-        vel = x[1]
-        multiply(vel, vel, cubic)
-        multiply(cubic, vel, cubic)
-        if blended:
-            multiply(cubic_w, cubic, cubic)
-            multiply(linear_w, vel, linear)
-            add(cubic, linear, cubic)
-        multiply(drag_c, cubic, cubic)
-        out[0] = vel
-        acc = out[1]
-        multiply(neg_omega_sq, x[0], acc)
-        subtract(acc, cubic, acc)
+    def bind_one(
+        cube: np.ndarray, vel: np.ndarray, acc: np.ndarray, cube_x: np.ndarray
+    ) -> StepFn:
+        def step(drive: None) -> None:
+            multiply(vel, vel, cube)
+            multiply(cube, vel, cube)
+            if blended:
+                multiply(cubic_w, cube, cube)
+                multiply(linear_w, vel, acc)
+                add(cube, acc, cube)
+            multiply(cube_x, coef, pair)
+            subtract(spring, drag, acc)
 
-    return step
+        return step
+
+    def bind(stages: np.ndarray) -> list[StepFn]:
+        return list(map(bind_one, stages[:, 0], stages[:, 2], stages[:, 3], stages[:, 0:2]))
+
+    return bind
 
 
 def _osc_init(e: np.ndarray) -> np.ndarray:
@@ -918,19 +985,26 @@ def _brk_drive(t: np.ndarray, e: np.ndarray, blend: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _brk_rhs(e: np.ndarray, blend: np.ndarray) -> StepFn:
+def _brk_rhs(e: np.ndarray, blend: np.ndarray) -> BindFn:
+    # A stage buffer is the default pair of the speeds and their rates.
     # Smooth stop ramps of both speeds, clipped to [0, 1] and scaled by their
     # factors from ``_brk_drive``. The clip bounds stay NumPy scalars: array
     # bounds take another clip loop, which turns a -0.0 ramp into +0.0.
     ramp = np.full((2, e.shape[1]), _BRK_SPEED_RAMP)
     divide, clip, multiply, lo, hi = np.divide, _clip, np.multiply, _ZERO, _ONE
 
-    def step(x: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
-        divide(x, ramp, out)
-        clip(out, lo, hi, out)
-        multiply(out, drive, out)
+    def bind_one(x: np.ndarray, out: np.ndarray) -> StepFn:
+        def step(drive: np.ndarray) -> None:
+            divide(x, ramp, out)
+            clip(out, lo, hi, out)
+            multiply(out, drive, out)
 
-    return step
+        return step
+
+    def bind(stages: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[StepFn]:
+        return [bind_one(x, out) for x, out in stages]
+
+    return bind
 
 
 def _brk_drive_only(x: np.ndarray) -> np.ndarray:
@@ -974,7 +1048,9 @@ OSCILLATOR = SimulatorSpec(
     base_dt=1e-3,
     duration=6.0,
     fidelity_mapping=_benchmark_mapping(),
-    backend=OdeBenchmark(drive=_osc_drive, rhs=_osc_rhs, initial_state=_osc_init),
+    backend=OdeBenchmark(
+        drive=_osc_drive, rhs=_osc_rhs, initial_state=_osc_init, stage_layout=(4, 1, 2)
+    ),
     safety_spec="G[0,6](x > -1.9)",
 )
 
