@@ -22,12 +22,18 @@ array that returns one value per row (:func:`robustness_batch`). Each node
 yields its signal at only the first m samples, m = 1 at the root; a temporal
 node asks its child for m + b/dt samples, so the outermost window reduces
 only itself, and no sample past the first :func:`samples_read` is read.
-Windows are reduced by whole-array log-doubling passes of
-min/max (van Herk 1992; Gil & Werman 1993) over the child's signal padded
-with the operation's identity (+inf for min, -inf for max), which gives
-windows clipped at the end and empty windows their usual values. The
-boolean monitor :func:`satisfied` is the same walk with predicates mapped
-to +1/-1, so its verdict is exact, including at ties.
+Windows are reduced by log-doubling passes of min/max (van Herk 1992;
+Gil & Werman 1993) that sweep the child's signal in place: each pass is one
+ufunc call over the buffer's rows laid end to end, and the last one writes
+the window extrema back into that buffer for the parent to sweep or combine
+in turn. ``!`` negates, and ``&`` and ``|`` combine, in place in their first
+operand's buffer, so the walk holds one signal buffer per chain of temporal
+operators and never writes the samples it is given. Only where a window
+runs past the last sample is the signal copied, padded with the
+operation's identity (+inf for min, -inf for max), which gives windows
+clipped at the end and empty windows their usual values. The boolean
+monitor :func:`satisfied` is the same walk with predicates mapped to +1/-1,
+so its verdict is exact, including at ties.
 
 Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
@@ -46,7 +52,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -344,9 +349,15 @@ def _window_offsets(interval: tuple[float, float], dt: float) -> tuple[int, int]
 def _sliding(y: np.ndarray, lo: int, hi: int, m: int, take_max: bool) -> np.ndarray:
     """out[:, k] = extremum of y[:, k+lo : k+hi+1] for k < m, windows clipped at the end.
 
-    Columns past the end of ``y`` read as the operation's identity. After the
-    pass with shift s each column holds the extremum of the 2s samples from
-    it on; one overlapping pass then covers the window. Ties keep the
+    The sweep overwrites ``y`` (its columns must be at a unit stride) and
+    ``out`` is a view of it. Columns past the end of ``y`` read as the
+    operation's identity, in a padded copy. Every pass is one ufunc call on
+    the rows laid end to end: after the pass with shift s each position
+    holds the extremum of the 2s samples from it on, and one overlapping
+    pass then covers the window. A position reads only positions at or
+    after itself, so numpy overwrites in place without a temporary; a value
+    that runs into the next row reaches only positions that no output reads,
+    since every output's window ends inside its own row. Ties keep the
     leftmost sample, as numpy's min/max return their second argument.
     """
     op = np.maximum if take_max else np.minimum
@@ -354,12 +365,17 @@ def _sliding(y: np.ndarray, lo: int, hi: int, m: int, take_max: bool) -> np.ndar
     if pad > 0:
         fill = np.full((y.shape[0], pad), -np.inf if take_max else np.inf)
         y = np.concatenate([y, fill], axis=1)
-    y = y[:, lo : m + hi]
+    # The rows laid end to end: a 1-D view from y's first element to its last.
+    rows, cols = y.shape
+    n = (rows - 1) * (y.strides[0] // y.itemsize) + cols if rows else 0
+    flat = np.lib.stride_tricks.as_strided(y, (n,), (y.itemsize,))
     width, s = hi - lo + 1, 1
     while 2 * s <= width:
-        y = op(y[:, s:], y[:, :-s])
+        op(flat[lo + s :], flat[lo : n - s], out=flat[lo : n - s])
         s *= 2
-    return op(y[:, width - s : width - s + m], y[:, :m])
+    d = lo + width - s
+    op(flat[d:], flat[lo : n - d + lo], out=flat[: n - d])
+    return y[:, :m]
 
 
 def _margin(p: Predicate, x: np.ndarray) -> np.ndarray:
@@ -375,6 +391,10 @@ def _signal(node: SafetySpec, m: int, samples: np.ndarray, channels: tuple[str, 
             empty: list[str]) -> np.ndarray:
     """The signal of ``node`` at the first ``m`` samples of every row, shape (batch, m).
 
+    The result is the caller's to overwrite: a fresh array, or a view of one
+    with its columns at a unit stride, sharing memory with nothing else.
+    ``samples`` is only read.
+
     ``leaf`` maps a predicate and its channel's samples to the predicate's
     signal. An interval with no sample point yields NaN and is recorded in
     ``empty``, so that the caller can rank it after the other errors.
@@ -385,12 +405,17 @@ def _signal(node: SafetySpec, m: int, samples: np.ndarray, channels: tuple[str, 
             raise InvalidArgumentError(
                 f"unknown channel {node.channel!r}; trajectory has {channels}"
             )
-        return leaf(node, samples[:, channels.index(node.channel), :m])
+        # A fresh array, in C order so that its rows lie end to end.
+        return np.ascontiguousarray(leaf(node, samples[:, channels.index(node.channel), :m]))
     if isinstance(node, Not):
-        return -_signal(node.sub, m, *rest)
+        y = _signal(node.sub, m, *rest)
+        return np.negative(y, out=y)
     if isinstance(node, (And, Or)):
         op = np.minimum if isinstance(node, And) else np.maximum
-        return reduce(op, (_signal(a, m, *rest) for a in node.args))
+        y = _signal(node.args[0], m, *rest)
+        for a in node.args[1:]:
+            op(y, _signal(a, m, *rest), out=y)
+        return y
     if isinstance(node, (Globally, Eventually)):
         lo, hi = _window_offsets(node.interval, dt)
         inner = _signal(node.sub, min(m + hi, samples.shape[2]), *rest)
@@ -412,7 +437,8 @@ def _evaluate(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str], dt
     """
     samples = np.asarray(samples, dtype=float)
     empty: list[str] = []
-    values = _signal(spec, 1, samples, tuple(channels), dt, leaf, empty)[:, 0]
+    # A copy, so that the values do not keep the signal buffer they came from alive.
+    values = _signal(spec, 1, samples, tuple(channels), dt, leaf, empty)[:, 0].copy()
     reach, duration = horizon(spec), (samples.shape[2] - 1) * dt
     if reach > duration + 1e-9:
         raise SpecEvaluationError(

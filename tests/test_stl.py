@@ -395,18 +395,73 @@ class TestBatchedEvaluator:
     def test_windows_clipped_at_the_end_and_empty(self):
         from safeval.stl import _sliding
 
-        y = np.array([[3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0]])
+        # Distinct rows, with extremes at both ends of some: a value that leaked
+        # into the next row's windows would change that row's answer.
+        inf = np.inf
+        y = np.array([
+            [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0],
+            [-inf, 0.5, -2.0, 7.0, 6.0, -3.0, inf],
+            [inf, 8.0, -inf, -4.0, 2.5, 1.0, -6.0],
+            [-7.0, -7.5, 0.0, 3.5, inf, -1.5, -inf],
+        ])
         n = y.shape[1]
         for lo, hi in [(0, 0), (0, 2), (1, 3), (2, 6), (0, 9), (5, 8), (8, 10)]:
             for take_max in (False, True):
-                got = _sliding(y, lo, hi, n, take_max)
-                for k in range(n):
-                    window = y[0, k + lo : min(k + hi, n - 1) + 1]
-                    if window.size:
-                        want = window.max() if take_max else window.min()
-                    else:
-                        want = -np.inf if take_max else np.inf
-                    assert got[0, k] == want
+                got = _sliding(y.copy(), lo, hi, n, take_max)
+                for r in range(y.shape[0]):
+                    for k in range(n):
+                        window = y[r, k + lo : min(k + hi, n - 1) + 1]
+                        if window.size:
+                            want = window.max() if take_max else window.min()
+                        else:
+                            want = -np.inf if take_max else np.inf
+                        assert got[r, k] == want, (lo, hi, take_max, r, k)
+
+    @pytest.mark.parametrize("text, reaches_past_the_end", [
+        ("!(a > 0.1)", False),
+        ("a > 0 & !(b < 1) & a < 2", False),
+        ("a > 0 | b < 1", False),
+        ("G[0,0.5](F[0,0.3](a > 0) | !(b < 1))", False),
+        ("F[0.2,0.4](G[0.1,0.3](a > -1) & b < 2)", False),
+        ("G[0,0.9](F[0.5,0.8](a > 0))", True),
+    ])
+    def test_evaluation_leaves_the_samples_unchanged(self, text, reaches_past_the_end):
+        spec = parse_spec(text)
+        samples = np.random.default_rng(5).normal(size=(4, 2, 16))
+        samples[0, 0, :2] = -0.0
+        before = samples.tobytes()
+        if reaches_past_the_end:
+            with pytest.raises(SpecEvaluationError, match="needs"):
+                robustness_batch(spec, samples, ("a", "b"), 0.1)
+        else:
+            values = robustness_batch(spec, samples, ("a", "b"), 0.1)
+            for row, value in zip(samples, values):
+                assert value == reference_rho(spec, row, ("a", "b"), 0.1)
+            for row in samples:
+                t = Trajectory(0.0, 0.1, ("a", "b"), row)
+                assert satisfied(spec, t) == reference_holds(spec, row, ("a", "b"), 0.1)
+            # Rows laid out in any order give the same values.
+            assert np.array_equal(robustness_batch(spec, np.asfortranarray(samples),
+                                                   ("a", "b"), 0.1), values)
+        assert samples.tobytes() == before
+
+    def test_nested_windows_are_swept_in_the_leaf_buffer(self):
+        # The leaf's (64, 5001) margins are the only large buffer: F and then G
+        # sweep it in place, and the root copies out its 64 values. The bound is
+        # that buffer, the root's output and 8 KiB for views and small objects.
+        import tracemalloc
+
+        spec = parse_spec("G[0,3](F[0,2](x > -1.9))")
+        samples = np.random.default_rng(7).normal(size=(64, 2, 5001))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            values = robustness_batch(spec, samples, ("x", "y"), 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (64,)
+        assert peak - before <= 64 * 5001 * 8 + 64 * 8 + 8192
 
     def test_evaluation_leaves_no_reference_cycles(self):
         # A cycle would keep each sample batch alive until the cyclic
