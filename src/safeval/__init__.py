@@ -50,7 +50,6 @@ from .analysis import (
     estimate_lipschitz_fidelity,
     estimate_lipschitz_loss,
     hoeffding_n,
-    outer_loss_gradient,
     sample_complexity_plan,
     sensitivity,
     total_samples,

@@ -7,8 +7,7 @@ and convergence statements into things that run:
   the fidelity directions) and of the trajectory-discrepancy loss, estimated
   as the maximum observed slope over sampled pairs plus tight near-pairs.
 * A finite-difference sensitivity operator for the optimal counterexample's
-  robustness with respect to fidelity knobs, and the finite-difference
-  gradient of the aggregate outer loss.
+  robustness with respect to fidelity knobs.
 * The Hoeffding per-iteration sample bound n >= (2 L^2 / eps^2) * ln(2/delta)
   and the total-sample accounting product N = n * K1 * K2.
 * A best-so-far stationarity check used as the convergence diagnostic for
@@ -48,7 +47,7 @@ from .core import (
     split_seed,
 )
 from .falsify import FalsifyBudget, falsify, falsify_many
-from .loss import _mse_rows, aggregate_loss
+from .loss import _mse_rows
 from .sim import SimulatorSpec, simulate_batch_multi_f
 from .stl import SafetySpec, robustness_batch
 
@@ -67,7 +66,6 @@ __all__ = [
     "estimate_lipschitz_loss",
     "sensitivity_plan",
     "sensitivity",
-    "outer_loss_gradient",
     "hoeffding_n",
     "total_samples",
     "sample_complexity_plan",
@@ -493,16 +491,16 @@ def sensitivity_plan(
     """
     if h <= 0.0:
         raise InvalidArgumentError("step h must be > 0")
-    inner = falsify(spec, phi, f, falsify_budget, split_seed(seed, "falsify"))
-    e_star = inner.best_config
     f0 = f.as_array()
     entries = _stencil(f0, h)
     f_rows = _stencil_rows(entries)
-    e_rows = np.tile(e_star.as_array(), (len(f_rows), 1))
     if _noise_active(spec, f_rows) and repeats is None:
         raise InvalidArgumentError(
             "sensitivity stencil activates the noise knob; supply a repeats count"
         )
+    inner = falsify(spec, phi, f, falsify_budget, split_seed(seed, "falsify"))
+    e_star = inner.best_config
+    e_rows = np.tile(e_star.as_array(), (len(f_rows), 1))
 
     def report(rho: np.ndarray) -> SensitivityReport:
         gradient = [
@@ -558,43 +556,6 @@ def sensitivity(
         for i, (k, plus, minus, _) in enumerate(entries)
     )
     return dataclasses.replace(report, total_derivative=total)
-
-
-def outer_loss_gradient(
-    spec: SimulatorSpec,
-    tasks: Sequence[Task],
-    f: FidelitySetting,
-    h: float,
-    seed: Seed,
-) -> tuple[float, ...]:
-    """Central finite difference of the aggregate loss per fidelity dimension.
-
-    Requires deterministic losses: the noise knob must be off at ``f``
-    itself. One-sided differences are used at the box boundary; a stencil
-    probe along the noise knob may activate an O(h) noise scale, which is
-    evaluated at fixed seeds so the result stays reproducible.
-    """
-    if h <= 0.0:
-        raise InvalidArgumentError("step h must be > 0")
-    if not tasks:
-        raise InvalidArgumentError("outer_loss_gradient needs at least one task")
-    f0 = f.as_array()
-    if _noise_active(spec, f0[None, :]):
-        raise InvalidArgumentError(
-            "outer_loss_gradient requires the noise knob off at f"
-        )
-    entries = _stencil(f0, h)
-    cache: dict = {}
-    eval_seed = split_seed(seed, "grad")
-
-    def loss_at(values: np.ndarray) -> float:
-        setting = spec.fidelity_space.setting(values)
-        return aggregate_loss(spec, setting, tasks, seed=eval_seed, high_cache=cache).total
-
-    gradient = []
-    for k, plus, minus, _ in entries:
-        gradient.append((loss_at(plus) - loss_at(minus)) / float(plus[k] - minus[k]))
-    return tuple(float(g) for g in gradient)
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,16 @@ class FalsificationResult:
 
     best_config: EnvironmentConfig
     best_robustness: RobustnessValue
-    counterexample_found: bool
     evaluations_used: int
     iterations: int
     trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
-        if self.counterexample_found != (self.best_robustness < 0):
-            raise InvalidArgumentError("counterexample_found must mirror best_robustness < 0")
+
+    @property
+    def counterexample_found(self) -> bool:
+        return self.best_robustness < 0
 
 
 @dataclass
@@ -202,7 +203,6 @@ class _Search:
         return FalsificationResult(
             best_config=spec.environment_space.config(self.best_values),
             best_robustness=self.best_score,
-            counterexample_found=self.best_score < 0,
             evaluations_used=self.evaluations,
             iterations=self.generation,
             trace=tuple(self.trace),
@@ -281,7 +281,6 @@ def falsify_many(
             FalsificationResult(
                 best_config=center,
                 best_robustness=score,
-                counterexample_found=score < 0,
                 evaluations_used=1,
                 iterations=1,
                 trace=(score,),

@@ -9,11 +9,12 @@ from safeval.analysis import (
     estimate_lipschitz_fidelity,
     estimate_lipschitz_loss,
     hoeffding_n,
-    outer_loss_gradient,
     sample_complexity_plan,
     sensitivity,
+    sensitivity_plan,
     total_samples,
 )
+from safeval import sim
 from safeval.core import InvalidArgumentError, SimulationDivergedError, Task, Trajectory
 from safeval.falsify import FalsifyBudget
 from safeval.loss import mse_loss
@@ -280,6 +281,18 @@ class TestSensitivity:
                 quad_sens_spec, synth_phi, f, 0.0, FalsifyBudget(max_evaluations=64), seed=0
             )
 
+    def test_noisy_stencil_rejected_before_any_simulation(self, braking, braking_phi):
+        # At max fidelity the noise knob is off, but its stencil probe turns it on.
+        f = braking.fidelity_space.max_fidelity()
+        budget = FalsifyBudget(max_evaluations=600)
+        with sim.tally() as counts:
+            with pytest.raises(InvalidArgumentError) as info:
+                sensitivity_plan(braking, braking_phi, f, 1e-2, budget, seed=0)
+        assert str(info.value) == (
+            "sensitivity stencil activates the noise knob; supply a repeats count"
+        )
+        assert counts["high_calls"] + counts["low_calls"] == 0
+
     def test_boundary_one_sided(self, quad_sens_spec, synth_phi):
         f = quad_sens_spec.fidelity_space.setting((1.0,))
         rep = sensitivity(
@@ -307,52 +320,6 @@ class TestSensitivity:
         assert rep.total_derivative is not None
         # e*(f) is constant here, so both estimates coincide approximately
         assert rep.total_derivative[0] == pytest.approx(rep.gradient[0], abs=5e-2)
-
-
-class TestOuterLossGradient:
-    def test_analytic_quadratic(self, quad_loss_spec):
-        task = Task(
-            id="task-0",
-            parameter_space=quad_loss_spec.environment_space,
-            sampled_params=(quad_loss_spec.environment_space.config((0.5,)),),
-        )
-        f = quad_loss_spec.fidelity_space.setting((0.5,))
-        grad = outer_loss_gradient(quad_loss_spec, [task], f, h=1e-3, seed=0)
-        assert grad[0] == pytest.approx(0.4, abs=1e-4)
-
-    def test_boundary_sign_for_dt_knob(self, oscillator):
-        # At max fidelity the loss is minimal along the step-size knob, so
-        # the one-sided difference toward coarser settings is nonpositive.
-        task = Task(
-            id="task-0",
-            parameter_space=oscillator.environment_space,
-            sampled_params=(oscillator.environment_space.config((1.2, -0.4, 0.5)),),
-        )
-        f = oscillator.fidelity_space.max_fidelity()
-        grad = outer_loss_gradient(oscillator, [task], f, h=1e-2, seed=0)
-        assert grad[0] <= 0
-
-    def test_additivity_over_tasks(self, quad_loss_spec):
-        mk = lambda tid: Task(
-            id=tid,
-            parameter_space=quad_loss_spec.environment_space,
-            sampled_params=(quad_loss_spec.environment_space.config((0.5,)),),
-        )
-        f = quad_loss_spec.fidelity_space.setting((0.5,))
-        g_a = outer_loss_gradient(quad_loss_spec, [mk("a")], f, h=1e-3, seed=0)
-        g_b = outer_loss_gradient(quad_loss_spec, [mk("b")], f, h=1e-3, seed=0)
-        g_ab = outer_loss_gradient(quad_loss_spec, [mk("a"), mk("b")], f, h=1e-3, seed=0)
-        assert g_ab[0] == pytest.approx(g_a[0] + g_b[0], abs=1e-9)
-
-    def test_noise_must_be_off(self, oscillator):
-        task = Task(
-            id="task-0",
-            parameter_space=oscillator.environment_space,
-            sampled_params=(oscillator.environment_space.config((1.0, 0.0, 0.2)),),
-        )
-        noisy = oscillator.fidelity_space.setting((1.0, 1.0, 0.3))
-        with pytest.raises(InvalidArgumentError):
-            outer_loss_gradient(oscillator, [task], noisy, h=1e-3, seed=0)
 
 
 class TestHoeffding:

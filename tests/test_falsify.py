@@ -12,7 +12,7 @@ from safeval.core import (
     rng_from_seed,
     split_seed,
 )
-from safeval.falsify import FalsifyBudget, _evaluate, _Search, falsify, falsify_many
+from safeval.falsify import FalsificationResult, FalsifyBudget, _evaluate, _Search, falsify, falsify_many
 from safeval.sim import get_benchmark, simulate_batch, simulate_low, tally
 from safeval.stl import parse_spec, robustness, robustness_batch
 from tests.conftest import QUAD_CENTER, SYNTH_PHI, make_synthetic
@@ -32,6 +32,20 @@ class TestBudgetValidation:
     def test_elite_fraction_range(self):
         with pytest.raises(InvalidArgumentError):
             FalsifyBudget(max_evaluations=100, elite_fraction=1.0)
+
+
+class TestFalsificationResult:
+    @pytest.mark.parametrize("rho, found", [(0.0, False), (-0.0, False), (-5e-324, True)])
+    def test_counterexample_found_is_robustness_below_zero(self, rho, found):
+        braking = get_benchmark("braking")
+        result = FalsificationResult(
+            best_config=braking.environment_space.config((5.0, 30.0, 9.0)),
+            best_robustness=rho,
+            evaluations_used=1,
+            iterations=1,
+            trace=(rho,),
+        )
+        assert result.counterexample_found is found
 
 
 class TestSyntheticQuadratic:
