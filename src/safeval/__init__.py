@@ -20,7 +20,7 @@ from .core import (
     sample_uniform,
     split_seed,
 )
-from .stl import SafetySpec, format_spec, parse_spec, robustness, satisfied
+from .stl import SafetySpec, format_spec, parse_spec, robustness
 from .sim import (
     SimulatorSpec,
     builtin_benchmarks,

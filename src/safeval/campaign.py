@@ -51,7 +51,7 @@ from .core import (
     sample_uniform,
     split_seed,
 )
-from .falsify import FalsificationFailedError, FalsifyBudget, falsify
+from .falsify import FalsificationFailedError, FalsifyBudget, check_horizon, falsify
 from .loss import LOSS_FAILURES, aggregate_loss, check_task_weights
 from .sim import (
     SimulatorSpec,
@@ -164,6 +164,10 @@ class CampaignConfig:
             raise InvalidArgumentError("counterexample_cap must be >= 1")
         if self.analysis_pairs < 10:
             raise InvalidArgumentError("analysis_pairs must be >= 10")
+        if self.analysis_epsilon <= 0:
+            raise InvalidArgumentError("analysis_epsilon must be > 0")
+        if not 0 < self.analysis_delta <= 2:
+            raise InvalidArgumentError("analysis_delta must lie in (0, 2]")
         if self.convergence_window < 2:
             raise InvalidArgumentError("convergence_window must be >= 2")
         if any(not 0 <= w <= MAX_TASK_WEIGHT for w in (self.task_weights or {}).values()):
@@ -393,8 +397,8 @@ def campaign_inputs(config: CampaignConfig) -> tuple[SimulatorSpec, str, SafetyS
     """The simulator, safety-spec text, parsed spec and sampled tasks of ``config``.
 
     The spec text is the config's own, else the simulator's spec of record;
-    a usage error when there is neither, or when the task weights name a
-    task that was not sampled.
+    a usage error when there is neither, when it reads past the simulator's
+    duration, or when the task weights name a task that was not sampled.
     """
     spec = resolve_simulator(config.simulator)
     spec_text = config.safety_spec or spec.safety_spec
@@ -403,6 +407,7 @@ def campaign_inputs(config: CampaignConfig) -> tuple[SimulatorSpec, str, SafetyS
             f"simulator {spec.id!r} has no safety spec of record; set safety_spec"
         )
     phi = parse_spec(spec_text)
+    check_horizon(spec, phi)
     tasks = sample_tasks(spec, config.task_count, config.params_per_task, config.master_seed)
     check_task_weights(config.task_weights, tasks)
     return spec, spec_text, phi, tasks
@@ -652,12 +657,12 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float | None, digits: int = 6) -> str:
+def _fmt(x: float | None) -> str:
     if x is None:
         return "-"
     if isinstance(x, float) and not math.isfinite(x):
         return "inf" if x > 0 else "-inf"
-    return f"{x:.{digits}g}"
+    return f"{x:.6g}"
 
 
 def _markdown_report(result: CampaignResult) -> str:

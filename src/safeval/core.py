@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "Seed",
-    "MAX_SEED",
     "split_seed",
     "rng_from_seed",
     "InvalidArgumentError",
@@ -47,7 +46,6 @@ __all__ = [
 
 # Seeds are 64-bit unsigned integers; wider ints are reduced mod 2**64.
 Seed = int
-MAX_SEED = 2**64 - 1
 
 
 class InvalidArgumentError(ValueError):
@@ -243,12 +241,12 @@ class EnvironmentSpace:
     def upper_array(self) -> np.ndarray:
         return np.asarray(self.upper, dtype=float)
 
-    def contains(self, values: Sequence[float], tol: float = 1e-12) -> bool:
+    def contains(self, values: Sequence[float]) -> bool:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.dimension,):
             return False
         return bool(
-            np.all(v >= self.lower_array() - tol) and np.all(v <= self.upper_array() + tol)
+            np.all(v >= self.lower_array() - 1e-12) and np.all(v <= self.upper_array() + 1e-12)
         )
 
     def config(self, values: Sequence[float]) -> "EnvironmentConfig":
@@ -304,11 +302,11 @@ class FidelitySpace:
         else:
             object.__setattr__(self, "knob_names", tuple(str(n) for n in self.knob_names))
 
-    def contains(self, values: Sequence[float], tol: float = 1e-12) -> bool:
+    def contains(self, values: Sequence[float]) -> bool:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.dimension,):
             return False
-        return bool(np.all(v >= -tol) and np.all(v <= 1.0 + tol))
+        return bool(np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12))
 
     def setting(self, values: Sequence[float]) -> "FidelitySetting":
         return FidelitySetting(values=_as_float_tuple(values), space=self)

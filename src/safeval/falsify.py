@@ -243,6 +243,14 @@ def _evaluate(
     return scores
 
 
+def check_horizon(spec: SimulatorSpec, phi: SafetySpec) -> None:
+    """Raise a usage error if ``phi`` reads past the simulator's duration."""
+    if horizon(phi) > spec.duration + 1e-9:
+        raise InvalidArgumentError(
+            f"spec horizon {horizon(phi):g} s exceeds simulator duration {spec.duration:g} s"
+        )
+
+
 def falsify_many(
     spec: SimulatorSpec,
     phi: SafetySpec,
@@ -257,10 +265,7 @@ def falsify_many(
     propagate from the step that raised them.
     """
     space = spec.environment_space
-    if horizon(phi) > spec.duration + 1e-9:
-        raise InvalidArgumentError(
-            f"spec horizon {horizon(phi):g} s exceeds simulator duration {spec.duration:g} s"
-        )
+    check_horizon(spec, phi)
     if not searches:
         return []
     n_samples = min(samples_read(phi, spec.base_dt), spec.steps)

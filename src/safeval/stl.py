@@ -17,23 +17,21 @@ negative value means it violates it. Interval endpoints are clipped onto the
 sample grid by rounding inward, and windows are truncated at the trajectory
 horizon rather than extrapolated.
 
-Evaluation is one recursive walk over a (batch, channels, steps) sample
-array that returns one value per row (:func:`robustness_batch`). Each node
-yields its signal at only the first m samples, m = 1 at the root; a temporal
-node asks its child for m + b/dt samples, so the outermost window reduces
-only itself, and no sample past the first :func:`samples_read` is read.
-Windows are reduced by log-doubling passes of min/max (van Herk 1992;
+The one evaluator, :func:`robustness_batch`, is one recursive walk over a
+(batch, channels, steps) sample array that returns one value per row. Each
+node yields its signal at only the first m samples, m = 1 at the root; a
+temporal node asks its child for m + b/dt samples, so the outermost window
+reduces only itself, and no sample past the first :func:`samples_read` is
+read. Windows are reduced by log-doubling passes of min/max (van Herk 1992;
 Gil & Werman 1993) that sweep the child's signal in place: each pass is one
 ufunc call over the buffer's rows laid end to end, and the last one writes
 the window extrema back into that buffer for the parent to sweep or combine
 in turn. ``!`` negates, and ``&`` and ``|`` combine, in place in their first
 operand's buffer, so the walk holds one signal buffer per chain of temporal
-operators and never writes the samples it is given. Only where a window
-runs past the last sample is the signal copied, padded with the
-operation's identity (+inf for min, -inf for max), which gives windows
-clipped at the end and empty windows their usual values. The boolean
-monitor :func:`satisfied` is the same walk with predicates mapped to +1/-1,
-so its verdict is exact, including at ties.
+operators and never writes the samples it is given. Only where a window runs
+past the last sample is the signal copied, padded with the operation's
+identity (+inf for min, -inf for max), which gives windows clipped at the
+end and empty windows their usual values.
 
 Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
@@ -73,7 +71,6 @@ __all__ = [
     "format_spec",
     "robustness",
     "robustness_batch",
-    "satisfied",
     "horizon",
     "samples_read",
 ]
@@ -164,7 +161,7 @@ SafetySpec = Union[Predicate, Not, And, Or, Globally, Eventually]
 
 
 def _lookahead(spec: SafetySpec, span: Callable[[tuple[float, float]], float]) -> float:
-    """Largest sum of ``span(interval)`` over the temporal nodes on one root-to-leaf path."""
+    """Largest sum of ``span(interval)`` over the temporal nodes on one root-to-predicate path."""
     if isinstance(spec, Predicate):
         return 0.0
     if isinstance(spec, Not):
@@ -185,7 +182,7 @@ def samples_read(spec: SafetySpec, dt: float) -> int:
     """How many leading samples at spacing ``dt`` the robustness at the start reads.
 
     That is every sample the evaluation walk asks for, and enough that the
-    trajectory covers :func:`horizon` by the reach check of the evaluators
+    trajectory covers :func:`horizon` by the reach check of the evaluator
     (an interval end off the grid reads one sample less than it needs to
     cover). Robustness and errors on the first ``samples_read`` samples of
     a trajectory are those on the whole of it.
@@ -382,31 +379,26 @@ def _margin(p: Predicate, x: np.ndarray) -> np.ndarray:
     return x - p.threshold if p.comparator == ">" else p.threshold - x
 
 
-def _sign(p: Predicate, x: np.ndarray) -> np.ndarray:
-    return np.where(x > p.threshold if p.comparator == ">" else x < p.threshold, 1.0, -1.0)
-
-
 def _signal(node: SafetySpec, m: int, samples: np.ndarray, channels: tuple[str, ...],
-            dt: float, leaf: Callable[[Predicate, np.ndarray], np.ndarray],
-            empty: list[str]) -> np.ndarray:
+            dt: float, empty: list[str]) -> np.ndarray:
     """The signal of ``node`` at the first ``m`` samples of every row, shape (batch, m).
 
     The result is the caller's to overwrite: a fresh array, or a view of one
     with its columns at a unit stride, sharing memory with nothing else.
     ``samples`` is only read.
 
-    ``leaf`` maps a predicate and its channel's samples to the predicate's
-    signal. An interval with no sample point yields NaN and is recorded in
-    ``empty``, so that the caller can rank it after the other errors.
+    A predicate's signal is its margin. An interval with no sample point
+    yields NaN and is recorded in ``empty``, so that the caller can rank it
+    after the other errors.
     """
-    rest = (samples, channels, dt, leaf, empty)
+    rest = (samples, channels, dt, empty)
     if isinstance(node, Predicate):
         if node.channel not in channels:
             raise InvalidArgumentError(
                 f"unknown channel {node.channel!r}; trajectory has {channels}"
             )
         # A fresh array, in C order so that its rows lie end to end.
-        return np.ascontiguousarray(leaf(node, samples[:, channels.index(node.channel), :m]))
+        return np.ascontiguousarray(_margin(node, samples[:, channels.index(node.channel), :m]))
     if isinstance(node, Not):
         y = _signal(node.sub, m, *rest)
         return np.negative(y, out=y)
@@ -427,18 +419,19 @@ def _signal(node: SafetySpec, m: int, samples: np.ndarray, channels: tuple[str, 
     raise TypeError(f"not a spec node: {node!r}")
 
 
-def _evaluate(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str], dt: float,
-              leaf: Callable[[Predicate, np.ndarray], np.ndarray]) -> np.ndarray:
-    """One walk of ``spec`` over (batch, channels, steps) ``samples``: one value per row.
+def robustness_batch(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str],
+                     dt: float) -> np.ndarray:
+    """Robustness at the start time of every row of a (batch, channels, steps) array.
 
-    Errors rank as in a check-first evaluator: an unknown channel anywhere,
-    then a reach past the trajectory duration, then the first interval with
-    no sample point.
+    Errors rank as in a check-first evaluator: an unknown channel anywhere
+    (:class:`InvalidArgumentError`), then a reach past the trajectory
+    duration, the first interval with no sample point and a non-finite
+    value (each a :class:`SpecEvaluationError`).
     """
     samples = np.asarray(samples, dtype=float)
     empty: list[str] = []
     # A copy, so that the values do not keep the signal buffer they came from alive.
-    values = _signal(spec, 1, samples, tuple(channels), dt, leaf, empty)[:, 0].copy()
+    values = _signal(spec, 1, samples, tuple(channels), dt, empty)[:, 0].copy()
     reach, duration = horizon(spec), (samples.shape[2] - 1) * dt
     if reach > duration + 1e-9:
         raise SpecEvaluationError(
@@ -446,18 +439,6 @@ def _evaluate(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str], dt
         )
     if empty:
         raise SpecEvaluationError(empty[0])
-    return values
-
-
-def robustness_batch(spec: SafetySpec, samples: np.ndarray, channels: Sequence[str],
-                     dt: float) -> np.ndarray:
-    """Robustness at the start time of every row of a (batch, channels, steps) array.
-
-    Raises :class:`InvalidArgumentError` for an unknown channel and
-    :class:`SpecEvaluationError` for an interval with no sample point, a
-    reach past the trajectory duration, or a non-finite value.
-    """
-    values = _evaluate(spec, samples, channels, dt, _margin)
     if not np.isfinite(values).all():
         raise SpecEvaluationError("robustness evaluated to a non-finite value")
     return values
@@ -468,8 +449,3 @@ def robustness(spec: SafetySpec, trajectory: Trajectory) -> RobustnessValue:
     t = trajectory
     return float(robustness_batch(spec, t.samples[None], t.channels, t.dt)[0])
 
-
-def satisfied(spec: SafetySpec, trajectory: Trajectory) -> bool:
-    """Boolean monitor over the same AST (strict predicate comparisons)."""
-    t = trajectory
-    return bool(_evaluate(spec, t.samples[None], t.channels, t.dt, _sign)[0] > 0)

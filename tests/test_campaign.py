@@ -133,6 +133,11 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             CampaignConfig.from_dict(data)
 
+    def test_analysis_ranges_include_their_closed_ends(self):
+        # The ranges are hoeffding_n's: delta = 2 is allowed, epsilon has no upper end.
+        cfg = tiny_config(analysis_epsilon=1e9, analysis_delta=2.0)
+        assert (cfg.analysis_epsilon, cfg.analysis_delta) == (1e9, 2.0)
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config().to_dict()))

@@ -234,6 +234,30 @@ class TestJointCommand:
         assert not (out / "events.jsonl").exists()
         assert not (out / "result.partial.json").exists()
 
+    @pytest.mark.parametrize("command", ["joint", "analyze"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"analysis_epsilon": 0}, "analysis_epsilon must be > 0"),
+            ({"analysis_epsilon": -0.1}, "analysis_epsilon must be > 0"),
+            ({"analysis_delta": 0}, "analysis_delta must lie in (0, 2]"),
+            ({"analysis_delta": 2.5}, "analysis_delta must lie in (0, 2]"),
+            ({"safety_spec": "G[0,7](gap > 0)"},
+             "spec horizon 7 s exceeds simulator duration 6 s"),
+        ],
+        ids=["epsilon-0", "epsilon-negative", "delta-0", "delta-2.5", "horizon"],
+    )
+    def test_bad_analysis_range_or_horizon_fails_before_any_simulation(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        cfg = tiny_config_file(tmp_path, **overrides)
+        out = tmp_path / "out"
+        with tally() as counts:
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(counts.values())
+        assert not (out / "events.jsonl").exists()
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1, 10**400, 1e308, 1e6 * 1.5])
     def test_bad_weight_value_fails_before_any_simulation(self, tmp_path, capsys, weight):
         cfg = tiny_config_file(tmp_path, task_weights={"task-0": weight})

@@ -19,7 +19,6 @@ from safeval.stl import (
     robustness,
     robustness_batch,
     samples_read,
-    satisfied,
 )
 
 
@@ -278,7 +277,7 @@ class TestProperties:
         rho = robustness(spec, t)
         if abs(rho) < 1e-9:
             return  # boundary ties are unordered by design
-        assert (rho > 0) == satisfied(spec, t)
+        assert (rho > 0) == reference_holds(spec, t.samples, t.channels, t.dt)
 
     @given(data=st.data(), a=formulas(1), b=formulas(1))
     @settings(max_examples=100, deadline=None)
@@ -379,19 +378,6 @@ class TestBatchedEvaluator:
             assert value == reference_rho(spec, row, ("a", "b"), 0.1)
             assert value == robustness(spec, Trajectory(0.0, 0.1, ("a", "b"), row))
 
-    @given(data=st.data(), spec=formulas())
-    @settings(max_examples=200, deadline=None)
-    def test_boolean_monitor_matches_brute_force(self, data, spec):
-        for row in tied_batch(data, spec):
-            t = Trajectory(0.0, 0.1, ("a", "b"), row)
-            assert satisfied(spec, t) == reference_holds(spec, row, ("a", "b"), 0.1)
-
-    def test_negated_predicate_holds_at_the_threshold(self):
-        t = traj([0.5, 0.5, 0.5])
-        assert satisfied(parse_spec("!(x > 0.5)"), t)
-        assert not satisfied(parse_spec("x > 0.5"), t)
-        assert satisfied(parse_spec("G[0,0.2](!(x > 0.5))"), t)
-
     def test_windows_clipped_at_the_end_and_empty(self):
         from safeval.stl import _sliding
 
@@ -437,9 +423,6 @@ class TestBatchedEvaluator:
             values = robustness_batch(spec, samples, ("a", "b"), 0.1)
             for row, value in zip(samples, values):
                 assert value == reference_rho(spec, row, ("a", "b"), 0.1)
-            for row in samples:
-                t = Trajectory(0.0, 0.1, ("a", "b"), row)
-                assert satisfied(spec, t) == reference_holds(spec, row, ("a", "b"), 0.1)
             # Rows laid out in any order give the same values.
             assert np.array_equal(robustness_batch(spec, np.asfortranarray(samples),
                                                    ("a", "b"), 0.1), values)
@@ -474,7 +457,6 @@ class TestBatchedEvaluator:
         gc.disable()
         try:
             robustness_batch(spec, samples, ("a", "b"), 0.1)
-            satisfied(spec, Trajectory(0.0, 0.1, ("a", "b"), samples[0]))
             assert gc.collect() == 0
         finally:
             gc.enable()
