@@ -356,23 +356,37 @@ def _sliding(y: np.ndarray, lo: int, hi: int, m: int, take_max: bool) -> np.ndar
     that runs into the next row reaches only positions that no output reads,
     since every output's window ends inside its own row. Ties keep the
     leftmost sample, as numpy's min/max return their second argument.
+
+    When ``y`` is a view of a wider buffer (an inner window's output), its rows
+    are first compacted in place, so that the passes sweep only the columns
+    ``y`` holds: one forward 1-D copy per row from row 1 on, each into columns
+    no later row reads. One 2-D copy would overlap its source, and numpy would
+    buffer all of it.
     """
     op = np.maximum if take_max else np.minimum
     pad = m + hi - y.shape[1]
     if pad > 0:
         fill = np.full((y.shape[0], pad), -np.inf if take_max else np.inf)
         y = np.concatenate([y, fill], axis=1)
-    # The rows laid end to end: a 1-D view from y's first element to its last.
     rows, cols = y.shape
-    n = (rows - 1) * (y.strides[0] // y.itemsize) + cols if rows else 0
-    flat = np.lib.stride_tricks.as_strided(y, (n,), (y.itemsize,))
+    stride = y.strides[0] // y.itemsize
+    # A 1-D view from y's first element to its last, dead columns included.
+    size = (rows - 1) * stride + cols if rows else 0
+    buf = np.lib.stride_tricks.as_strided(y, (size,), (y.itemsize,))
+    if stride > cols:
+        # Move each row up against the one before it, so no pass sweeps a dead column.
+        for r in range(1, rows):
+            buf[r * cols : (r + 1) * cols] = buf[r * stride : r * stride + cols]
+    # The rows laid end to end.
+    n = rows * cols
+    flat = buf[:n]
     width, s = hi - lo + 1, 1
     while 2 * s <= width:
         op(flat[lo + s :], flat[lo : n - s], out=flat[lo : n - s])
         s *= 2
     d = lo + width - s
     op(flat[d:], flat[lo : n - d + lo], out=flat[: n - d])
-    return y[:, :m]
+    return flat.reshape(rows, cols)[:, :m]
 
 
 def _margin(p: Predicate, x: np.ndarray) -> np.ndarray:

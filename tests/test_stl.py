@@ -409,6 +409,12 @@ class TestBatchedEvaluator:
         ("a > 0 | b < 1", False),
         ("G[0,0.5](F[0,0.3](a > 0) | !(b < 1))", False),
         ("F[0.2,0.4](G[0.1,0.3](a > -1) & b < 2)", False),
+        # An outer window over an inner one's (4, m) view of a buffer 15
+        # columns wide, m at most 5: the outer sweep first moves those rows
+        # together in place, the second spec twice, its last move onto
+        # columns that overlap each row's own.
+        ("F[0,0.2](G[0,1.2](a > 0))", False),
+        ("G[0,0.3](F[0,0.1](G[0,1](a > 0) | !(b < 0.5)))", False),
         ("G[0,0.9](F[0.5,0.8](a > 0))", True),
     ])
     def test_evaluation_leaves_the_samples_unchanged(self, text, reaches_past_the_end):
