@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import operator
 import reprlib
 import sys
 import types
@@ -44,7 +45,8 @@ __all__ = [
     "latin_hypercube_unit",
 ]
 
-# Seeds are 64-bit unsigned integers; wider ints are reduced mod 2**64.
+# Seeds are 64-bit unsigned integers; any other integer, a NumPy one
+# included, is reduced mod 2**64, and a non-integer is rejected.
 Seed = int
 
 
@@ -183,6 +185,15 @@ def check_fields(obj: object) -> None:
             object.__setattr__(obj, f.name, conformed)
 
 
+def _seed_key(seed: Seed) -> int:
+    # Reduced as a Python int: a NumPy integer's % 2**64 overflows. A float
+    # is rejected, not truncated to another seed's stream.
+    try:
+        return operator.index(seed) % 2**64
+    except TypeError:
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}") from None
+
+
 def split_seed(seed: Seed, *path: str | int) -> Seed:
     """Derive a child seed from ``seed`` and a label path.
 
@@ -191,7 +202,7 @@ def split_seed(seed: Seed, *path: str | int) -> Seed:
     platforms and runs.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(seed % 2**64).to_bytes(8, "little"))
+    h.update(_seed_key(seed).to_bytes(8, "little"))
     for part in path:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x00")
@@ -200,7 +211,7 @@ def split_seed(seed: Seed, *path: str | int) -> Seed:
 
 def rng_from_seed(seed: Seed) -> np.random.Generator:
     """Project-wide PRNG: counter-based Philox keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed % 2**64)))
+    return np.random.Generator(np.random.Philox(key=_seed_key(seed)))
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:

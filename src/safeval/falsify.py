@@ -21,10 +21,10 @@ scores are too. A simulation counts as diverged when one of those samples
 is not finite; what it does after the spec's reach is never computed.
 
 Simulator calls. A call costs mostly per loop step, not per row: on a
-2-vCPU VM a max-fidelity 601-sample braking call took 4.2 ms for 1 row,
-7.7 ms for 64 and 10.8 ms for 128. Rows are not free, but one call for two
-generations costs less than two calls, so the search sends few, full
-batches:
+2-vCPU VM (NumPy 2.4) a max-fidelity 601-sample braking call took 2.7 ms
+for 1 row, 6.5 ms for 64 and 8.9 ms for 128, the fastest of 80 calls.
+Rows are not free, but one call for two generations costs less than two
+calls, so the search sends few, full batches:
 
 * Only generation 0 and the CEM generations refit the Gaussian, so the
   points of the CEM generation after a later exploration generation g do

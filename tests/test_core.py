@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ class TestSeeds:
         a = rng_from_seed(123).random(4)
         b = rng_from_seed(123).random(4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "numpy_seed",
+        [np.int32(5), np.int32(-1), np.int64(5), np.int64(-1), np.int64(2**63 - 1),
+         np.uint64(5), np.uint64(2**63), np.uint64(2**64 - 1)],
+        ids=repr,
+    )
+    def test_numpy_integer_seed_is_the_equal_int(self, numpy_seed):
+        seed = int(numpy_seed)
+        assert split_seed(numpy_seed, "x", 1) == split_seed(seed, "x", 1)
+        draws = rng_from_seed(numpy_seed).integers(0, 2**63, 4)
+        assert draws.tolist() == rng_from_seed(seed).integers(0, 2**63, 4).tolist()
+
+    def test_seed_is_reduced_mod_2_to_the_64(self):
+        assert split_seed(-1, "x") == split_seed(2**64 - 1, "x") == split_seed(2**128 - 1, "x")
+        assert rng_from_seed(-1).random(2).tolist() == rng_from_seed(2**64 - 1).random(2).tolist()
+
+    @pytest.mark.parametrize("seed", [5.7, 5.0, np.float64(5.0), "5", None], ids=repr)
+    def test_non_integer_seed_raises_naming_it(self, seed):
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        for derive in (lambda: split_seed(seed, "x"), lambda: rng_from_seed(seed)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                derive()
 
 
 class TestSpaces:

@@ -85,6 +85,19 @@ class TestSyntheticQuadratic:
         b = falsify(quad_robustness_spec, synth_phi, f, budget, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("as_type", [np.int64, np.uint64])
+    def test_numpy_integer_seed_is_the_int_seed(self, quad_robustness_spec, synth_phi, as_type):
+        f = quad_robustness_spec.fidelity_space.setting((1.0,))
+        budget = FalsifyBudget(max_evaluations=400)
+        numpy_seeded = falsify(quad_robustness_spec, synth_phi, f, budget, as_type(5))
+        int_seeded = falsify(quad_robustness_spec, synth_phi, f, budget, 5)
+        assert outcome(numpy_seeded) == outcome(int_seeded)
+
+    def test_float_seed_raises(self, quad_robustness_spec, synth_phi):
+        f = quad_robustness_spec.fidelity_space.setting((1.0,))
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer, got 5.0"):
+            falsify(quad_robustness_spec, synth_phi, f, FalsifyBudget(max_evaluations=400), 5.0)
+
     def test_stop_tolerance_short_circuits(self, quad_robustness_spec, synth_phi):
         f = quad_robustness_spec.fidelity_space.setting((1.0,))
         eager = falsify(

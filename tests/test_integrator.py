@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -497,35 +498,49 @@ def test_oscillator_matches_the_textbook_rk4_on_random_rows(rows, blends, base_s
     assert out.tobytes() == expected.tobytes()
 
 
-# The samples of two 64-row oscillator calls, at max fidelity and at
-# (0.5, 0.5, 1), hashed by a fresh interpreter.
-OSCILLATOR_HASHES = """
+# The samples of two 64-row calls of a benchmark, at max fidelity with
+# ``high`` set and at a lower fidelity, hashed by a fresh interpreter.
+HASHES = """
 import hashlib
 import numpy as np
 from safeval.core import sample_uniform
 from safeval.sim import get_benchmark, simulate_batch_multi_f
-spec = get_benchmark("oscillator")
+spec = get_benchmark({sim_id!r})
 e_rows = np.array([c.as_array() for c in sample_uniform(spec.environment_space, 64, 3)])
-for f, high in (((1.0, 1.0, 1.0), True), ((0.5, 0.5, 1.0), False)):
+for f, high in (((1.0, 1.0, 1.0), True), ({low_f!r}, False)):
     samples, _ = simulate_batch_multi_f(spec, e_rows, np.tile(f, (64, 1)), range(64), [high] * 64)
     print(hashlib.sha256(samples.tobytes()).hexdigest())
 """
+OSCILLATOR_HASHES = HASHES.format(sim_id="oscillator", low_f=(0.5, 0.5, 1.0))
+# Every row at blend 0: a blended braking row takes np.exp.
+BRAKING_HASHES = HASHES.format(sim_id="braking", low_f=(0.5, 1.0, 1.0))
 AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
-@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="needs AVX-512 to switch off")
-def test_oscillator_bytes_do_not_depend_on_simd_dispatch():
-    # The oscillator's step adds, subtracts and multiplies only: NumPy rounds
-    # those the same on every SIMD path, unlike its power, exp and log.
+def assert_hashes_do_not_depend_on_simd_dispatch(script):
     def hashes(**env):
         env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]), **env)
-        return subprocess.run([sys.executable, "-c", OSCILLATOR_HASHES], env=env, check=True,
+        return subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True).stdout.split()
 
     plain = hashes()
     assert len(plain) == 2
     disabled = " ".join(name for name in AVX512_DISPATCH if __cpu_features__[name])
     assert hashes(NPY_DISABLE_CPU_FEATURES=disabled) == plain
+
+
+@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="needs AVX-512 to switch off")
+def test_oscillator_bytes_do_not_depend_on_simd_dispatch():
+    # The oscillator's step adds, subtracts and multiplies only: NumPy rounds
+    # those the same on every SIMD path, unlike its power, exp and log.
+    assert_hashes_do_not_depend_on_simd_dispatch(OSCILLATOR_HASHES)
+
+
+@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="needs AVX-512 to switch off")
+def test_braking_blend_zero_bytes_do_not_depend_on_simd_dispatch():
+    # At blend 0 the braking step and its drive divide, clip, multiply, add
+    # and subtract only; the divide is correctly rounded on every SIMD path.
+    assert_hashes_do_not_depend_on_simd_dispatch(BRAKING_HASHES)
 
 
 def test_braking_drive_at_blend_zero_is_the_blended_formula_at_blend_zero():
@@ -545,10 +560,15 @@ def test_braking_drive_at_blend_zero_is_the_blended_formula_at_blend_zero():
 
 
 class CountedArray(np.ndarray):
-    """An array that counts the ufunc calls it takes part in and the assignments into it."""
+    """An array that counts the ufunc calls it takes part in and the assignments into it.
+
+    ``scalars`` logs each input of those calls that is not an array (a NumPy
+    or Python scalar), as the ufunc's name and the input's type.
+    """
 
     calls = 0
     assignments = 0
+    scalars = []
 
     def __setitem__(self, key, value):
         CountedArray.assignments += 1
@@ -556,6 +576,9 @@ class CountedArray(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
         CountedArray.calls += 1
+        CountedArray.scalars += [
+            f"{ufunc.__name__}({type(a).__name__})" for a in inputs if not isinstance(a, np.ndarray)
+        ]
 
         def plain(a):
             return a.view(np.ndarray) if isinstance(a, CountedArray) else a
@@ -570,7 +593,8 @@ class CountedArray(np.ndarray):
 
 # NumPy ufunc calls per RK4 step; the oscillator's cube is two multiplies
 # per stage. No step assigns into an integrator buffer: the oscillator's
-# velocity row is its own position derivative, not a copy of it.
+# velocity row is its own position derivative, not a copy of it. No step
+# passes a scalar operand, which NumPy converts on every call.
 @pytest.mark.parametrize(
     "sim_id, per_step, blend",
     [("braking", 22, 0.5), ("oscillator", 38, 0.5), ("oscillator", 26, 0.0)],
@@ -593,14 +617,19 @@ def test_numpy_calls_per_rk4_step(sim_id, per_step, blend, monkeypatch):
         grid = spec.base_dt * np.arange(loop_steps)
         h = np.full(4, spec.base_dt)
         before = CountedArray.calls, CountedArray.assignments
+        CountedArray.scalars = []
         sim._integrate_to_grid(backend, x0, e_rows, h, np.full(4, blend), duration, grid)
-        return CountedArray.calls - before[0], CountedArray.assignments - before[1]
+        return (CountedArray.calls - before[0], CountedArray.assignments - before[1],
+                Counter(CountedArray.scalars))
 
     # Both runs take two blocks of steps, so only the step count differs.
     assert -(-101 // sim._DRIVE_BLOCK) == -(-121 // sim._DRIVE_BLOCK)
-    (ufuncs_121, assigned_121), (ufuncs_101, assigned_101) = calls(121), calls(101)
+    (ufuncs_121, assigned_121, scalars_121), (ufuncs_101, assigned_101, scalars_101) = (
+        calls(121), calls(101)
+    )
     assert ufuncs_121 - ufuncs_101 == 20 * per_step
     assert assigned_121 - assigned_101 == 0
+    assert scalars_121 - scalars_101 == Counter()
 
 
 @pytest.mark.parametrize("sim_id", ["oscillator", "braking"])
