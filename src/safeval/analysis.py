@@ -29,19 +29,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    Checked,
     EnvironmentConfig,
+    ExtendedFloat,
     FidelitySetting,
     InvalidArgumentError,
     Seed,
     SimulationDivergedError,
     Task,
-    check_fields,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -76,17 +77,12 @@ _NEAR_PAIR_DISTANCE = 1e-3
 
 
 @dataclass(frozen=True)
-class LipschitzEstimate:
+class LipschitzEstimate(Checked):
     """Maximum observed slope over sampled pairs."""
 
-    constant: float
+    constant: float = field(metadata={"ge": 0})
     pairs_used: int
     max_pair: tuple[tuple[float, ...], tuple[float, ...]]
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not self.constant >= 0:
-            raise InvalidArgumentError("Lipschitz constant must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ class SensitivityReport:
 
 
 @dataclass(frozen=True)
-class SampleComplexityPlan:
+class SampleComplexityPlan(Checked):
     """Hoeffding-derived per-iteration sample count and total budget."""
 
     epsilon: float
@@ -121,17 +117,17 @@ class SampleComplexityPlan:
     total_samples: int
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if self.total_samples != self.n_per_iteration * self.K1 * self.K2:
             raise InvalidArgumentError("total_samples must equal n * K1 * K2")
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Checked):
     """Best-so-far stationarity over a trailing window."""
 
     converged: bool
-    gap: float
+    gap: ExtendedFloat  # inf when the window starts at a failed (+inf) value
     window: int
 
 
@@ -566,8 +562,9 @@ def sensitivity(
 def hoeffding_n(L: float, epsilon: float, delta: float, L_alt: float | None = None) -> int:
     """Per-iteration samples so the empirical estimate is eps-accurate w.p. 1-delta.
 
-    ``ceil((2 L^2 / eps^2) * ln(2 / delta))``; with ``L_alt`` supplied the
-    larger of the two resulting bounds is returned.
+    ``ceil((2 L^2 / eps^2) * ln(2 / delta))``, 0 for ``L = 0``; with
+    ``L_alt`` supplied the larger of the two resulting bounds is returned.
+    Raises ``OverflowError`` when the bound is not a finite number.
     """
     if L < 0:
         raise InvalidArgumentError("L must be >= 0")
@@ -575,8 +572,10 @@ def hoeffding_n(L: float, epsilon: float, delta: float, L_alt: float | None = No
         raise InvalidArgumentError("epsilon must be > 0")
     if not 0 < delta <= 2:
         raise InvalidArgumentError("delta must lie in (0, 2]")
-    n = math.ceil((2.0 * L * L / (epsilon * epsilon)) * math.log(2.0 / delta))
-    n = max(n, 0)
+    try:
+        n = math.ceil((2.0 * L * L / (epsilon * epsilon)) * math.log(2.0 / delta)) if L else 0
+    except (ZeroDivisionError, ValueError):  # eps^2 underflowed to 0, or inf * ln(1) is NaN
+        raise OverflowError("the Hoeffding bound is not finite") from None
     if L_alt is not None:
         n = max(n, hoeffding_n(L_alt, epsilon, delta))
     return int(n)
@@ -601,16 +600,27 @@ def sample_complexity_plan(
     K2: int,
     lipschitz_alt: float | None = None,
 ) -> SampleComplexityPlan:
-    """Assemble the Hoeffding n with observed loop lengths into one plan."""
-    n = hoeffding_n(lipschitz, epsilon, delta, L_alt=lipschitz_alt)
+    """Assemble the Hoeffding n with observed loop lengths into one plan.
+
+    Raises a usage error naming ε, δ and L when n * K1 * K2 is no 64-bit count.
+    """
+    L = float(max(lipschitz, lipschitz_alt or 0.0))
+    try:
+        n = hoeffding_n(lipschitz, epsilon, delta, L_alt=lipschitz_alt)
+        total = total_samples(n, K1, K2)
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"the sample plan for epsilon {epsilon!r}, delta {delta!r} and Lipschitz "
+            f"constant {L!r} needs more than 2**63 - 1 samples"
+        ) from None
     return SampleComplexityPlan(
         epsilon=float(epsilon),
         delta=float(delta),
-        lipschitz=float(max(lipschitz, lipschitz_alt or 0.0)),
+        lipschitz=L,
         n_per_iteration=n,
         K1=int(K1),
         K2=int(K2),
-        total_samples=total_samples(n, K1, K2),
+        total_samples=total,
     )
 
 

@@ -30,12 +30,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    MAX_COUNT,
+    Checked,
     FidelitySetting,
     FidelitySpace,
     InvalidArgumentError,
     NumericalFailureError,
     Seed,
-    check_fields,
     latin_hypercube_unit,
     split_seed,
 )
@@ -64,21 +65,12 @@ _NOISE_VARIANCE = 1e-6
 
 
 @dataclass(frozen=True)
-class GpKernel:
+class GpKernel(Checked):
     """Squared-exponential kernel with per-dimension length-scales."""
 
-    lengthscales: tuple[float, ...]
-    amplitude: float
-    noise_variance: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lengthscales", tuple(float(v) for v in self.lengthscales))
-        if any(l <= 0 for l in self.lengthscales):
-            raise InvalidArgumentError("lengthscales must be positive")
-        if self.amplitude <= 0:
-            raise InvalidArgumentError("amplitude must be positive")
-        if self.noise_variance < 0:
-            raise InvalidArgumentError("noise_variance must be >= 0")
+    lengthscales: tuple[float, ...] = field(metadata={"gt": 0})
+    amplitude: float = field(metadata={"gt": 0})
+    noise_variance: float = field(metadata={"ge": 0})
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ls = np.asarray(self.lengthscales)
@@ -178,18 +170,11 @@ def gp_posterior(gp: GpState, f: FidelitySetting | Sequence[float]) -> tuple[flo
 
 
 @dataclass(frozen=True)
-class BetaSchedule:
+class BetaSchedule(Checked):
     """Exploration schedule beta_t = 2*ln(grid_size * t^2 * pi^2 / (6*delta))."""
 
-    delta: float = 0.1
-    grid_size: int = 512
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidArgumentError("delta must lie in (0, 1)")
-        if self.grid_size < 1:
-            raise InvalidArgumentError("grid_size must be >= 1")
+    delta: float = field(default=0.1, metadata={"gt": 0, "lt": 1})
+    grid_size: int = field(default=512, metadata={"ge": 1, "le": MAX_COUNT})
 
     def beta(self, t: int) -> float:
         if t < 1:

@@ -25,6 +25,7 @@ from typing import IO, Any, Iterable, Sequence
 import numpy as np
 
 from .analysis import (
+    ConvergenceReport,
     LipschitzEstimate,
     RowPlan,
     SampleComplexityPlan,
@@ -38,6 +39,8 @@ from .analysis import (
 )
 from .bo import BetaSchedule, FidelityOptResult, UcbMinimizer, gp_ucb_minimize
 from .core import (
+    MAX_COUNT,
+    Checked,
     EnvironmentConfig,
     ExtendedFloat,
     FidelitySetting,
@@ -47,7 +50,6 @@ from .core import (
     Seed,
     Task,
     _field_kwargs,
-    check_fields,
     sample_uniform,
     split_seed,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "CampaignConfig",
     "IterationRecord",
     "CounterexampleRecord",
+    "CampaignAnalysis",
     "CampaignResult",
     "resolve_simulator",
     "sample_tasks",
@@ -91,7 +94,7 @@ _WEIGHTS_ERROR = f"task_weights must map task ids to numbers from 0 to {MAX_TASK
 
 
 @dataclass(frozen=True)
-class AdaptiveBudgetPolicy:
+class AdaptiveBudgetPolicy(Checked):
     """Exploration-weighted inner-loop budgets.
 
     The inner falsifier at iteration t receives
@@ -101,18 +104,9 @@ class AdaptiveBudgetPolicy:
     ``sigma_t`` and never fall below the falsifier's population size.
     """
 
-    base_budget: int = 256
-    scale: float = 1.0
-    sigma_threshold: float = 1e-3
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.base_budget < 4:
-            raise InvalidArgumentError("base_budget must be >= 4")
-        if self.scale < 0:
-            raise InvalidArgumentError("scale must be >= 0")
-        if self.sigma_threshold <= 0:
-            raise InvalidArgumentError("sigma_threshold must be > 0")
+    base_budget: int = field(default=256, metadata={"ge": 4, "le": MAX_COUNT})
+    scale: float = field(default=1.0, metadata={"ge": 0, "le": MAX_COUNT})
+    sigma_threshold: float = field(default=1e-3, metadata={"gt": 0})
 
     def budget_at(self, sigma: float, sigma_ref: float, minimum: int) -> int:
         ref = max(sigma_ref, self.sigma_threshold)
@@ -122,7 +116,7 @@ class AdaptiveBudgetPolicy:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(Checked):
     """Everything a joint campaign needs; JSON-serializable and validated.
 
     ``params_per_task`` is either one count shared by every task or a list
@@ -130,9 +124,9 @@ class CampaignConfig:
     """
 
     simulator: str | dict[str, Any]
-    task_count: int
-    params_per_task: int | tuple[int, ...]
-    outer_iterations: int
+    task_count: int = field(metadata={"ge": 1, "le": MAX_COUNT})
+    params_per_task: int | tuple[int, ...] = field(metadata={"ge": 1, "le": MAX_COUNT})
+    outer_iterations: int = field(metadata={"ge": 1})
     master_seed: Seed
     safety_spec: str | None = None
     falsify_budget: FalsifyBudget = field(
@@ -140,38 +134,21 @@ class CampaignConfig:
     )
     beta_schedule: BetaSchedule = field(default_factory=BetaSchedule)
     budget_policy: AdaptiveBudgetPolicy = field(default_factory=AdaptiveBudgetPolicy)
-    counterexample_cap: int = 32
-    task_weights: dict[str, float] | None = field(default=None, metadata={"error": _WEIGHTS_ERROR})
-    analysis_pairs: int = 40
-    analysis_epsilon: float = 0.1
-    analysis_delta: float = 0.05
-    convergence_window: int = 5
+    counterexample_cap: int = field(default=32, metadata={"ge": 1})
+    task_weights: dict[str, float] | None = field(
+        default=None, metadata={"ge": 0, "le": MAX_TASK_WEIGHT, "error": _WEIGHTS_ERROR}
+    )
+    analysis_pairs: int = field(default=40, metadata={"ge": 10, "le": MAX_COUNT})
+    analysis_epsilon: float = field(default=0.1, metadata={"gt": 0})
+    analysis_delta: float = field(default=0.05, metadata={"gt": 0, "le": 2})
+    convergence_window: int = field(default=5, metadata={"ge": 2})
     convergence_tol: float = 1e-6
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.task_count < 1:
-            raise InvalidArgumentError("task_count must be >= 1")
-        counts = self.params_per_task
-        if isinstance(counts, tuple) and len(counts) != self.task_count:
+        super().__post_init__()
+        if isinstance(self.params_per_task, tuple) and len(self.params_per_task) != self.task_count:
             raise InvalidArgumentError("params_per_task list must have one entry per task")
-        if any(m < 1 for m in (counts if isinstance(counts, tuple) else (counts,))):
-            raise InvalidArgumentError("every per-task parameter count must be >= 1")
-        if self.outer_iterations < 1:
-            raise InvalidArgumentError("outer_iterations must be >= 1")
-        if self.counterexample_cap < 1:
-            raise InvalidArgumentError("counterexample_cap must be >= 1")
-        if self.analysis_pairs < 10:
-            raise InvalidArgumentError("analysis_pairs must be >= 10")
-        if self.analysis_epsilon <= 0:
-            raise InvalidArgumentError("analysis_epsilon must be > 0")
-        if not 0 < self.analysis_delta <= 2:
-            raise InvalidArgumentError("analysis_delta must lie in (0, 2]")
-        if self.convergence_window < 2:
-            raise InvalidArgumentError("convergence_window must be >= 2")
-        if any(not 0 <= w <= MAX_TASK_WEIGHT for w in (self.task_weights or {}).values()):
-            raise InvalidArgumentError(_WEIGHTS_ERROR)
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -217,7 +194,7 @@ def resolve_simulator(simulator: str | dict[str, Any]) -> SimulatorSpec:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Checked):
     t: int
     fidelity: tuple[float, ...]
     sigma: float
@@ -239,22 +216,27 @@ class IterationRecord:
     regret: ExtendedFloat
     cumulative_regret: ExtendedFloat
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(Checked):
     values: tuple[float, ...]
     robustness: float
     found_at: int
 
-    def __post_init__(self) -> None:
-        check_fields(self)
+
+@dataclass(frozen=True)
+class CampaignAnalysis(Checked):
+    """A campaign's analysis estimates, run at the environment ``probe_config``."""
+
+    lipschitz_env: LipschitzEstimate
+    lipschitz_fidelity: LipschitzEstimate
+    lipschitz_loss: LipschitzEstimate
+    sample_plan: SampleComplexityPlan
+    probe_config: tuple[float, ...]
 
 
 @dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(Checked):
     config: CampaignConfig
     best_fidelity: tuple[float, ...]
     best_loss: float
@@ -263,16 +245,20 @@ class CampaignResult:
     regret_reference: float
     regret_reference_is_proxy: bool
     totals: dict[str, int]
-    analysis: dict[str, Any]
-    convergence: dict[str, Any]
+    analysis: CampaignAnalysis
+    convergence: dict[str, ConvergenceReport]
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        # ``analysis`` stays a plain dict; the entries the report reads must hold their records.
-        for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss", "sample_plan"):
-            kind = SampleComplexityPlan if key == "sample_plan" else LipschitzEstimate
-            kind(**_field_kwargs(kind, f"analysis {key}", self.analysis.get(key)))
+        super().__post_init__()
+        try:
+            knobs = resolve_simulator(self.config.simulator).fidelity_space.dimension
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"config: {exc}") from None
+        if len(self.best_fidelity) != knobs:
+            raise InvalidArgumentError(
+                f"best_fidelity has {len(self.best_fidelity)} values for {knobs} fidelity knobs"
+            )
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignResult":
@@ -358,7 +344,7 @@ def analysis_summary(
     K1: int,
     sensitivity: RowPlan | None = None,
 ) -> dict[str, Any]:
-    """The three Lipschitz estimates and the sample plan, as JSON-ready dicts.
+    """The three Lipschitz estimates and the sample plan, as records under their keys.
 
     The environment estimate runs at ``f_probe``, the fidelity estimate at
     ``e_probe`` and the loss estimate over ``tasks``, all three in one
@@ -377,19 +363,15 @@ def analysis_summary(
     }
     if sensitivity is not None:
         plans["sensitivity"] = sensitivity
-    results = dict(zip(plans, run_plans(spec, list(plans.values()))))
-    plan = sample_complexity_plan(
+    summary = dict(zip(plans, run_plans(spec, list(plans.values()))))
+    summary["sample_plan"] = sample_complexity_plan(
         epsilon=config.analysis_epsilon,
         delta=config.analysis_delta,
-        lipschitz=results["lipschitz_env"].constant,
+        lipschitz=summary["lipschitz_env"].constant,
         K1=K1,
         K2=config.outer_iterations,
-        lipschitz_alt=results["lipschitz_loss"].constant,
+        lipschitz_alt=summary["lipschitz_loss"].constant,
     )
-    summary: dict[str, Any] = {key: dataclasses.asdict(r) for key, r in results.items()}
-    for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss"):
-        summary[key]["max_pair"] = [list(p) for p in results[key].max_pair]
-    summary["sample_plan"] = dataclasses.asdict(plan)
     return summary
 
 
@@ -597,7 +579,7 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                 probe_values = tuple((lo + hi) / 2.0)
             mean_evals = sum(r.inner_evaluations for r in records) / len(records)
             with tally() as probes:
-                analysis = analysis_summary(
+                summary = analysis_summary(
                     spec,
                     phi,
                     tasks,
@@ -606,16 +588,14 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
                     spec.environment_space.config(probe_values),
                     K1=max(1, round(mean_evals)),
                 )
-            analysis["probe_config"] = list(probe_values)
+            analysis = CampaignAnalysis(**summary, probe_config=probe_values)
             totals["analysis_high_calls"] = probes["high_calls"]
             totals["analysis_low_calls"] = probes["low_calls"]
 
         inner_last = next((r.inner_trace for r in reversed(records) if not r.falsification_failed), ())
         convergence = {
-            key: dataclasses.asdict(
-                convergence_report(
-                    trace, min(config.convergence_window, len(trace)), config.convergence_tol
-                )
+            key: convergence_report(
+                trace, min(config.convergence_window, len(trace)), config.convergence_tol
             )
             for key, trace in (("outer", regret.losses), ("inner_last", inner_last))
             if len(trace) >= 2
@@ -708,13 +688,13 @@ def _markdown_report(result: CampaignResult) -> str:
     lines.append("## Analysis estimates")
     lines.append("")
     for key in ("lipschitz_env", "lipschitz_fidelity", "lipschitz_loss"):
-        est = result.analysis[key]
-        lines.append(f"- {key}: constant {_fmt(est['constant'])} over {est['pairs_used']} pairs")
-    plan = result.analysis["sample_plan"]
+        est = getattr(result.analysis, key)
+        lines.append(f"- {key}: constant {_fmt(est.constant)} over {est.pairs_used} pairs")
+    plan = result.analysis.sample_plan
     lines.append(
-        f"- sample plan: n = {plan['n_per_iteration']} per iteration, "
-        f"K1 = {plan['K1']}, K2 = {plan['K2']}, N = {plan['total_samples']} "
-        f"(eps = {plan['epsilon']}, delta = {plan['delta']})"
+        f"- sample plan: n = {plan.n_per_iteration} per iteration, "
+        f"K1 = {plan.K1}, K2 = {plan.K2}, N = {plan.total_samples} "
+        f"(eps = {plan.epsilon}, delta = {plan.delta})"
     )
     failures = [r.t for r in result.iterations if r.falsification_failed]
     if failures:

@@ -21,6 +21,7 @@ same bytes whatever the CPU features.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -172,13 +173,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         spec, phi, tasks, config, f_max, center, K1=config.falsify_budget.max_evaluations,
         sensitivity=sens,
     )
-    payload = {"simulator": spec.id, "safety_spec": spec_text, "master_seed": seed, **summary}
+    payload = {"simulator": spec.id, "safety_spec": spec_text, "master_seed": seed}
+    payload.update((key, dataclasses.asdict(record)) for key, record in summary.items())
     write_json(out / "analysis.json", payload)
     print(
-        f"Lipschitz estimates: env {summary['lipschitz_env']['constant']:.4g}, "
-        f"fidelity {summary['lipschitz_fidelity']['constant']:.4g}, "
-        f"loss {summary['lipschitz_loss']['constant']:.4g}; "
-        f"Hoeffding n = {summary['sample_plan']['n_per_iteration']}"
+        f"Lipschitz estimates: env {summary['lipschitz_env'].constant:.4g}, "
+        f"fidelity {summary['lipschitz_fidelity'].constant:.4g}, "
+        f"loss {summary['lipschitz_loss'].constant:.4g}; "
+        f"Hoeffding n = {summary['sample_plan'].n_per_iteration}"
     )
     return 0
 

@@ -20,7 +20,7 @@ import sys
 import types
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NewType, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NewType, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,9 @@ __all__ = [
     "NumericalFailureError",
     "SchemaVersionError",
     "ExtendedFloat",
+    "Reading",
     "check_fields",
+    "Checked",
     "EnvironmentSpace",
     "EnvironmentConfig",
     "FidelitySpace",
@@ -73,10 +75,16 @@ class SchemaVersionError(ValueError):
 # A ``float`` field that may also hold an infinity, as a failed evaluation's
 # loss does; every other ``float`` field must be finite. Neither may be NaN.
 ExtendedFloat = NewType("ExtendedFloat", float)
+# A simulator's sample, which may also be NaN or infinite where it diverged.
+Reading = NewType("Reading", float)
+# The bound of a count that sizes an array of simulated rows: 10**6 rows of
+# the smallest built-in trajectory take 14 GB, so more is a slip, not a plan.
+MAX_COUNT = 10**6
 
 _LARGEST = sys.float_info.max
 _WORDS = {int: "an integer", float: "a finite number", ExtendedFloat: "a number", str: "a string"}
-_WORDS.update({bool: "a boolean", type(None): "null", tuple: "an array", dict: "an object"})
+_WORDS.update({Reading: "a number", bool: "a boolean", type(None): "null", tuple: "an array"})
+_WORDS[dict] = "an object"
 
 
 class _Mismatch(Exception):
@@ -103,10 +111,37 @@ def _field_kwargs(cls: type, what: str, data: Any) -> dict[str, Any]:
     return dict(data)
 
 
+# The bound keys of field metadata, each with its sign and its bracket in a range.
+_BOUND_KEYS = {"ge": (">=", "["), "gt": (">", "("), "le": ("<=", "]"), "lt": ("<", ")")}
+
+
+def _bounds(f: dataclasses.Field) -> tuple[list[tuple[Callable, Any]], str] | None:
+    """Field ``f``'s declared bounds as (comparison, bound) pairs, and their message."""
+    keys = [key for key in _BOUND_KEYS if key in f.metadata]
+    if not keys:
+        return None
+    low, high = keys[0], keys[-1]
+    text = f"{f.name} must be {_BOUND_KEYS[low][0]} {f.metadata[low]}"
+    if low != high:
+        left, right = _BOUND_KEYS[low][1], _BOUND_KEYS[high][1]
+        text = f"{f.name} must lie in {left}{f.metadata[low]}, {f.metadata[high]}{right}"
+    tests = [(getattr(operator, key), f.metadata[key]) for key in keys]
+    return tests, f.metadata.get("error", text)
+
+
 @functools.cache
-def _field_hints(cls: type) -> tuple[tuple[dataclasses.Field, Any], ...]:
+def _field_hints(cls: type) -> tuple[tuple[dataclasses.Field, Any, Any], ...]:
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
+    return tuple((f, hints[f.name], _bounds(f)) for f in dataclasses.fields(cls))
+
+
+def _numbers(value: Any) -> Iterator[Any]:
+    """The numbers in a conformed value: itself, or its tuple elements and dict values."""
+    if isinstance(value, (tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _numbers(item)
+    elif value is not None:
+        yield value
 
 
 def _conform(hint: Any, value: Any, name: str) -> Any:
@@ -144,10 +179,13 @@ def _conform(hint: Any, value: Any, name: str) -> Any:
             return hint(**kwargs)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{name}: {exc}") from None
-    elif hint in (int, float, ExtendedFloat):
+    elif hint in (int, float, ExtendedFloat, Reading):
         kinds = (int, np.integer) if hint is int else (int, float, np.integer, np.floating)
         if isinstance(value, kinds) and not isinstance(value, (bool, np.bool_)) and (
-            hint is int or abs(value) <= _LARGEST or hint is ExtendedFloat and math.isinf(value)
+            hint is int
+            or abs(value) <= _LARGEST
+            or isinstance(value, (float, np.floating))
+            and (hint is Reading or hint is ExtendedFloat and math.isinf(value))
         ):
             return value
     elif isinstance(value, hint):
@@ -162,19 +200,27 @@ def _describe(hint: Any) -> str:
 
 
 def check_fields(obj: object) -> None:
-    """Check each field of dataclass ``obj`` against its annotation; raise naming the first misfit.
+    """Check each field of dataclass ``obj`` against its annotation and bounds; raise at a misfit.
 
     Records read from JSON hold whatever the file held until this runs;
     without it a string in a number field surfaces as a ``TypeError``. The
     annotations understood are ``int`` (``Seed``), ``float`` (finite),
-    :data:`ExtendedFloat`, ``str``, ``bool``, ``X | None``, tuples (JSON
-    arrays, stored as tuples), ``dict[str, X]``, ``Any`` and dataclasses
-    (JSON objects, built into instances). Booleans never count as numbers,
-    and no number may be NaN (Python's ``json`` reads ``NaN`` and
-    ``Infinity``) or, where a float is due, an integer too large to convert.
-    A field's ``"error"`` metadata, if set, replaces the generic message.
+    :data:`ExtendedFloat`, :data:`Reading`, ``str``, ``bool``, ``X | None``,
+    tuples (JSON arrays, stored as tuples), ``dict[str, X]``, ``Any`` and
+    dataclasses (JSON objects, built into instances). Booleans never count
+    as numbers, and no number may be NaN (Python's ``json`` reads ``NaN``
+    and ``Infinity``), except in a :data:`Reading`, or, where a float is
+    due, an integer too large to convert.
+
+    A field may declare bounds in its metadata under ``ge``, ``gt``, ``le``
+    and ``lt``, as in ``field(default=256, metadata={"ge": 4})``; right
+    after its type, every number it holds (tuple elements and dict values
+    included) is checked against them. A broken bound reads ``"base_budget
+    must be >= 4"``, or ``"analysis_delta must lie in (0, 2]"`` for two.
+    A field's ``"error"`` metadata, if set, replaces either message. Fields
+    are checked in declaration order.
     """
-    for f, hint in _field_hints(type(obj)):
+    for f, hint, bounds in _field_hints(type(obj)):
         value = getattr(obj, f.name)
         try:
             conformed = _conform(hint, value, f.name)
@@ -183,6 +229,17 @@ def check_fields(obj: object) -> None:
             raise InvalidArgumentError(f.metadata.get("error", default)) from None
         if conformed is not value:
             object.__setattr__(obj, f.name, conformed)
+        if bounds is not None:
+            tests, message = bounds
+            if not all(test(v, bound) for v in _numbers(conformed) for test, bound in tests):
+                raise InvalidArgumentError(message)
+
+
+class Checked:
+    """Base of records whose fields :func:`check_fields` checks when one is made."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def _seed_key(seed: Seed) -> int:
@@ -219,7 +276,7 @@ def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class EnvironmentSpace:
+class EnvironmentSpace(Checked):
     """Axis-aligned box of admissible environment configurations."""
 
     lower: tuple[float, ...]
@@ -227,7 +284,7 @@ class EnvironmentSpace:
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if len(self.lower) != len(self.upper):
             raise InvalidArgumentError("lower and upper bounds differ in length")
         if len(self.lower) < 1:
@@ -290,7 +347,7 @@ class EnvironmentConfig:
 
 
 @dataclass(frozen=True)
-class FidelitySpace:
+class FidelitySpace(Checked):
     """Normalized [0, 1]^d box of simulator fidelity knobs.
 
     Knob value 1 always means highest fidelity. The mapping from normalized
@@ -298,20 +355,17 @@ class FidelitySpace:
     (see ``sim.FidelityMapping``).
     """
 
-    dimension: int
+    dimension: int = field(metadata={"ge": 1})
     knob_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise InvalidArgumentError("fidelity space needs dimension >= 1")
+        super().__post_init__()
         if self.knob_names and len(self.knob_names) != self.dimension:
             raise InvalidArgumentError("knob_names must match dimension")
         if not self.knob_names:
             object.__setattr__(
                 self, "knob_names", tuple(f"f{i}" for i in range(self.dimension))
             )
-        else:
-            object.__setattr__(self, "knob_names", tuple(str(n) for n in self.knob_names))
 
     def contains(self, values: Sequence[float]) -> bool:
         v = np.asarray(values, dtype=float)
@@ -355,7 +409,7 @@ class FidelitySetting:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Checked):
     """Finite-horizon, uniformly sampled multichannel signal.
 
     ``samples`` has shape (channels, steps). ``duration`` is derived as
@@ -363,12 +417,12 @@ class Trajectory:
     """
 
     start_time: float
-    dt: float
+    dt: float = field(metadata={"gt": 0})
     channels: tuple[str, ...]
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", tuple(str(c) for c in self.channels))
+        super().__post_init__()
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 2:
             raise InvalidArgumentError("samples must be a 2-D (channel x step) array")
@@ -376,8 +430,6 @@ class Trajectory:
             raise InvalidArgumentError(
                 f"{arr.shape[0]} sample rows for {len(self.channels)} channels"
             )
-        if self.dt <= 0:
-            raise InvalidArgumentError("dt must be positive")
         if arr.shape[1] < 2:
             raise InvalidArgumentError("trajectory needs at least 2 samples")
         if not np.all(np.isfinite(arr)):

@@ -56,12 +56,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MAX_COUNT,
+    Checked,
     EnvironmentConfig,
     FalsificationFailedError,
     FidelitySetting,
     InvalidArgumentError,
     Seed,
-    check_fields,
     latin_hypercube_unit,
     rng_from_seed,
     split_seed,
@@ -75,7 +76,7 @@ _LHS_EVERY = 4  # every 4th generation explores; 1/4 of the budget overall
 
 
 @dataclass(frozen=True)
-class FalsifyBudget:
+class FalsifyBudget(Checked):
     """Evaluation budget and population-search parameters.
 
     ``max_evaluations`` counts candidate configurations; each costs
@@ -85,23 +86,15 @@ class FalsifyBudget:
     """
 
     max_evaluations: int
-    population: int = 64
-    elite_fraction: float = 0.25
-    stop_tolerance: float = 0.0
-    samples_per_eval: int = 1
+    population: int = field(default=64, metadata={"ge": 4, "le": MAX_COUNT})
+    elite_fraction: float = field(default=0.25, metadata={"gt": 0, "lt": 1})
+    stop_tolerance: float = field(default=0.0, metadata={"ge": 0})
+    samples_per_eval: int = field(default=1, metadata={"ge": 1, "le": MAX_COUNT})
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.population < 4:
-            raise InvalidArgumentError("population must be >= 4")
+        super().__post_init__()
         if self.max_evaluations < self.population:
             raise InvalidArgumentError("max_evaluations must be >= population")
-        if not 0.0 < self.elite_fraction < 1.0:
-            raise InvalidArgumentError("elite_fraction must lie in (0, 1)")
-        if self.stop_tolerance < 0.0:
-            raise InvalidArgumentError("stop_tolerance must be >= 0")
-        if self.samples_per_eval < 1:
-            raise InvalidArgumentError("samples_per_eval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,6 @@ class FalsificationResult:
     evaluations_used: int
     iterations: int
     trace: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
 
     @property
     def counterexample_found(self) -> bool:
@@ -276,22 +266,6 @@ def falsify_many(
         _Search(f, seed, [split_seed(seed, "rep", k) for k in range(budget.samples_per_eval)])
         for f, seed in searches
     ]
-
-    if np.all(width < 1e-12):
-        center = space.config((lo + hi) / 2.0)
-        scores = _evaluate(
-            spec, phi, n_samples, state, [center.as_array()[None, :]] * len(state)
-        )
-        return [
-            FalsificationResult(
-                best_config=center,
-                best_robustness=score,
-                evaluations_used=1,
-                iterations=1,
-                trace=(score,),
-            )
-            for score in scores[:, 0].tolist()
-        ]
 
     failures: dict[int, FalsificationFailedError] = {}
     active = list(range(len(state)))

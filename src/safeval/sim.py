@@ -34,9 +34,9 @@ adapter program receives one JSON request ``{"e": [...], "f": [...]|null,
 "seed": int, "duration": float, "dt": float}`` on stdin and must print a
 JSON trajectory ``{"start_time": float, "dt": float, "channels": [...],
 "samples": [[...], ...]}`` on stdout, sampled on exactly the requested grid,
-with numbers only (no strings or booleans). A ``null``, ``NaN`` or
-``Infinity`` sample marks the row diverged. The request always covers the
-whole duration; a caller that wants fewer samples gets the reply cut.
+with JSON numbers only and no other field (``start_time`` may be left out).
+A ``null``, ``NaN`` or ``Infinity`` sample marks the row diverged. The request
+always covers the whole duration; a caller that wants fewer gets the reply cut.
 
 Every simulation goes through one dispatch over rows of (environment,
 fidelity, seed, high flag), which hands all of them to the spec's backend
@@ -85,22 +85,23 @@ import subprocess
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .core import (
+    Checked,
     EnvironmentConfig,
     EnvironmentSpace,
     FidelitySetting,
     FidelitySpace,
     InvalidArgumentError,
+    Reading,
     Seed,
     SimulationDivergedError,
     Trajectory,
     _field_kwargs,
-    check_fields,
     rng_from_seed,
     split_seed,
 )
@@ -185,6 +186,7 @@ def identity_mapping(dimension: int) -> FidelityMapping:
     )
 
 
+@runtime_checkable
 class SimulatorBackend(Protocol):
     """What runs a simulator's rows; a :class:`SimulatorSpec` carries one."""
 
@@ -211,23 +213,21 @@ class SimulatorBackend(Protocol):
 
 
 @dataclass(frozen=True)
-class SimulatorSpec:
+class SimulatorSpec(Checked):
     """Identity, static description and backend of one simulator pair (high/low)."""
 
     id: str
     environment_space: EnvironmentSpace
     fidelity_space: FidelitySpace
     channels: tuple[str, ...]
-    base_dt: float
+    base_dt: float = field(metadata={"gt": 0})
     duration: float
     fidelity_mapping: FidelityMapping
     backend: SimulatorBackend
     safety_spec: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", tuple(str(c) for c in self.channels))
-        if self.base_dt <= 0:
-            raise InvalidArgumentError("base_dt must be positive")
+        super().__post_init__()
         if self.duration < 10 * self.base_dt:
             raise InvalidArgumentError("duration must be at least 10 * base_dt")
         if self.fidelity_mapping.dimension != self.fidelity_space.dimension:
@@ -643,7 +643,7 @@ class OdeBenchmark:
 
 
 @dataclass(frozen=True)
-class _AdapterConfig:
+class _AdapterConfig(Checked):
     """An external simulator's description; see :func:`external_simulator_spec`."""
 
     id: str
@@ -655,8 +655,15 @@ class _AdapterConfig:
     duration: float
     safety_spec: str | None = None
 
-    def __post_init__(self) -> None:
-        check_fields(self)
+
+@dataclass(frozen=True)
+class _AdapterReply(Checked):
+    """One adapter reply; a null, NaN or infinite sample marks the row diverged."""
+
+    dt: float
+    channels: tuple[str, ...]
+    samples: tuple[tuple[Reading | None, ...], ...]
+    start_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -716,52 +723,23 @@ class _AdapterBackend:
         return out, np.full(batch, spec.steps)
 
 
-# What float() and np.asarray(..., dtype=float) raise on a value that is not
-# a number, or not a rectangular array of numbers.
-_NOT_NUMERIC = (TypeError, ValueError, OverflowError)
-
-
-def _is_text_or_boolean(value: Any) -> bool:
-    # JSON values that float() converts ("1.5", true) but that are not numbers.
-    return isinstance(value, (str, bool))
-
-
 def _reply_samples(spec: SimulatorSpec, reply: Any) -> np.ndarray:
     """The (channels, steps) samples of one parsed adapter reply, checked against ``spec``.
 
     Every way the reply can break the protocol raises :class:`AdapterProtocolError`.
     """
-    if not isinstance(reply, dict):
-        raise AdapterProtocolError(f"adapter reply is a JSON {type(reply).__name__}, not an object")
-    for key in ("dt", "channels", "samples"):
-        if key not in reply:
-            raise AdapterProtocolError(f"adapter reply missing field {key!r}")
-    if not isinstance(reply["channels"], list) or tuple(reply["channels"]) != spec.channels:
-        raise AdapterProtocolError(
-            f"adapter channels {reply['channels']!r} != spec channels {list(spec.channels)}"
-        )
-    if _is_text_or_boolean(reply["dt"]):
-        raise AdapterProtocolError(f"adapter dt {reply['dt']!r} is not a number")
     try:
-        dt = float(reply["dt"])
-    except _NOT_NUMERIC as exc:
-        raise AdapterProtocolError(f"adapter dt {reply['dt']!r} is not a number") from exc
-    if not abs(dt - spec.base_dt) <= 1e-12:
-        raise AdapterProtocolError(f"adapter dt {reply['dt']} != requested dt {spec.base_dt}")
-    try:
-        arr = np.asarray(reply["samples"], dtype=float)
-    except _NOT_NUMERIC as exc:
-        raise AdapterProtocolError(f"adapter samples are not an array of numbers: {exc}") from exc
-    if arr.shape != (len(spec.channels), spec.steps):
-        raise AdapterProtocolError(
-            f"adapter samples shape {arr.shape} != expected {(len(spec.channels), spec.steps)}"
-        )
-    # The shape holds, so the samples are a list of lists of scalars.
-    for row in reply["samples"]:
-        for value in row:
-            if _is_text_or_boolean(value):
-                raise AdapterProtocolError(f"adapter sample {value!r} is not a number")
-    return arr
+        reply = _AdapterReply(**_field_kwargs(_AdapterReply, "reply", reply))
+    except InvalidArgumentError as exc:
+        raise AdapterProtocolError(f"adapter reply: {exc}") from None
+    if reply.channels != spec.channels:
+        raise AdapterProtocolError(f"adapter channels {reply.channels} != {spec.channels}")
+    if not abs(reply.dt - spec.base_dt) <= 1e-12:
+        raise AdapterProtocolError(f"adapter dt {reply.dt} != requested dt {spec.base_dt}")
+    shape = (len(spec.channels), spec.steps)
+    if len(reply.samples) != shape[0] or any(len(row) != shape[1] for row in reply.samples):
+        raise AdapterProtocolError(f"adapter samples are not {shape[0]} rows of {shape[1]}")
+    return np.array(reply.samples, dtype=float)
 
 
 # ---------------------------------------------------------------------------

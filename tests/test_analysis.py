@@ -158,8 +158,6 @@ class TestRowPlans:
     def test_analysis_summary_is_one_call_equal_to_the_three_estimators(
         self, braking, braking_phi, monkeypatch
     ):
-        import dataclasses
-
         import safeval.analysis as analysis_mod
         from safeval.campaign import CampaignConfig, analysis_summary, sample_tasks
         from safeval.core import split_seed
@@ -207,12 +205,7 @@ class TestRowPlans:
             K2=config.outer_iterations,
             lipschitz_alt=estimates["lipschitz_loss"].constant,
         )
-        expected = {
-            key: {**dataclasses.asdict(est), "max_pair": [list(p) for p in est.max_pair]}
-            for key, est in estimates.items()
-        }
-        expected["sample_plan"] = dataclasses.asdict(plan)
-        assert summary == expected
+        assert summary == {**estimates, "sample_plan": plan}
 
     def test_a_diverging_plan_raises_its_standalone_message(self, diverging_spec, synth_phi):
         from safeval.analysis import lipschitz_env_plan, lipschitz_loss_plan, run_plans
@@ -331,6 +324,16 @@ class TestHoeffding:
 
     def test_zero_lipschitz_gives_zero(self):
         assert hoeffding_n(0.0, 0.1, 0.05) == 0
+        # Also where eps**2 underflows to 0 or ln(2 / delta) overflows.
+        assert hoeffding_n(0.0, 1e-170, 1e-320) == 0
+
+    @pytest.mark.parametrize(
+        "epsilon, delta",
+        [(1e-170, 0.05), (1e-320, 0.05), (1e-160, 0.05), (0.1, 1e-320), (1e-160, 2.0)],
+    )
+    def test_a_bound_that_is_no_finite_number_overflows(self, epsilon, delta):
+        with pytest.raises(OverflowError):
+            hoeffding_n(1.0, epsilon, delta)
 
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidArgumentError):
@@ -370,6 +373,15 @@ class TestTotalSamples:
         assert plan.n_per_iteration == 738
         assert plan.total_samples == 738 * 5 * 4
 
+    @pytest.mark.parametrize("epsilon, delta", [(1e-8, 0.05), (1e-170, 0.05), (0.1, 1e-320)])
+    def test_plan_beyond_64_bits_is_a_usage_error_naming_its_inputs(self, epsilon, delta):
+        with pytest.raises(InvalidArgumentError) as info:
+            sample_complexity_plan(epsilon, delta, 2.0, K1=200, K2=20, lipschitz_alt=3.5)
+        assert str(info.value) == (
+            f"the sample plan for epsilon {epsilon!r}, delta {delta!r} and Lipschitz "
+            "constant 3.5 needs more than 2**63 - 1 samples"
+        )
+
 
 class TestConvergence:
     def test_flat_tail_converges(self):
@@ -381,6 +393,14 @@ class TestConvergence:
         trace = [1.0 / t for t in range(1, 30)]
         rep = convergence_report(trace, window=3, tol=1e-9)
         assert not rep.converged
+
+    def test_gap_is_infinite_while_the_window_starts_at_a_failed_value(self):
+        from safeval.analysis import ConvergenceReport
+
+        rep = convergence_report([float("inf"), 2.0, 1.0], window=3, tol=1e-6)
+        assert rep == ConvergenceReport(converged=False, gap=float("inf"), window=3)
+        with pytest.raises(InvalidArgumentError, match="gap must be a number"):
+            ConvergenceReport(converged=False, gap=float("nan"), window=3)
 
     def test_short_trace_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,8 +245,21 @@ class TestJointCommand:
             ({"analysis_delta": 2.5}, "analysis_delta must lie in (0, 2]"),
             ({"safety_spec": "G[0,7](gap > 0)"},
              "spec horizon 7 s exceeds simulator duration 6 s"),
+            ({"task_count": 2**63}, "task_count must lie in [1, 1000000]"),
+            ({"params_per_task": 2**63}, "params_per_task must lie in [1, 1000000]"),
+            ({"analysis_pairs": 2**63}, "analysis_pairs must lie in [10, 1000000]"),
+            ({"beta_schedule": {"grid_size": 2**63}},
+             "beta_schedule: grid_size must lie in [1, 1000000]"),
+            ({"budget_policy": {"scale": 1e308}}, "budget_policy: scale must lie in [0, 1000000]"),
+            ({"budget_policy": {"base_budget": 10**400}},
+             "budget_policy: base_budget must lie in [4, 1000000]"),
+            ({"falsify_budget": {"max_evaluations": 2**63, "population": 2**63}},
+             "falsify_budget: population must lie in [4, 1000000]"),
         ],
-        ids=["epsilon-0", "epsilon-negative", "delta-0", "delta-2.5", "horizon"],
+        ids=[
+            "epsilon-0", "epsilon-negative", "delta-0", "delta-2.5", "horizon", "task-count",
+            "params-per-task", "analysis-pairs", "grid-size", "scale", "base-budget", "population",
+        ],
     )
     def test_bad_analysis_range_or_horizon_fails_before_any_simulation(
         self, tmp_path, capsys, command, overrides, message
@@ -257,6 +271,29 @@ class TestJointCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(counts.values())
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["joint", "analyze"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"analysis_epsilon": 1e-8}, {"analysis_epsilon": 1e-170}, {"analysis_delta": 1e-320}],
+        ids=["epsilon-1e-8", "epsilon-1e-170", "delta-1e-320"],
+    )
+    def test_epsilon_or_delta_without_a_64_bit_plan_fails_after_the_estimates(
+        self, tmp_path, capsys, command, overrides
+    ):
+        # The plan's size depends on the measured Lipschitz constants, so the
+        # estimates run first; the error names epsilon, delta and the constant.
+        cfg = tiny_config_file(tmp_path, outer_iterations=1, **overrides)
+        with tally() as counts:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        epsilon = overrides.get("analysis_epsilon", 0.1)
+        delta = overrides.get("analysis_delta", 0.05)
+        assert re.fullmatch(
+            rf"error: the sample plan for epsilon {epsilon!r}, delta {delta!r} and Lipschitz "
+            r"constant \S+ needs more than 2\*\*63 - 1 samples\n",
+            capsys.readouterr().err,
+        )
+        assert counts["low_calls"] + counts["high_calls"] > 0
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1, 10**400, 1e308, 1e6 * 1.5])
     def test_bad_weight_value_fails_before_any_simulation(self, tmp_path, capsys, weight):
@@ -379,7 +416,12 @@ class TestAnalyzeCalls:
             "safety_spec": spec.safety_spec,
             "master_seed": 2024,
             "sensitivity": dataclasses.asdict(sens),
-            **analysis_summary(spec, phi, tasks, config, f_max, center, K1=192),
+            **{
+                key: dataclasses.asdict(record)
+                for key, record in analysis_summary(
+                    spec, phi, tasks, config, f_max, center, K1=192
+                ).items()
+            },
         }
         text = (tmp_path / "ana" / "analysis.json").read_text()
         assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
@@ -477,6 +519,11 @@ FALSIFY = ["falsify", "--sim", "braking", "--budget", "64"]
         (["report"], (EDITED, {"best_loss": "x"})),
         (["report"], (EDITED, {"totals": [1]})),
         (["report"], (EDITED, {"analysis": {}})),
+        (["report"], (EDITED, {"analysis.probe_config": "abc"})),
+        (["report"], (EDITED, {"analysis.wormhole": 1})),
+        (["report"], (EDITED, {"config.simulator": "x"})),
+        (["report"], (EDITED, {"best_fidelity": []})),
+        (["report"], (EDITED, {"convergence.outer": "zzz"})),
         (["joint", "--config", DIRECTORY], None),
         (["joint", "--config", NOT_UTF8], None),
         (["analyze", "--config", DIRECTORY], None),

@@ -1,15 +1,27 @@
+import dataclasses
+import importlib
+import math
+import pkgutil
 import random
 import re
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safeval
+from safeval.analysis import LipschitzEstimate
+from safeval.bo import BetaSchedule, GpKernel
+from safeval.campaign import AdaptiveBudgetPolicy, CampaignConfig
 from safeval.core import (
+    Checked,
     EnvironmentSpace,
+    ExtendedFloat,
     FidelitySpace,
     InvalidArgumentError,
+    Reading,
     SimulationDivergedError,
     Trajectory,
     latin_hypercube_unit,
@@ -17,6 +29,8 @@ from safeval.core import (
     sample_uniform,
     split_seed,
 )
+from safeval.falsify import FalsifyBudget
+from safeval.sim import get_benchmark
 
 
 def unit_box(dim=1):
@@ -149,6 +163,20 @@ class TestSpaces:
         assert s.distance(fspace.setting((1.0, 0.0))) == 1.0
 
 
+class TestCheckFields:
+    def test_an_integer_beyond_float_range_is_no_number_of_any_float_kind(self):
+        @dataclasses.dataclass(frozen=True)
+        class Record(Checked):
+            extended: ExtendedFloat = 0.0
+            reading: Reading = 0.0
+
+        assert Record(float("inf"), float("nan")).extended == float("inf")
+        with pytest.raises(InvalidArgumentError, match="extended must be a number"):
+            Record(extended=10**400)
+        with pytest.raises(InvalidArgumentError, match="reading must be a number"):
+            Record(reading=-(10**400))
+
+
 class TestTrajectory:
     def test_duration_and_times(self):
         traj = Trajectory(0.0, 0.5, ("a",), np.zeros((1, 5)))
@@ -174,3 +202,105 @@ class TestTrajectory:
         traj = Trajectory(0.0, 0.5, ("a",), np.zeros((1, 5)))
         with pytest.raises(InvalidArgumentError):
             traj.channel("missing")
+
+
+
+# Every bound a record declares, as "Record.field". Dropping a declaration
+# fails the pinned list; a bound moved to a hand-written check fails it too.
+DECLARED_BOUNDS = {
+    "AdaptiveBudgetPolicy.base_budget", "AdaptiveBudgetPolicy.scale",
+    "AdaptiveBudgetPolicy.sigma_threshold",
+    "BetaSchedule.delta", "BetaSchedule.grid_size",
+    "CampaignConfig.analysis_delta", "CampaignConfig.analysis_epsilon",
+    "CampaignConfig.analysis_pairs", "CampaignConfig.convergence_window",
+    "CampaignConfig.counterexample_cap", "CampaignConfig.outer_iterations",
+    "CampaignConfig.params_per_task", "CampaignConfig.task_count", "CampaignConfig.task_weights",
+    "FalsifyBudget.elite_fraction", "FalsifyBudget.population", "FalsifyBudget.samples_per_eval",
+    "FalsifyBudget.stop_tolerance",
+    "FidelitySpace.dimension",
+    "GpKernel.amplitude", "GpKernel.lengthscales", "GpKernel.noise_variance",
+    "LipschitzEstimate.constant",
+    "SimulatorSpec.base_dt",
+    "Trajectory.dt",
+}
+BOUND_KEYS = ("ge", "gt", "le", "lt")
+
+
+def valid_record(name):
+    """A valid instance of record ``name``; its bounded fields are replaced one at a time."""
+    makers = {
+        "AdaptiveBudgetPolicy": AdaptiveBudgetPolicy,
+        "BetaSchedule": BetaSchedule,
+        "CampaignConfig": lambda: CampaignConfig(
+            simulator="braking", task_count=1, params_per_task=1, outer_iterations=1,
+            master_seed=0,
+        ),
+        "FalsifyBudget": lambda: FalsifyBudget(max_evaluations=10**7),
+        "FidelitySpace": lambda: FidelitySpace(dimension=1),
+        "GpKernel": lambda: GpKernel(lengthscales=(0.2,), amplitude=1.0, noise_variance=0.0),
+        "LipschitzEstimate": lambda: LipschitzEstimate(
+            constant=1.0, pairs_used=1, max_pair=((0.0,), (1.0,))
+        ),
+        "SimulatorSpec": lambda: get_benchmark("braking"),
+        "Trajectory": lambda: Trajectory(0.0, 0.1, ("a",), np.zeros((1, 2))),
+    }
+    return makers[name]()
+
+
+def declared_bounds():
+    """{"Record.field": (record class, field, type hint)} of every bounded dataclass field."""
+    found = {}
+    for info in pkgutil.iter_modules(safeval.__path__):
+        module = importlib.import_module(f"safeval.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                hints = typing.get_type_hints(cls)
+                for f in dataclasses.fields(cls):
+                    if any(key in f.metadata for key in BOUND_KEYS):
+                        found[f"{cls.__name__}.{f.name}"] = (cls, f, hints[f.name])
+    return found
+
+
+def bound_message(f):
+    """The message of a broken bound of field ``f``, from the one template."""
+    if "error" in f.metadata:
+        return f.metadata["error"]
+    keys = [key for key in BOUND_KEYS if key in f.metadata]
+    if len(keys) == 1:
+        sign = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}[keys[0]]
+        return f"{f.name} must be {sign} {f.metadata[keys[0]]}"
+    low, high = keys
+    left, right = "[" if low == "ge" else "(", "]" if high == "le" else ")"
+    return f"{f.name} must lie in {left}{f.metadata[low]}, {f.metadata[high]}{right}"
+
+
+def next_value(value, integral, direction):
+    """The next int, or the next float, from ``value`` in ``direction`` (+1 or -1)."""
+    return value + direction if integral else math.nextafter(value, direction * math.inf)
+
+
+class TestDeclaredBounds:
+    def test_the_bounded_fields_are_the_pinned_ones_on_checked_records(self):
+        found = declared_bounds()
+        assert set(found) == DECLARED_BOUNDS
+        assert all(issubclass(cls, Checked) for cls, _, _ in found.values())
+
+    @pytest.mark.parametrize("name", sorted(DECLARED_BOUNDS))
+    def test_a_value_just_outside_raises_and_the_last_inside_passes(self, name):
+        _, f, hint = declared_bounds()[name]
+        integral = int in (typing.get_args(hint) or (hint,))
+        wrap = {"lengthscales": lambda v: (v,), "task_weights": lambda v: {"task-0": v}}
+        wrap = wrap.get(f.name, lambda v: v)
+        record = valid_record(name.split(".")[0])
+        for key in BOUND_KEYS:
+            if key not in f.metadata:
+                continue
+            bound, outward = f.metadata[key], -1 if key in ("ge", "gt") else 1
+            if key in ("ge", "le"):
+                inside, outside = bound, next_value(bound, integral, outward)
+            else:
+                inside, outside = next_value(bound, integral, -outward), bound
+            dataclasses.replace(record, **{f.name: wrap(inside)})
+            with pytest.raises(InvalidArgumentError) as info:
+                dataclasses.replace(record, **{f.name: wrap(outside)})
+            assert str(info.value) == bound_message(f)

@@ -447,6 +447,11 @@ class TestLockstep:
         assert [r.best_robustness for r in got] == pytest.approx([0.3, -0.4])
         assert [r.counterexample_found for r in got] == [False, True]
 
+    def test_degenerate_box_that_diverges_fails_like_any_box(self, synth_phi):
+        spec = make_synthetic("synth-point-nan", lambda e, f: math.nan, (0.5,), (0.5 + 1e-13,))
+        with pytest.raises(FalsificationFailedError, match="entire population diverged"):
+            falsify(spec, synth_phi, spec.fidelity_space.setting((0.5,)), FalsifyBudget(64), 1)
+
     def test_no_searches(self, quad_robustness_spec, synth_phi):
         assert falsify_many(quad_robustness_spec, synth_phi, [], FalsifyBudget(64)) == []
 

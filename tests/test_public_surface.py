@@ -4,6 +4,7 @@ A name left in ``__all__`` after its definition moved or was removed breaks
 ``from safeval.<module> import *`` with an ``AttributeError``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -81,3 +82,38 @@ def test_inner_loop_import_leaves_the_outer_loop_unloaded():
         "loaded": [], "run_joint": True, "aggregate_loss": True, "GpState": True,
         "falsify_function": True, "falsify_module": True,
     }
+
+
+def imported_but_unused(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads; a name in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_imported_but_unused_finds_unread_names():
+    source = "from __future__ import annotations\nimport os, sys\nfrom a import b, c as d\n"
+    assert imported_but_unused(source + "print(sys, d)\n") == ["b (line 3)", "os (line 2)"]
+
+
+# The package's __init__ imports names to re-export them, so it is exempt.
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(safeval.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert imported_but_unused(path.read_text()) == []

@@ -519,6 +519,39 @@ class TestExternalAdapter:
         with pytest.raises(AdapterProtocolError):
             simulate_high(adapter_spec, adapter_spec.environment_space.config((1.0,)), seed=0)
 
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ({**GOOD_REPLY, "wormhole": 1}, "adapter reply: unknown reply fields: ['wormhole']"),
+            ({**GOOD_REPLY, "start_time": "0"},
+             "adapter reply: start_time must be a finite number, got '0'"),
+            ({**GOOD_REPLY, "start_time": None},
+             "adapter reply: start_time must be a finite number, got None"),
+        ],
+        ids=["unknown-field", "start-time-string", "start-time-null"],
+    )
+    def test_reply_is_checked_as_a_record(self, adapter_spec, monkeypatch, reply, message):
+        sim_module = importlib.import_module("safeval.sim")
+
+        def reply_with(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(reply).encode(), b"")
+
+        monkeypatch.setattr(sim_module.subprocess, "run", reply_with)
+        with pytest.raises(AdapterProtocolError) as info:
+            simulate_high(adapter_spec, adapter_spec.environment_space.config((1.0,)), seed=0)
+        assert str(info.value) == message
+
+    def test_start_time_may_be_left_out(self, adapter_spec, monkeypatch):
+        sim_module = importlib.import_module("safeval.sim")
+        reply = {key: value for key, value in self.GOOD_REPLY.items() if key != "start_time"}
+
+        def reply_with(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(reply).encode(), b"")
+
+        monkeypatch.setattr(sim_module.subprocess, "run", reply_with)
+        _, ok = simulate_batch(adapter_spec, np.array([[1.0]]), None, [0])
+        assert ok.tolist() == [True]
+
     @pytest.mark.parametrize("sample", [None, float("nan"), float("inf")], ids=["null", "nan", "inf"])
     def test_non_finite_sample_marks_the_row_diverged(self, adapter_spec, monkeypatch, sample):
         sim_module = importlib.import_module("safeval.sim")
