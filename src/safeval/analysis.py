@@ -47,10 +47,10 @@ from .core import (
     rng_from_seed,
     split_seed,
 )
-from .falsify import FalsifyBudget, falsify, falsify_many
+from .falsify import FalsifyBudget, _repeat_mean, _repeat_seeds, falsify, falsify_many
 from .loss import _mse_rows
 from .sim import SimulatorSpec, simulate_batch_multi_f
-from .stl import SafetySpec, robustness_batch
+from .stl import SafetySpec
 
 __all__ = [
     "LipschitzEstimate",
@@ -174,10 +174,6 @@ def run_plans(spec: SimulatorSpec, plans: Sequence[RowPlan]) -> list[Any]:
 # ---------------------------------------------------------------------------
 
 
-def _repeat_seeds(seed: Seed, repeats: int | None) -> list[Seed]:
-    return [split_seed(seed, "rep", k) for k in range(repeats or 1)]
-
-
 def _noise_active(spec: SimulatorSpec, f_rows: np.ndarray) -> bool:
     mapping = spec.fidelity_mapping
     if mapping.noise_knob is None:
@@ -203,27 +199,24 @@ def _rho_plan(
 ) -> RowPlan:
     """Plan of the mean robustness for each (e, f) row; errors out on diverged items.
 
-    The rows are tiled once per repeat seed; robustness is summed per repeat
-    in seed order.
+    The rows are tiled once per repeat seed and averaged as the falsifier
+    averages a candidate's; the error names the first row a repeat diverged at.
     """
     if _noise_active(spec, f_rows) and repeats is None:
         raise InvalidArgumentError(
             "the noise knob is active; supply a repeats count for averaging"
         )
     n = e_values.shape[0]
-    seeds = _repeat_seeds(seed, repeats)
+    seeds = _repeat_seeds(seed, repeats or 1)
 
     def reduce(samples: np.ndarray, ok: np.ndarray) -> np.ndarray:
-        total = np.zeros(n)
-        for r in range(len(seeds)):
-            block = slice(r * n, (r + 1) * n)
-            if not ok[block].all():
-                bad = int(np.flatnonzero(~ok[block])[0])
-                raise SimulationDivergedError(
-                    f"simulation diverged during estimation at e={e_values[bad].tolist()}"
-                )
-            total += robustness_batch(phi, samples[block], spec.channels, spec.base_dt)
-        return total / len(seeds)
+        rho = _repeat_mean(spec, phi, samples, ok.reshape(1, len(seeds), n))[0]
+        bad = np.flatnonzero(rho == np.inf)
+        if bad.size:
+            raise SimulationDivergedError(
+                f"simulation diverged during estimation at e={e_values[bad[0]].tolist()}"
+            )
+        return rho
 
     return RowPlan(
         e_rows=np.tile(e_values, (len(seeds), 1)),
@@ -262,21 +255,25 @@ def _paired_points(
     return np.vstack(a_rows), np.vstack(b_rows)
 
 
-def _max_slope(
-    a: np.ndarray, b: np.ndarray, va: np.ndarray, vb: np.ndarray
+def _max_ratio(
+    changes: np.ndarray, sizes: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> LipschitzEstimate:
-    dist = np.linalg.norm(a - b, axis=1)
-    usable = dist > 1e-15
-    if not usable.any():
+    """The largest ``changes / sizes`` over pairs of size above 1e-15, with its pair
+    (``left[k]``, ``right[k]``), the first on ties; raises when no pair is usable."""
+    usable = np.flatnonzero(sizes > 1e-15)
+    if not usable.size:
         raise InvalidArgumentError("all sampled pairs are degenerate (zero distance)")
-    ratios = np.abs(va[usable] - vb[usable]) / dist[usable]
-    idx_usable = np.flatnonzero(usable)
-    best = int(idx_usable[np.argmax(ratios)])
+    ratios = changes[usable] / sizes[usable]
+    best = int(usable[np.argmax(ratios)])
     return LipschitzEstimate(
-        constant=float(np.max(ratios)),
-        pairs_used=int(usable.sum()),
-        max_pair=(tuple(float(v) for v in a[best]), tuple(float(v) for v in b[best])),
+        constant=float(ratios.max()),
+        pairs_used=int(usable.size),
+        max_pair=(tuple(float(v) for v in left[best]), tuple(float(v) for v in right[best])),
     )
+
+
+def _max_slope(a: np.ndarray, b: np.ndarray, va: np.ndarray, vb: np.ndarray) -> LipschitzEstimate:
+    return _max_ratio(np.abs(va - vb), np.linalg.norm(a - b, axis=1), a, b)
 
 
 def lipschitz_env_plan(
@@ -360,7 +357,7 @@ def _smooth_offset(shape: tuple[int, int], times: np.ndarray, rng: np.random.Gen
 def _loss_pair_plan(
     spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
 ) -> RowPlan:
-    """Plan of (ratio, config, fidelity) per sampled pair; degenerate pairs skipped.
+    """Plan of each sampled pair's loss change and summed sup-norm trajectory change.
 
     Base trajectory pairs cycle through the tasks' parameters at random
     noise-free fidelity settings (the high rows, then the low rows); each
@@ -375,9 +372,7 @@ def _loss_pair_plan(
     )
     pair_seeds = [split_seed(seed, "pair", k) for k in range(pairs)]
 
-    def reduce(
-        samples: np.ndarray, ok: np.ndarray
-    ) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+    def reduce(samples: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not ok.all():
             raise SimulationDivergedError("simulation diverged while sampling trajectory pairs")
         highs, lows = samples[:pairs], samples[pairs:]
@@ -390,17 +385,8 @@ def _loss_pair_plan(
                 highs2[k] += _smooth_offset(highs[k].shape, times, rng)
             if mode != 0:
                 lows2[k] += _smooth_offset(lows[k].shape, times, rng)
-        denoms = np.abs(highs - highs2).max(axis=(1, 2)) + np.abs(lows - lows2).max(axis=(1, 2))
-        changes = np.abs(_mse_rows(highs, lows, times) - _mse_rows(highs2, lows2, times))
-        return [
-            (
-                float(changes[k] / denoms[k]),
-                tuple(float(v) for v in e_rows[k]),
-                tuple(float(v) for v in f_rows[k]),
-            )
-            for k in range(pairs)
-            if denoms[k] > 1e-15
-        ]
+        sizes = np.abs(highs - highs2).max(axis=(1, 2)) + np.abs(lows - lows2).max(axis=(1, 2))
+        return np.abs(_mse_rows(highs, lows, times) - _mse_rows(highs2, lows2, times)), sizes
 
     return RowPlan(
         e_rows=np.vstack([e_rows, e_rows]),
@@ -411,15 +397,6 @@ def _loss_pair_plan(
     )
 
 
-def _max_ratio(
-    ratios: list[tuple[float, tuple[float, ...], tuple[float, ...]]],
-) -> LipschitzEstimate:
-    if not ratios:
-        raise InvalidArgumentError("all trajectory pairs were identical")
-    best_ratio, cfg, fid = max(ratios, key=lambda r: r[0])
-    return LipschitzEstimate(constant=best_ratio, pairs_used=len(ratios), max_pair=(cfg, fid))
-
-
 def lipschitz_loss_plan(
     spec: SimulatorSpec, tasks: Sequence[Task], pairs: int, seed: Seed
 ) -> RowPlan:
@@ -428,7 +405,8 @@ def lipschitz_loss_plan(
         raise InvalidArgumentError("pairs must be >= 10")
     if not tasks:
         raise InvalidArgumentError("estimate_lipschitz_loss needs at least one task")
-    return _loss_pair_plan(spec, tasks, pairs, seed).then(_max_ratio)
+    plan = _loss_pair_plan(spec, tasks, pairs, seed)
+    return plan.then(lambda cs: _max_ratio(*cs, plan.e_rows[:pairs], plan.f_rows[:pairs]))
 
 
 def estimate_lipschitz_loss(
@@ -559,12 +537,12 @@ def sensitivity(
 # ---------------------------------------------------------------------------
 
 
-def hoeffding_n(L: float, epsilon: float, delta: float, L_alt: float | None = None) -> int:
+def hoeffding_n(L: float, epsilon: float, delta: float) -> int:
     """Per-iteration samples so the empirical estimate is eps-accurate w.p. 1-delta.
 
-    ``ceil((2 L^2 / eps^2) * ln(2 / delta))``, 0 for ``L = 0``; with
-    ``L_alt`` supplied the larger of the two resulting bounds is returned.
-    Raises ``OverflowError`` when the bound is not a finite number.
+    ``ceil((2 L^2 / eps^2) * ln(2 / delta))``, 0 for ``L = 0``; raises
+    ``OverflowError`` when that is not a finite number. It is nondecreasing
+    in L, as each operation is monotone and correctly rounded.
     """
     if L < 0:
         raise InvalidArgumentError("L must be >= 0")
@@ -576,8 +554,6 @@ def hoeffding_n(L: float, epsilon: float, delta: float, L_alt: float | None = No
         n = math.ceil((2.0 * L * L / (epsilon * epsilon)) * math.log(2.0 / delta)) if L else 0
     except (ZeroDivisionError, ValueError):  # eps^2 underflowed to 0, or inf * ln(1) is NaN
         raise OverflowError("the Hoeffding bound is not finite") from None
-    if L_alt is not None:
-        n = max(n, hoeffding_n(L_alt, epsilon, delta))
     return int(n)
 
 
@@ -602,11 +578,15 @@ def sample_complexity_plan(
 ) -> SampleComplexityPlan:
     """Assemble the Hoeffding n with observed loop lengths into one plan.
 
-    Raises a usage error naming ε, δ and L when n * K1 * K2 is no 64-bit count.
+    n is that of the larger constant, which is the larger n. Raises a usage
+    error naming ε, δ and L when n * K1 * K2 is no 64-bit count.
     """
-    L = float(max(lipschitz, lipschitz_alt or 0.0))
+    constants = [lipschitz] if lipschitz_alt is None else [lipschitz, lipschitz_alt]
+    if min(constants) < 0:
+        raise InvalidArgumentError("L must be >= 0")
+    L = float(np.max(constants))  # NaN, if any, fails in hoeffding_n
     try:
-        n = hoeffding_n(lipschitz, epsilon, delta, L_alt=lipschitz_alt)
+        n = hoeffding_n(L, epsilon, delta)
         total = total_samples(n, K1, K2)
     except OverflowError:
         raise InvalidArgumentError(

@@ -142,8 +142,6 @@ class GpState:
         x = np.asarray(x, dtype=float).reshape(1, -1)
         if x.shape[1] != self.dimension:
             raise InvalidArgumentError("observation dimension mismatch")
-        if not np.isfinite(y):
-            raise InvalidArgumentError("observation value must be finite")
         pts = np.vstack([self.points, x]) if self.points.size else x
         vals = np.append(self.values, float(y))
         return GpState(kernel=self.kernel, points=pts, values=vals)
@@ -241,21 +239,18 @@ class UcbMinimizer:
         self.warm = latin_hypercube_unit(dimension, dimension + 1, split_seed(seed, "warm"))
         self._x: list[np.ndarray] = []
         self._y: list[float] = []
-        self._gp_cache: GpState | None = None
 
     def gp(self) -> GpState:
         """The GP over the finite observations, scaled to their spread (1 below two of them)."""
-        if self._gp_cache is None:
-            finite = np.isfinite(self._y)
-            values = np.array(self._y)[finite]
-            kernel = GpKernel(
-                lengthscales=(_LENGTHSCALE,) * self.dimension,
-                amplitude=max(float(np.std(values)), 1e-8) if len(values) >= 2 else 1.0,
-                noise_variance=_NOISE_VARIANCE,
-            )
-            points = np.array(self._x).reshape(-1, self.dimension)[finite]
-            self._gp_cache = GpState(kernel=kernel, points=points, values=values)
-        return self._gp_cache
+        finite = np.isfinite(self._y)
+        values = np.array(self._y)[finite]
+        kernel = GpKernel(
+            lengthscales=(_LENGTHSCALE,) * self.dimension,
+            amplitude=max(float(np.std(values)), 1e-8) if len(values) >= 2 else 1.0,
+            noise_variance=_NOISE_VARIANCE,
+        )
+        points = np.array(self._x).reshape(-1, self.dimension)[finite]
+        return GpState(kernel=kernel, points=points, values=values)
 
     def posterior(self, x: Sequence[float]) -> tuple[float, float]:
         return gp_posterior(self.gp(), x)
@@ -276,7 +271,6 @@ class UcbMinimizer:
     def observe(self, x: Sequence[float], y: float) -> None:
         self._x.append(np.asarray(x, dtype=float).copy())
         self._y.append(float(y))
-        self._gp_cache = None
         if not math.isfinite(y):
             log.warning("evaluation at %s failed; excluded from GP updates", self._x[-1].tolist())
 

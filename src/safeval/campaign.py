@@ -54,7 +54,7 @@ from .core import (
     split_seed,
 )
 from .falsify import FalsificationFailedError, FalsifyBudget, check_horizon, falsify
-from .loss import LOSS_FAILURES, aggregate_loss, check_task_weights
+from .loss import LOSS_FAILURES, _pair_table, aggregate_loss, check_task_weights
 from .sim import (
     SimulatorSpec,
     _diverged,
@@ -411,7 +411,7 @@ def optimize_fidelity(
     high_cache: dict = {}
 
     def objective(x: np.ndarray, t: int) -> float:
-        f = spec.fidelity_space.setting(np.clip(x, 0.0, 1.0))
+        f = spec.fidelity_space.setting(x)
         try:
             result = aggregate_loss(
                 spec,
@@ -463,28 +463,21 @@ def run_joint(config: CampaignConfig, output_dir: str | Path | None = None) -> C
 
         with tally() as grand:
             # Fidelity-independent ground-truth runs, shared by every outer
-            # iteration and seeded as aggregate_loss seeds each pair. The cache
-            # gains each counterexample's run in the first iteration scoring it.
+            # iteration: aggregate_loss's own pairs. The cache gains each
+            # counterexample's run in the first iteration scoring it.
             loss_seed = split_seed(config.master_seed, "loss")
-            keys = [(task.id, j) for task in tasks for j in range(len(task.sampled_params))]
-            cfgs = [cfg for task in tasks for cfg in task.sampled_params]
+            groups = [(task.id, task.sampled_params) for task in tasks]
+            pairs, rows, seeds, keys = _pair_table(groups, loss_seed)
             with tally() as setup:
-                samples, ok = simulate_batch(
-                    spec,
-                    np.array([cfg.as_array() for cfg in cfgs]),
-                    None,
-                    [split_seed(loss_seed, task_id, j) for task_id, j in keys],
-                )
+                samples, ok = simulate_batch(spec, rows, None, seeds)
             if not ok.all():
-                raise _diverged(spec, cfgs[int(np.flatnonzero(~ok)[0])])
-            high_cache = {
-                (task_id, cfg.values): row for (task_id, _), cfg, row in zip(keys, cfgs, samples)
-            }
+                raise _diverged(spec, pairs[int(np.flatnonzero(~ok)[0])][2])
+            high_cache = dict(zip(keys, samples))
             totals["setup_high_calls"] = setup["high_calls"]
 
             for t in range(1, config.outer_iterations + 1):
                 f_vec = optimizer.suggest(t)
-                f = spec.fidelity_space.setting(np.clip(f_vec, 0.0, 1.0))
+                f = spec.fidelity_space.setting(f_vec)
                 _, sigma = optimizer.posterior(f_vec)
                 sigma_ref = max(sigma_ref, sigma)
                 inner_budget = config.budget_policy.budget_at(

@@ -38,7 +38,7 @@ from .campaign import (
     sample_tasks,
     write_json,
 )
-from .core import InvalidArgumentError, SchemaVersionError, split_seed
+from .core import MAX_COUNT, InvalidArgumentError, SchemaVersionError, split_seed
 from .falsify import FalsifyBudget, falsify
 from .sim import get_benchmark
 from .stl import SpecEvaluationError, SpecSyntaxError, parse_spec
@@ -114,6 +114,9 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_fidelity(args: argparse.Namespace) -> int:
+    for flag, count in (("--tasks", args.tasks), ("--per-task", args.per_task)):
+        if not 1 <= count <= MAX_COUNT:  # the bound of a config's counts
+            raise InvalidArgumentError(f"{flag} must lie in [1, {MAX_COUNT}]")
     out = _out_dir(args.out)
     spec = get_benchmark(args.sim)
     tasks = sample_tasks(spec, args.tasks, args.per_task, args.seed)

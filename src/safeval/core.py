@@ -271,6 +271,16 @@ def rng_from_seed(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_seed_key(seed)))
 
 
+def _outside(rows: np.ndarray, lower: Any, upper: Any) -> np.ndarray:
+    """Indices of the (batch, dim) ``rows`` outside the box [``lower``, ``upper``].
+
+    A row is inside when each value lies within 1e-12 of the bounds; NaN lies outside.
+    """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    inside = (rows >= lower - 1e-12) & (rows <= upper + 1e-12)
+    return np.flatnonzero(~inside.all(axis=1))
+
+
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -311,11 +321,7 @@ class EnvironmentSpace(Checked):
 
     def contains(self, values: Sequence[float]) -> bool:
         v = np.asarray(values, dtype=float)
-        if v.shape != (self.dimension,):
-            return False
-        return bool(
-            np.all(v >= self.lower_array() - 1e-12) and np.all(v <= self.upper_array() + 1e-12)
-        )
+        return v.shape == (self.dimension,) and not _outside(v[None], self.lower, self.upper).size
 
     def config(self, values: Sequence[float]) -> "EnvironmentConfig":
         return EnvironmentConfig(values=_as_float_tuple(values), space=self)
@@ -369,9 +375,7 @@ class FidelitySpace(Checked):
 
     def contains(self, values: Sequence[float]) -> bool:
         v = np.asarray(values, dtype=float)
-        if v.shape != (self.dimension,):
-            return False
-        return bool(np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12))
+        return v.shape == (self.dimension,) and not _outside(v[None], 0.0, 1.0).size
 
     def setting(self, values: Sequence[float]) -> "FidelitySetting":
         return FidelitySetting(values=_as_float_tuple(values), space=self)

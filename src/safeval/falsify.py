@@ -219,16 +219,29 @@ def _evaluate(
     seeds = [rep for s in searches for rep in s.repeat_seeds for _ in range(n)]
     f_rows = np.repeat([s.f.as_array() for s in searches], repeats * n, axis=0)
     samples, ok = simulate_batch_multi_f(spec, e_rows, f_rows, seeds, n_samples=n_samples)
-    # A candidate stays alive while every repeat so far is finite; later
-    # repeats of a dead candidate are not scored.
-    alive = np.logical_and.accumulate(ok.reshape(len(searches), repeats, n), axis=1)
+    return _repeat_mean(spec, phi, samples, ok.reshape(len(searches), repeats, n))
+
+
+def _repeat_seeds(seed: Seed, repeats: int) -> list[Seed]:
+    """The ``repeats`` seeds a candidate is simulated under, shared by all candidates."""
+    return [split_seed(seed, "rep", k) for k in range(repeats)]
+
+
+def _repeat_mean(
+    spec: SimulatorSpec, phi: SafetySpec, samples: np.ndarray, ok: np.ndarray
+) -> np.ndarray:
+    """Mean robustness of rows laid out as ``ok``'s (groups, repeats, n), per (group, candidate).
+
+    Repeats are summed in seed order; once one diverges the candidate scores +inf.
+    """
+    alive = np.logical_and.accumulate(ok, axis=1)
     rho = np.zeros(alive.shape)
     rows = samples if alive.all() else samples[alive.ravel()]
     rho[alive] = robustness_batch(phi, rows, spec.channels, spec.base_dt)
-    scores = np.zeros((len(searches), n))
-    for r in range(repeats):
+    scores = np.zeros((ok.shape[0], ok.shape[2]))
+    for r in range(ok.shape[1]):
         scores += rho[:, r]
-    scores /= repeats
+    scores /= ok.shape[1]
     scores[~alive[:, -1]] = np.inf
     return scores
 
@@ -262,10 +275,7 @@ def falsify_many(
     lo = space.lower_array()
     hi = space.upper_array()
     width = hi - lo
-    state = [
-        _Search(f, seed, [split_seed(seed, "rep", k) for k in range(budget.samples_per_eval)])
-        for f, seed in searches
-    ]
+    state = [_Search(f, seed, _repeat_seeds(seed, budget.samples_per_eval)) for f, seed in searches]
 
     failures: dict[int, FalsificationFailedError] = {}
     active = list(range(len(state)))

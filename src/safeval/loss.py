@@ -108,6 +108,16 @@ def check_task_weights(
     return weights
 
 
+def _pair_table(groups: Sequence[tuple[str, Sequence[EnvironmentConfig]]], seed: Seed) -> tuple:
+    """Pair table of ``groups`` of (id, configs): pairs (id, j, config) in order, their rows,
+    seeds ``split_seed(seed, id, j)`` and ``high_cache`` keys (id, values), for every caller.
+    """
+    pairs = [(gid, j, cfg) for gid, cfgs in groups for j, cfg in enumerate(cfgs)]
+    rows = [cfg.values for *_, cfg in pairs]
+    seeds = [split_seed(seed, gid, j) for gid, j, _ in pairs]
+    return pairs, rows, seeds, [(gid, row) for (gid, *_), row in zip(pairs, rows)]
+
+
 def aggregate_loss(
     spec: SimulatorSpec,
     f: FidelitySetting,
@@ -144,10 +154,7 @@ def aggregate_loss(
     groups = [(task.id, task.sampled_params, float(weights.get(task.id, 1.0))) for task in tasks]
     if extra_configs:
         groups.append(("extra", tuple(extra_configs), 1.0))
-    pairs = [(task_id, j, cfg, w) for task_id, cfgs, w in groups for j, cfg in enumerate(cfgs)]
-    e_rows = [cfg.values for _, _, cfg, _ in pairs]
-    seeds = [split_seed(seed, task_id, j) for task_id, j, _, _ in pairs]
-    keys = [(task_id, cfg.values) for task_id, _, cfg, _ in pairs]
+    pairs, e_rows, seeds, keys = _pair_table([group[:2] for group in groups], seed)
     cache = {} if high_cache is None else high_cache
     highs = [cache.get(key) for key in keys]
     missing = [i for i, high in enumerate(highs) if high is None]
@@ -160,7 +167,7 @@ def aggregate_loss(
     lows, ok_low = simulate_batch(spec, e_rows, f, seeds)
     ok &= ok_low
     if not ok.all():
-        task_id, j, cfg, _ = pairs[int(np.flatnonzero(~ok)[0])]
+        task_id, j, cfg = pairs[int(np.flatnonzero(~ok)[0])]
         raise SimulationDivergedError(
             f"simulation failed for task {task_id!r}, parameter index {j}: "
             f"{_diverged(spec, cfg)}"
@@ -169,7 +176,7 @@ def aggregate_loss(
     for k, i in enumerate(missing):
         highs[i] = fresh[k]
         cache.setdefault(keys[i], fresh[k])
-    pair_weights = np.array([w for *_, w in pairs])
+    pair_weights = np.repeat([w for *_, w in groups], [len(cfgs) for _, cfgs, _ in groups])
     losses = pair_weights * _mse_rows(np.array(highs), lows, spec.grid_times())
 
     per_task: list[tuple[str, float]] = []

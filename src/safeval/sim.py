@@ -102,6 +102,7 @@ from .core import (
     SimulationDivergedError,
     Trajectory,
     _field_kwargs,
+    _outside,
     rng_from_seed,
     split_seed,
 )
@@ -758,8 +759,7 @@ def _env_rows(spec: SimulatorSpec, e_values: np.ndarray, seeds: Sequence[Seed]) 
         raise InvalidArgumentError(f"e_values must have shape (batch, {space.dimension})")
     if len(seeds) != e_values.shape[0]:
         raise InvalidArgumentError("one seed per batch item required")
-    inside = (e_values >= space.lower_array() - 1e-12) & (e_values <= space.upper_array() + 1e-12)
-    bad = np.flatnonzero(~inside.all(axis=1))
+    bad = _outside(e_values, space.lower, space.upper)
     if bad.size:
         raise InvalidArgumentError(
             f"environment row {bad[0]}, {tuple(e_values[bad[0]].tolist())}, is out-of-bounds "
@@ -794,7 +794,7 @@ def _simulate(
         raise InvalidArgumentError(
             f"f_rows must have shape (batch, {spec.fidelity_space.dimension})"
         )
-    if not np.all((f_rows >= -1e-12) & (f_rows <= 1.0 + 1e-12)):
+    if _outside(f_rows, 0.0, 1.0).size:
         raise InvalidArgumentError("fidelity rows must lie in [0, 1] and not be NaN")
     high = np.asarray(high, dtype=bool)
     if high.shape != (batch,):

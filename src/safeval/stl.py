@@ -48,6 +48,7 @@ Grammar accepted by :func:`parse_spec` (whitespace insignificant)::
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -238,21 +239,16 @@ class _Parser:
         return match.group()
 
     def formula(self) -> SafetySpec:
-        return self.or_expr()
+        # A partial adds no Python frame, so a spec may nest as deep as before.
+        return self.chain("|", Or, functools.partial(self.chain, "&", And, self.unary))
 
-    def or_expr(self) -> SafetySpec:
-        args = [self.and_expr()]
-        while self.peek() == "|":
+    def chain(self, op: str, node: type, operand: Callable[[], SafetySpec]) -> SafetySpec:
+        """One or more ``operand``s joined by ``op``; two or more become a ``node``."""
+        args = [operand()]
+        while self.peek() == op:
             self.pos += 1
-            args.append(self.and_expr())
-        return args[0] if len(args) == 1 else Or(tuple(args))
-
-    def and_expr(self) -> SafetySpec:
-        args = [self.unary()]
-        while self.peek() == "&":
-            self.pos += 1
-            args.append(self.unary())
-        return args[0] if len(args) == 1 else And(tuple(args))
+            args.append(operand())
+        return args[0] if len(args) == 1 else node(tuple(args))
 
     def unary(self) -> SafetySpec:
         ch = self.peek()

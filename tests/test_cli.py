@@ -1,16 +1,18 @@
 import copy
 import dataclasses
 import json
+import math
 import re
+import typing
 
 import numpy as np
 import pytest
 
 from safeval import sim
 from safeval.analysis import sensitivity
-from safeval.campaign import CampaignConfig, analysis_summary, sample_tasks
-from safeval.cli import main
-from safeval.core import split_seed
+from safeval.campaign import CampaignConfig, analysis_summary, campaign_inputs, sample_tasks
+from safeval.cli import _INPUT_ERRORS, main
+from safeval.core import _field_hints, split_seed
 from safeval.sim import tally
 from safeval.stl import parse_spec
 from tests.conftest import replace_braking_backend
@@ -167,6 +169,29 @@ class TestTuneFidelityCommand:
         lines = (out / "regret.csv").read_text().strip().splitlines()
         assert lines[0].startswith("t,f_0")
         assert len(lines) == 5
+
+
+    @pytest.mark.parametrize(
+        "tasks, per_task, message",
+        [
+            ("10000000", "10000000", "--tasks must lie in [1, 1000000]"),
+            ("1", "1000001", "--per-task must lie in [1, 1000000]"),
+            ("0", "2", "--tasks must lie in [1, 1000000]"),
+            ("1", "-1", "--per-task must lie in [1, 1000000]"),
+        ],
+    )
+    def test_counts_outside_the_config_bound_fail_before_sampling(
+        self, tmp_path, capsys, monkeypatch, tasks, per_task, message
+    ):
+        # The first case would otherwise go on to simulate about 10**14 rows.
+        def unreachable(*args):
+            raise AssertionError("sample_tasks was reached")
+
+        monkeypatch.setattr("safeval.cli.sample_tasks", unreachable)
+        argv = ["tune-fidelity", "--sim", "braking", "--tasks", tasks, "--per-task", per_task,
+                "--iters", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestJointCommand:
@@ -593,3 +618,50 @@ def test_usage_error_says_what_is_wrong(capsys, argv, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: safeval {argv[0]} ")
     assert err.endswith(f"\nerror: {reason}\n")
+
+
+# Each leaf of a 1-iteration braking config, found by walking the annotations
+# that check_fields resolves, is set in turn to each of these values.
+MUTATIONS = [None, "x", True, False, -1, 0, 1, 0.5, -0.0, 1e-320, 1e308, math.nan, math.inf,
+             2**63, 2**64, 10**30, [], {}]
+# Counts that only set how long a run lasts are unbounded; from 2**63 on a run
+# goes on for as long as it is let, so those configs are only loaded.
+RUN_LENGTHS = {("outer_iterations",), ("falsify_budget", "max_evaluations")}
+
+
+def config_leaves(cls, prefix=()):
+    """Paths of the fields of dataclass ``cls`` that hold no record; records are walked."""
+    for f, hint, _ in _field_hints(cls):
+        records = [arm for arm in typing.get_args(hint) or (hint,) if dataclasses.is_dataclass(arm)]
+        if records:
+            yield from config_leaves(records[0], prefix + (f.name,))
+        elif f.name != "output_dir":  # a path; the commands write under --out
+            yield prefix + (f.name,)
+
+
+@pytest.mark.parametrize("leaf", list(config_leaves(CampaignConfig)), ids=".".join)
+def test_every_mutated_config_leaf_exits_0_or_1(tmp_path, capsys, leaf):
+    base = json.loads(tiny_config_file(tmp_path, outer_iterations=1).read_text())
+    for value in MUTATIONS:
+        config = copy.deepcopy(base)
+        node = config
+        for key in leaf[:-1]:
+            node = node.setdefault(key, {})
+        node[leaf[-1]] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        try:
+            campaign_inputs(CampaignConfig.from_json_file(path))
+            loads = True
+        except _INPUT_ERRORS:
+            loads = False
+        if loads and leaf in RUN_LENGTHS and isinstance(value, int) and value >= 2**63:
+            continue
+        for command in ("joint", "analyze"):
+            with tally() as counts:
+                code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            case = (leaf, value, command, err)
+            assert code in (0, 1) and "Traceback" not in err, case
+            assert code == 0 or err.startswith("error: "), case
+            assert loads or code == 1 and not any(counts.values()), case

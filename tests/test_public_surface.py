@@ -117,3 +117,42 @@ def test_imported_but_unused_finds_unread_names():
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert imported_but_unused(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes of ``sources`` (module name to text) that no
+    source reads anywhere but in their own definition, or that their module also imports:
+    then one copy shadows the other."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        defined += [
+            (module, node.name, node.name in imported)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")  # a module hook such as __getattr__
+        ]
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(f"{m}.{name}" for m, name, shadowed in defined if shadowed or name not in read)
+
+
+def test_unreferenced_private_names_finds_orphans_and_shadowed_copies():
+    sources = {
+        "a": "def _f(): pass\ndef _g(): pass\nclass _C: pass\n",
+        "b": "from .a import _g\ndef _g(): pass\n_g()\n_C()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._f", "b._g"]
+
+
+def test_every_private_helper_is_used():
+    package = Path(safeval.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeval.core import InvalidArgumentError, SimulationDivergedError
 from safeval.loss import LOSS_FAILURES, mse_loss
@@ -25,6 +27,24 @@ from safeval.sim import (
 )
 from safeval.stl import robustness
 from tests.conftest import make_synthetic
+
+
+# A cheap two-dimensional simulator for probing the box edges of both spaces.
+BOX_SPEC = make_synthetic("synth-box", lambda e, f: 1.0, (-1.0, 2.0), (0.5, 3.0), fidelity_dim=2)
+
+
+def box_values(lower, upper):
+    """Values of one coordinate: non-finite, on and within about 1e-12 of a bound, or anywhere."""
+    near = [
+        v
+        for b in (lower, upper)
+        for edge in (b - 1e-12, b + 1e-12)
+        for v in (b, edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))
+    ]
+    return st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf] + near),
+        st.floats(lower - 1.0, upper + 1.0),
+    )
 
 
 def rand_configs(spec, n, seed):
@@ -162,6 +182,24 @@ class TestValidation:
     def test_nan_fidelity_value_rejected(self, braking, f_row):
         with pytest.raises(InvalidArgumentError, match="NaN"):
             simulate_batch_multi_f(braking, [[50.0, 20.0, 5.0]], [f_row], [0])
+
+    @given(
+        e_row=st.tuples(box_values(-1.0, 0.5), box_values(2.0, 3.0)),
+        f_row=st.tuples(box_values(0.0, 1.0), box_values(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_contains_accepts_a_row_exactly_when_the_simulator_does(self, e_row, f_row):
+        def accepted(call):
+            try:
+                call()
+            except InvalidArgumentError:
+                return False
+            return True
+
+        env_ok = accepted(lambda: simulate_batch(BOX_SPEC, [e_row], None, [0]))
+        assert BOX_SPEC.environment_space.contains(e_row) == env_ok
+        fid_ok = accepted(lambda: simulate_batch_multi_f(BOX_SPEC, [[0.0, 2.5]], [f_row], [0]))
+        assert BOX_SPEC.fidelity_space.contains(f_row) == fid_ok
 
     def test_diverging_backend_raises(self, diverging_spec):
         e = diverging_spec.environment_space.config((0.5,))
